@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from threading import Lock
 
-from .exactlinalg import InvariantError, Subspace, rank_of_vectors
+from .exactlinalg import InvariantError, Subspace, echelon_rows
 from .exterior import EulerField, Form, exterior_d, iota_euler, omega0, wedge
 from .gradedpoly import InputError, Poly, is_squarefree, mono_mul, monomial_basis
 from .jacobian import jacobian_dim
@@ -93,11 +92,32 @@ class BrieskornSlice:
         return len(self.ambient) - self.relations.dim
 
 
-class _BrieskornContext:
-    """Per-polynomial cache of relation subspaces and f-powers.
+class _RankTrace:
+    """Ranks of f^N out of one seed span in degree k, N = 0..len(values)-1,
+    and an echelon basis of the image of the last power tried.  Only that one
+    basis is kept: the next power needs nothing else."""
 
-    Degree caches behave as write-once maps (setdefault), so slices for
-    distinct degrees may be filled in concurrently.
+    __slots__ = ("k", "values", "basis")
+
+    def __init__(self, k: int, basis: list):
+        self.k = k
+        self.values = [len(basis)]
+        self.basis = basis
+
+
+class _BrieskornContext:
+    """Per-polynomial cache of relation subspaces and f-power rank traces.
+
+    Multiplication by f is well defined on H_f because
+    f * (df ^ d eta) = df ^ d(f eta), so it maps the relations in degree k
+    into those in degree k+d.  The image of f^N out of degree k is therefore
+    f times the image of f^(N-1), and a rank trace grows one power at a time:
+    push the echelon basis of the last image forward by f alone, reduce
+    modulo the relations of the landing degree and eliminate again
+    (`_extend`).  Traces are kept per degree for `power_rank` (seeded by the
+    non-pivot monomials, a basis of H_k) and per (degree, classes) for
+    `span_rank`, so a rank asked for twice is read from the trace.  The same
+    multiplication, `times_f`, gives the class vectors of `class_vector`.
     """
 
     def __init__(self, f: Poly):
@@ -114,24 +134,25 @@ class _BrieskornContext:
             raise InputError("f must be reduced (squarefree)")
         self.nvars = f.nvars
         self.n = f.nvars - 1
-        fint, _ = f.integer_scaled()
+        fint, self.scale = f.integer_scaled()
         self.f = fint
+        self.fterms = list(fint.terms.items())
         self.partials = [list(fint.partial(i).terms.items()) for i in range(self.nvars)]
+        self._monos: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._rel: dict[int, Subspace] = {}
-        self._pow: dict[int, Poly] = {0: Poly.constant(self.nvars, 1), 1: fint}
+        self._traces: dict[tuple, _RankTrace] = {}
+
+    def monomials(self, m: int) -> list:
+        got = self._monos.get(m)
+        if got is None:
+            got = self._monos[m] = monomial_basis(self.nvars, m)
+        return got
 
     def index(self, m: int) -> dict:
         got = self._index.get(m)
         if got is None:
-            basis = monomial_basis(self.nvars, m)
-            got = self._index.setdefault(m, {mono: i for i, mono in enumerate(basis)})
-        return got
-
-    def fpower(self, N: int) -> Poly:
-        got = self._pow.get(N)
-        if got is None:
-            got = self._pow.setdefault(N, self.fpower(N - 1) * self.f)
+            got = self._index[m] = {mono: i for i, mono in enumerate(self.monomials(m))}
         return got
 
     def relation_rows(self, k: int) -> list:
@@ -170,8 +191,7 @@ class _BrieskornContext:
         got = self._rel.get(k)
         if got is None:
             ambient = len(self.index(k - self.n - 1)) if k >= self.n + 1 else 0
-            built = Subspace._from_int_rows(self.relation_rows(k), ambient)
-            got = self._rel.setdefault(k, built)
+            got = self._rel[k] = Subspace._from_int_rows(self.relation_rows(k), ambient)
         return got
 
     def vector(self, p: Poly, m: int) -> dict:
@@ -184,54 +204,78 @@ class _BrieskornContext:
             return 0
         return len(self.index(k - self.n - 1)) - self.relations(k).dim
 
+    def times_f(self, vec: dict, k: int) -> dict:
+        """Coordinates in degree k+d of the integer-scaled f times the
+        degree-k coordinates vec, unreduced."""
+        src = self.monomials(k - self.n - 1)
+        idx = self.index(k + self.d - self.n - 1)
+        out: dict = {}
+        for col, c in vec.items():
+            mono = src[col]
+            for fm, fc in self.fterms:
+                t = idx[mono_mul(mono, fm)]
+                out[t] = out.get(t, 0) + c * fc
+        return out
+
+    def _extend(self, trace: _RankTrace, N: int) -> int:
+        """Push the trace forward by f until it holds the rank of f^N."""
+        while len(trace.values) <= N:
+            last = trace.k + (len(trace.values) - 1) * self.d
+            rel = self.relations(last + self.d)
+            trace.basis = echelon_rows(rel.reduce(self.times_f(v, last)) for v in trace.basis)
+            trace.values.append(len(trace.basis))
+        return trace.values[N]
+
     def power_rank(self, k: int, N: int) -> int:
         """Rank of multiplication by f^N from H_{f,k} to H_{f,k+Nd}."""
         if k < self.n + 1:
             return 0
-        if N == 0:
-            return self.hf_dim(k)
-        src = monomial_basis(self.nvars, k - self.n - 1)
-        fN = self.fpower(N)
-        target_k = k + N * self.d
-        rel = self.relations(target_k)
-        mt = target_k - self.n - 1
-        reduced = []
-        for mono in src:
-            v = rel.reduce(self.vector(fN.shift(mono), mt))
-            if v:
-                reduced.append(v)
-        if not reduced:
-            return 0
-        return rank_of_vectors(reduced, len(self.index(mt)))
+        trace = self._traces.get((k, None))
+        if trace is None:
+            pivots = set(self.relations(k).pivots)
+            seed = [{c: 1} for c in range(len(self.index(k - self.n - 1))) if c not in pivots]
+            trace = self._traces[(k, None)] = _RankTrace(k, seed)
+        return self._extend(trace, N)
 
     def span_rank(self, k: int, N: int, polys) -> int:
         """Rank of the span of the classes of f^N * p in H_{f,k+Nd}."""
         if k < self.n + 1:
             return 0
-        fN = self.fpower(N)
-        target_k = k + N * self.d
-        rel = self.relations(target_k)
-        mt = target_k - self.n - 1
-        reduced = []
-        for p in polys:
-            v = rel.reduce(self.vector(fN * p, mt))
-            if v:
-                reduced.append(v)
-        if not reduced:
-            return 0
-        return rank_of_vectors(reduced, len(self.index(mt)))
+        key = (k, tuple(polys))
+        trace = self._traces.get(key)
+        if trace is None:
+            rel = self.relations(k)
+            m = k - self.n - 1
+            seed = echelon_rows(rel.reduce(self.vector(p, m)) for p in key[1])
+            trace = self._traces[key] = _RankTrace(k, seed)
+        return self._extend(trace, N)
+
+    def class_vector(self, p: Poly, k: int, power: int) -> dict:
+        """Reduced coordinates of the class of f^power * p in H_{k+power*d};
+        p is homogeneous of degree k-n-1 (the coefficient of omega_0).
+
+        The product is reduced once, in the landing degree: a reduction per
+        power would cost more than it saves on the few powers used here.
+        """
+        if k < self.n + 1:
+            return {}
+        vec = self.vector(p, k - self.n - 1)
+        for j in range(power):
+            vec = self.times_f(vec, k + j * self.d)
+        vec = self.relations(k + power * self.d).reduce(vec)
+        if self.scale != 1 and power:
+            unscale = Fraction(1, self.scale ** power)
+            vec = {c: v * unscale for c, v in vec.items()}
+        return vec
 
 
 _contexts: dict[Poly, _BrieskornContext] = {}
-_contexts_lock = Lock()
 
 
 def _ctx(f: Poly) -> _BrieskornContext:
     got = _contexts.get(f)
     if got is None:
-        built = _BrieskornContext(f)
-        with _contexts_lock:
-            got = _contexts.setdefault(f, built)
+        got = _contexts[f] = _BrieskornContext(f)
     return got
 
 
@@ -252,6 +296,23 @@ def brieskorn_slice(f: Poly, k: int) -> BrieskornSlice:
 def hf_dim(f: Poly, k: int) -> int:
     """dim H_{f,k}; zero below degree n+1."""
     return _ctx(f).hf_dim(k)
+
+
+def class_vector(f: Poly, p: Poly, k: int, power: int = 0) -> dict:
+    """Reduced coordinates of the class of f^power * p in H_{f,k+power*d}.
+
+    p must be homogeneous of degree k-n-1 (the coefficient of omega_0).  The
+    representative is the canonical one modulo the relations (zero on their
+    pivot columns), so it does not depend on how the product was formed.
+    """
+    ctx = _ctx(f)
+    if power < 0:
+        raise InputError("power must be nonnegative")
+    if not isinstance(p, Poly) or p.nvars != ctx.nvars:
+        raise InputError("p must live in the same ring as f")
+    if p.terms and not (p.is_homogeneous() and p.homogeneous_degree() == k - ctx.n - 1):
+        raise InputError(f"p must be homogeneous of degree {k - ctx.n - 1}")
+    return ctx.class_vector(p, k, power)
 
 
 def f_power_image_dim(f: Poly, k: int, N: int) -> int:

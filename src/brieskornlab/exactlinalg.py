@@ -231,18 +231,19 @@ class Subspace:
         """
         vv = _as_dict(v, self.ambient_dim)
         out: dict[int, Fraction] = {}
+        hits = []
         for c, val in vv.items():
-            if c not in self._pivset:
+            if c in self._pivset:
+                hits.append((c, val))
+            else:
                 out[c] = val
-        for c in self.pivots:
-            a = vv.get(c)
-            if a:
-                for cc, t in self.tails[c].items():
-                    s = out.get(cc, 0) - a * t
-                    if s:
-                        out[cc] = s
-                    else:
-                        out.pop(cc, None)
+        for c, a in hits:
+            for cc, t in self.tails[c].items():
+                s = out.get(cc, 0) - a * t
+                if s:
+                    out[cc] = s
+                else:
+                    out.pop(cc, None)
         return {c: val for c, val in out.items() if val}
 
     def contains(self, v) -> bool:
@@ -275,6 +276,17 @@ def reduce_mod(v, s: Subspace) -> dict[int, Fraction]:
 def rank_of_vectors(vectors: Iterable, ambient_dim: int) -> int:
     rows = (_int_row(_as_dict(v, ambient_dim)) for v in vectors)
     return len(_forward_eliminate(r for r in rows if r))
+
+
+def echelon_rows(vectors: Iterable[Mapping[int, object]]) -> list[dict[int, int]]:
+    """Integer rows of an echelon basis of the span of sparse vectors.
+
+    Each row is zero on the pivot columns of the rows before it, so the rows
+    are independent and their count is the rank.  Coordinates are taken as
+    given, without the range check of `rank_of_vectors`.
+    """
+    rows = (_int_row(v) for v in vectors)
+    return [row for _, row in _forward_eliminate(r for r in rows if r)]
 
 
 class ExactMatrix:

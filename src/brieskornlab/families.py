@@ -13,8 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brieskorn import (StabilizationPolicy, hbar_certificate, pole_filtration_dims,
-                        relation_space)
+from .brieskorn import (StabilizationPolicy, class_vector, hbar_certificate,
+                        pole_filtration_dims, relation_space)
 from .exactlinalg import ExactMatrix, InvariantError, QuotientMapError, SpanSolver
 from .gradedpoly import InputError, Poly, is_squarefree, monomial_basis
 from .jacobian import global_tjurina, jacobian_dims
@@ -113,6 +113,11 @@ class PoleConstancyResult:
         return f"PoleConstancyResult(constant={self.constant}, samples={len(self.table)})"
 
 
+# Constancy verdicts by (family, samples, policy): a family run checks the
+# pole dims once, and grp_nabla_matrix finds the verdict here for every q.
+_constancy: dict[tuple, PoleConstancyResult] = {}
+
+
 def _pole_sample(args):
     fam, s, policy = args
     return s, pole_filtration_dims(specialize(fam, s), policy).dims
@@ -137,17 +142,9 @@ def pole_constancy_check(fam: PencilFamily, samples=None,
     else:
         rows = [_pole_sample(j) for j in jobs]
     table = tuple(rows)
-    constant = len({dims for _, dims in table}) == 1
-    return PoleConstancyResult(constant, table)
-
-
-def _class_vector(f: Poly, n: int, d: int, p: Poly, k: int, power: int):
-    """Reduced coordinates of the class of f^power * p in degree k + power*d."""
-    landing = k + power * d
-    rel = relation_space(f, landing)
-    idx = {m: i for i, m in enumerate(monomial_basis(f.nvars, landing - n - 1))}
-    prod = (f ** power) * p
-    return rel.reduce({idx[m]: c for m, c in prod.terms.items()}), len(idx)
+    result = PoleConstancyResult(len({dims for _, dims in table}) == 1, table)
+    _constancy[(fam, ss, policy or StabilizationPolicy())] = result
+    return result
 
 
 def _graded_quotient(f: Poly, n: int, d: int, k: int, power: int):
@@ -156,22 +153,16 @@ def _graded_quotient(f: Poly, n: int, d: int, k: int, power: int):
     Seeds the solver with the f-image classes (labelled None), then adds the
     classes of ambient monomials; the accepted ones label the quotient basis.
     """
-    solver = None
+    if k < n + 1:
+        return None, []
+    solver = SpanSolver(relation_space(f, k + power * d).ambient_dim)
     basis = []
-    if k >= n + 1:
-        fimage_src = monomial_basis(f.nvars, k - d - n - 1) if k - d >= n + 1 else []
-        ambient = monomial_basis(f.nvars, k - n - 1)
-        for mono in fimage_src:
-            vec, dim = _class_vector(f, n, d, f.shift(mono), k, power)
-            if solver is None:
-                solver = SpanSolver(dim)
-            solver.add(vec, None)
-        for j, mono in enumerate(ambient):
-            vec, dim = _class_vector(f, n, d, Poly.monomial(f.nvars, mono), k, power)
-            if solver is None:
-                solver = SpanSolver(dim)
-            if solver.add(vec, len(basis)):
-                basis.append(mono)
+    fimage_src = monomial_basis(f.nvars, k - d - n - 1) if k - d >= n + 1 else []
+    for mono in fimage_src:
+        solver.add(class_vector(f, f.shift(mono), k, power), None)
+    for mono in monomial_basis(f.nvars, k - n - 1):
+        if solver.add(class_vector(f, Poly.monomial(f.nvars, mono), k, power), len(basis)):
+            basis.append(mono)
     return solver, basis
 
 
@@ -183,7 +174,9 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     Multiplication by -q * xi_f(fam, s0) from H-bar_{qd}/f H-bar_{(q-1)d} to
     H-bar_{(q+1)d}/f H-bar_{qd}, in bases chosen by the stabilized class maps.
     Refused unless the pole dims are constant across the sample set (the
-    hypothesis the underlying comparison needs).  Every ambient monomial is
+    hypothesis the underlying comparison needs); a verdict that
+    pole_constancy_check already reached for the same samples and policy is
+    reused rather than recomputed.  Every ambient monomial is
     re-expressed through the chosen basis and its image compared, so a
     successful return certifies the map is well defined on the quotients.
     """
@@ -194,7 +187,9 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     if s0 not in ss:
         ss = ss + (s0,)
     policy = policy or StabilizationPolicy()
-    constancy = pole_constancy_check(fam, ss, policy)
+    constancy = _constancy.get((fam, ss, policy))
+    if constancy is None:
+        constancy = pole_constancy_check(fam, ss, policy)
     if not constancy:
         raise InvariantError(
             "pole dims are not constant over the samples; "
@@ -216,8 +211,7 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
         return ExactMatrix.zeros(nrows, ncols)
 
     def target_coords(p: Poly) -> dict:
-        vec, _ = _class_vector(f, n, d, p, tgt_k, p_tgt)
-        combo = tgt_solver.express(vec)
+        combo = tgt_solver.express(class_vector(f, p, tgt_k, p_tgt))
         if combo is None:
             raise InvariantError("image class escaped the target presentation")
         return {lab: val for lab, val in combo.items() if lab is not None}
@@ -231,8 +225,7 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     for mono in monomial_basis(f.nvars, src_k - n - 1):
         if mono in basis_pos:
             continue
-        vec, _ = _class_vector(f, n, d, Poly.monomial(f.nvars, mono), src_k, p_src)
-        combo = src_solver.express(vec)
+        combo = src_solver.express(class_vector(f, Poly.monomial(f.nvars, mono), src_k, p_src))
         if combo is None:
             raise InvariantError("source class escaped its own presentation")
         expected: dict = {}

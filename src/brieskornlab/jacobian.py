@@ -9,7 +9,6 @@ singularities it never stabilizes and the Tjurina request is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import Lock
 
 from .exactlinalg import InvariantError, Subspace, rank_of_vectors
 from .gradedpoly import InputError, Poly, hilbert_ci_coeffs, mono_mul, monomial_basis
@@ -85,15 +84,12 @@ class _JacContext:
 
 
 _contexts: dict[Poly, _JacContext] = {}
-_contexts_lock = Lock()
 
 
 def _ctx(f: Poly) -> _JacContext:
     got = _contexts.get(f)
     if got is None:
-        built = _JacContext(f)
-        with _contexts_lock:
-            got = _contexts.setdefault(f, built)
+        got = _contexts[f] = _JacContext(f)
     return got
 
 

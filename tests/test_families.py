@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from brieskornlab import families
 from brieskornlab.exactlinalg import InvariantError
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,
                                    grp_nabla_matrix, pole_constancy_check,
@@ -124,6 +125,24 @@ def test_grp_nabla_quartic_pencil_stable():
 def test_grp_nabla_refuses_nonconstant_pole_dims():
     with pytest.raises(InvariantError):
         grp_nabla_matrix(FERMAT_PENCIL, 0, 1, samples=(0, -3))
+
+
+def test_grp_nabla_reuses_the_constancy_verdict(monkeypatch):
+    """A family run checks pole constancy once, not once more per q."""
+    calls = []
+    real = families.pole_filtration_dims
+    monkeypatch.setattr(families, "pole_filtration_dims",
+                        lambda f, policy=None: calls.append(f) or real(f, policy))
+    samples = (0, 1, -1, 3)
+    assert pole_constancy_check(FERMAT_PENCIL, samples)
+    assert len(calls) == len(samples)
+    for q in range(3):
+        grp_nabla_matrix(FERMAT_PENCIL, 0, q, samples=samples)
+    assert len(calls) == len(samples)
+    # another sample set is a different guard and is checked afresh
+    with pytest.raises(InvariantError):
+        grp_nabla_matrix(FERMAT_PENCIL, 0, 1, samples=(0, 1, -3))
+    assert len(calls) == len(samples) + 3
 
 
 def test_tjurina_scan_jump_family():
