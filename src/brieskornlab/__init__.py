@@ -21,9 +21,8 @@ from .families import (DEFAULT_SAMPLES, PencilFamily, PoleConstancyResult,
 from .gradedpoly import (InputError, ParseError, Poly, dehomogenize_shift,
                          hilbert_ci_coeffs, is_squarefree, monomial_basis,
                          parse_poly, render, weight_vector, weighted_degree)
-from .jacobian import (JacobianSlice, NonIsolatedError, global_tjurina,
-                       jacobian_dim, jacobian_dims, jacobian_slice,
-                       smooth_hodge_numbers, smoothness_test)
+from .jacobian import (NonIsolatedError, global_tjurina, jacobian_dim,
+                       jacobian_dims, smooth_hodge_numbers, smoothness_test)
 from .singularities import (HodgeReport, LocalIdealJets, WeightedChart, alpha_Y,
                             build_chart, global_jq_dim, hodge_filtration_dims,
                             local_jq_jets, local_tjurina, monomial_ideal_geq,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BrianconSkodaResult", "BrieskornSlice", "DEFAULT_SAMPLES", "EulerField",
     "ExactMatrix", "Form", "HodgeReport", "InputError", "InvariantError",
-    "JacobianSlice", "LocalIdealJets", "NonIsolatedError", "ParseError",
+    "LocalIdealJets", "NonIsolatedError", "ParseError",
     "PencilFamily", "PoleConstancyResult", "PoleFiltrationReport", "Poly",
     "QuotientMapError", "SpanSolver", "StabilizationCertificate",
     "StabilizationError", "StabilizationPolicy", "Subspace", "TjurinaScanResult",
@@ -44,7 +43,7 @@ __all__ = [
     "global_jq_dim", "global_tjurina", "grp_nabla_matrix", "hbar_certificate",
     "hbar_dim", "hf_dim", "hilbert_ci_coeffs", "hodge_filtration_dims",
     "iota_euler", "is_squarefree", "jacobian_dim", "jacobian_dims",
-    "jacobian_slice", "lie_euler", "local_jq_jets", "local_tjurina",
+    "lie_euler", "local_jq_jets", "local_tjurina",
     "milnor_eigenspace_dim", "monomial_basis", "monomial_ideal_geq", "omega0",
     "parse_poly", "pole_constancy_check", "pole_filtration_dims",
     "rank_of_vectors", "relation_space", "render", "smooth_hodge_numbers",

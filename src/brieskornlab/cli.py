@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .brieskorn import (StabilizationPolicy, briancon_skoda, hbar_certificate,
@@ -199,10 +199,12 @@ class Report:
     """Everything a command computed, in JSON-native values only.
 
     Sections are None when the command did not touch them, so text and json
-    renderings draw from one source.  Rationals are "p/q" strings.
+    renderings draw from one source.  Rationals are "p/q" strings.  The JSON
+    object has the fields in declaration order, each under its own name
+    unless its metadata names a "json" key.
     """
     command: str
-    input_echo: dict
+    input_echo: dict = field(metadata={"json": "input"})
     smoothness: bool | None = None
     pole: dict | None = None
     hodge: dict | None = None
@@ -215,32 +217,18 @@ class Report:
     timing: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "command": self.command,
-            "input": self.input_echo,
-            "smoothness": self.smoothness,
-            "pole": self.pole,
-            "hodge": self.hodge,
-            "alpha": self.alpha,
-            "briancon_skoda": self.briancon_skoda,
-            "milnor": self.milnor,
-            "jacobian": self.jacobian,
-            "family": self.family,
-            "checks": self.checks,
-            "timing": self.timing,
-        }
+        return {"schema": SCHEMA,
+                **{_json_key(f): getattr(self, f.name) for f in fields(self)}}
 
     @classmethod
     def from_json(cls, data: dict) -> "Report":
         if data.get("schema") != SCHEMA:
             raise InputError(f"unsupported report schema {data.get('schema')!r}")
-        return cls(command=data["command"], input_echo=data["input"],
-                   smoothness=data["smoothness"], pole=data["pole"],
-                   hodge=data["hodge"], alpha=data["alpha"],
-                   briancon_skoda=data["briancon_skoda"], milnor=data["milnor"],
-                   jacobian=data["jacobian"], family=data["family"],
-                   checks=data["checks"], timing=data["timing"])
+        return cls(**{f.name: data[_json_key(f)] for f in fields(cls)})
+
+
+def _json_key(f) -> str:
+    return f.metadata.get("json", f.name)
 
 
 def _rat(x) -> str:
@@ -272,31 +260,54 @@ def _echo(spec: ProblemSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# section builders
+# section builders: each fills its Report field(s) and lists the checks it ran
 
-def _pole_section(f: Poly, policy) -> dict:
-    rep = pole_filtration_dims(f, policy)
-    return {"dims": list(rep.dims), "total_dim": rep.total_dim,
-            "certificates": [_cert_json(c) for c in rep.certificates]}
-
-
-def _bs_section(f: Poly, policy) -> dict:
-    res = briancon_skoda(f, policy)
-    return {"holds": res.holds, "witness_power": res.witness_power,
-            "certificate": _cert_json(res.certificate)}
+@dataclass
+class _Job:
+    """The parsed input every builder reads and the report it fills."""
+    spec: ProblemSpec
+    args: argparse.Namespace
+    f: Poly
+    policy: StabilizationPolicy
+    report: Report
 
 
-def _milnor_section(f: Poly, policy) -> dict:
+class _NoData(InputError):
+    """The problem file lacks the data a section needs."""
+
+
+def _smoothness(job: _Job) -> None:
+    job.report.smoothness = smoothness_test(job.f)
+
+
+def _pole(job: _Job) -> None:
+    rep = pole_filtration_dims(job.f, job.policy)
+    job.report.pole = {"dims": list(rep.dims), "total_dim": rep.total_dim,
+                       "certificates": [_cert_json(c) for c in rep.certificates]}
+    job.report.checks.append({"name": "pole dims nondecreasing in q", "passed": True})
+
+
+def _briancon_skoda(job: _Job) -> None:
+    res = briancon_skoda(job.f, job.policy)
+    job.report.briancon_skoda = {"holds": res.holds, "witness_power": res.witness_power,
+                                 "certificate": _cert_json(res.certificate)}
+
+
+def _milnor(job: _Job) -> None:
+    f = job.f
     n, d = f.nvars - 1, f.homogeneous_degree()
     rows = []
     for i in range(d):
-        dim = milnor_eigenspace_dim(f, i, policy)
-        cert = hbar_certificate(f, (n + 2) * d - i, policy)
+        dim = milnor_eigenspace_dim(f, i, job.policy)
+        cert = hbar_certificate(f, (n + 2) * d - i, job.policy)
         rows.append({"i": i, "dim": dim, "certificate": _cert_json(cert)})
-    return {"eigenspaces": rows, "total": sum(r["dim"] for r in rows)}
+    job.report.milnor = {"eigenspaces": rows, "total": sum(r["dim"] for r in rows)}
+    job.report.checks.append(
+        {"name": "milnor eigenspace dims agree at both landing degrees", "passed": True})
 
 
-def _jacobian_section(f: Poly) -> dict:
+def _jacobian(job: _Job) -> None:
+    f = job.f
     n, d = f.nvars - 1, f.homogeneous_degree()
     socle = max((n + 1) * (d - 2), 0)
     k_max = socle + n + 3
@@ -307,7 +318,7 @@ def _jacobian_section(f: Poly) -> dict:
         out["tjurina"] = global_tjurina(f)
     except NonIsolatedError as e:
         out["note"] = ("tjurina unavailable: " + str(e))
-    return out
+    job.report.jacobian = out
 
 
 def _chart_json(chart, variables) -> dict:
@@ -319,29 +330,47 @@ def _chart_json(chart, variables) -> dict:
             "local_tjurina": local_tjurina(chart)}
 
 
-def _hodge_section(f: Poly, charts, variables, policy) -> dict:
-    rep = hodge_filtration_dims(f, charts, policy)
-    return {"alpha": _rat(rep.alpha),
-            "hodge_dims": list(rep.hodge_dims),
-            "pole_dims": list(rep.pole_dims),
-            "equal_range": list(rep.equal_range),
-            "strict_drop": list(rep.strict_drop),
-            "charts": [_chart_json(c, variables) for c in rep.charts],
-            "certificates": [_cert_json(c) for c in rep.certificates]}
+def _hodge(job: _Job) -> None:
+    """Runs after _smoothness: a singular hypersurface needs its charts in the file."""
+    spec, report = job.spec, job.report
+    if not report.smoothness and not spec.singular_points:
+        raise _NoData("hodge on a singular hypersurface needs [singular_point] "
+                      "sections with weighted-homogeneous local data")
+    charts = tuple(build_chart(job.f, p.point, spec.variables.index(p.chart), p.weights)
+                   for p in spec.singular_points)
+    rep = hodge_filtration_dims(job.f, charts, job.policy)
+    report.hodge = {"alpha": _rat(rep.alpha),
+                    "hodge_dims": list(rep.hodge_dims),
+                    "pole_dims": list(rep.pole_dims),
+                    "equal_range": list(rep.equal_range),
+                    "strict_drop": list(rep.strict_drop),
+                    "charts": [_chart_json(c, spec.variables) for c in rep.charts],
+                    "certificates": [_cert_json(c) for c in rep.certificates]}
+    report.alpha = report.hodge["alpha"]
+    if charts:
+        report.checks.append(
+            {"name": "local tjurina numbers sum to the global one", "passed": True})
+    report.checks.append(
+        {"name": "hodge dims within pole dims, equal where alpha forces it",
+         "passed": True})
 
 
 def _matrix_json(m) -> list:
     return [[_rat(m.entry(r, c)) for c in range(m.ncols)] for r in range(m.nrows)]
 
 
-def _family_section(f: Poly, spec: ProblemSpec, policy, samples, q_max: int,
-                    threads: int) -> dict:
+def _family(job: _Job) -> None:
+    spec, args, policy = job.spec, job.args, job.policy
+    if spec.family is None:
+        raise _NoData("the problem file has no [family] section")
+    if args.samples is not None:
+        ss = tuple(_fraction(s, "--samples") for s in args.samples.replace(",", " ").split())
+    else:
+        ss = tuple(Fraction(s) for s in spec.family.samples or DEFAULT_SAMPLES)
     direction = parse_poly(spec.family.direction, spec.variables)
-    fam = PencilFamily.pencil(f, direction)
-    ss = samples if samples is not None else (spec.family.samples or DEFAULT_SAMPLES)
-    ss = tuple(Fraction(s) for s in ss)
-    constancy = pole_constancy_check(fam, ss, policy, threads=threads)
-    scan = tjurina_scan(fam, ss, threads=threads)
+    fam = PencilFamily.pencil(job.f, direction)
+    constancy = pole_constancy_check(fam, ss, policy)
+    scan = tjurina_scan(fam, ss)
     out = {
         "samples": [_rat(s) for s in ss],
         "pole_table": [{"s": _rat(s), "dims": list(dims)} for s, dims in constancy.table],
@@ -352,17 +381,50 @@ def _family_section(f: Poly, spec: ProblemSpec, policy, samples, q_max: int,
         "grp_nabla": None,
         "note": None,
     }
+    job.report.family = out
     if not constancy.constant:
         out["note"] = "graded connection matrices refused: pole dims vary over the samples"
-        return out
+        return
     s0 = ss[0]
+    q_max = args.q_max if args.q_max is not None else job.f.nvars - 1
     mats = []
     for q in range(q_max + 1):
         m = grp_nabla_matrix(fam, s0, q, policy, samples=ss)
         mats.append({"q": q, "s0": _rat(s0), "source_dim": m.ncols,
                      "target_dim": m.nrows, "entries": _matrix_json(m)})
     out["grp_nabla"] = mats
-    return out
+    job.report.checks.append(
+        {"name": "graded connection well defined on the chosen presentations",
+         "passed": True})
+
+
+_SECTIONS = {
+    "smoothness": _smoothness,
+    "pole": _pole,
+    "briancon_skoda": _briancon_skoda,
+    "milnor": _milnor,
+    "jacobian": _jacobian,
+    "hodge": _hodge,
+    "family": _family,
+}
+
+# command -> (help text, sections computed in this order).  A section whose
+# data the file lacks refuses when it is the command itself and is left out
+# of a longer report.
+_COMMANDS = {
+    "analyze": ("full report: smoothness, pole/hodge dims, invariants",
+                ("smoothness", "pole", "briancon_skoda", "milnor", "jacobian",
+                 "hodge", "family")),
+    "pole": ("pole-order filtration dims with certificates", ("pole",)),
+    "hodge": ("hodge vs pole filtration (needs singular point data)",
+              ("smoothness", "hodge")),
+    "jacobian": ("jacobian ring dims and global tjurina number",
+                 ("smoothness", "jacobian")),
+    "milnor": ("milnor fiber monodromy eigenspace dims", ("milnor",)),
+    "bs": ("does some power of f kill omega_0 in the brieskorn module",
+           ("briancon_skoda",)),
+    "family": ("pencil scan: pole constancy, tjurina jumps, connection", ("family",)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +556,18 @@ def parse_report(text: str) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# the driver
 
-def _prepare(spec: ProblemSpec, args) -> tuple:
+def _run(spec: ProblemSpec, args) -> Report:
+    """Compute the command's sections into one timed report."""
     try:
         f = parse_poly(spec.polynomial, spec.variables)
     except ParseError as e:
         raise InputError(f"polynomial: {e}") from None
     if f.is_zero() or not f.is_homogeneous():
         raise InputError("the defining polynomial must be homogeneous and nonzero")
+    if args.q_max is not None and args.q_max < 0:
+        raise InputError("--q-max must be nonnegative")
     overrides = dict(spec.policy)
     if args.stab_window is not None:
         overrides["window"] = args.stab_window
@@ -512,146 +577,17 @@ def _prepare(spec: ProblemSpec, args) -> tuple:
         window=overrides.get("window"),
         min_target_degree=overrides.get("min_target_degree"),
         max_power=overrides.get("max_power", 20))
-    return f, policy
-
-
-def _build_charts(spec: ProblemSpec, f: Poly):
-    charts = []
-    for p in spec.singular_points:
-        charts.append(build_chart(f, p.point, spec.variables.index(p.chart), p.weights))
-    return tuple(charts)
-
-
-def _samples_arg(args):
-    if args.samples is None:
-        return None
-    return tuple(_fraction(s, "--samples") for s in args.samples.replace(",", " ").split())
-
-
-def cmd_analyze(spec: ProblemSpec, args) -> Report:
-    f, policy = _prepare(spec, args)
-    report = Report("analyze", _echo(spec))
+    job = _Job(spec, args, f, policy, Report(args.command, _echo(spec)))
     t0 = time.perf_counter()
-    report.smoothness = smoothness_test(f)
-    report.pole = _pole_section(f, policy)
-    report.checks.append({"name": "pole dims nondecreasing in q", "passed": True})
-    report.briancon_skoda = _bs_section(f, policy)
-    report.milnor = _milnor_section(f, policy)
-    report.checks.append(
-        {"name": "milnor eigenspace dims agree at both landing degrees", "passed": True})
-    report.jacobian = _jacobian_section(f)
-    if spec.singular_points or report.smoothness:
-        charts = _build_charts(spec, f)
-        report.hodge = _hodge_section(f, charts, spec.variables, policy)
-        report.alpha = report.hodge["alpha"]
-        if charts:
-            report.checks.append(
-                {"name": "local tjurina numbers sum to the global one", "passed": True})
-        report.checks.append(
-            {"name": "hodge dims within pole dims, equal where alpha forces it",
-             "passed": True})
-    if spec.family is not None:
-        report.family = _family_section(
-            f, spec, policy, _samples_arg(args), args.q_max
-            if args.q_max is not None else f.nvars - 1, args.threads)
+    for name in _COMMANDS[args.command][1]:
+        try:
+            _SECTIONS[name](job)
+        except _NoData:
+            if name == args.command:
+                raise
     if not args.no_timing:
-        report.timing = {"total_seconds": round(time.perf_counter() - t0, 3)}
-    return report
-
-
-def cmd_pole(spec: ProblemSpec, args) -> Report:
-    f, policy = _prepare(spec, args)
-    report = Report("pole", _echo(spec))
-    t0 = time.perf_counter()
-    report.pole = _pole_section(f, policy)
-    report.checks.append({"name": "pole dims nondecreasing in q", "passed": True})
-    if not args.no_timing:
-        report.timing = {"total_seconds": round(time.perf_counter() - t0, 3)}
-    return report
-
-
-def cmd_hodge(spec: ProblemSpec, args) -> Report:
-    f, policy = _prepare(spec, args)
-    report = Report("hodge", _echo(spec))
-    t0 = time.perf_counter()
-    report.smoothness = smoothness_test(f)
-    if not report.smoothness and not spec.singular_points:
-        raise InputError("hodge on a singular hypersurface needs [singular_point] "
-                         "sections with weighted-homogeneous local data")
-    charts = _build_charts(spec, f)
-    report.hodge = _hodge_section(f, charts, spec.variables, policy)
-    report.alpha = report.hodge["alpha"]
-    if charts:
-        report.checks.append(
-            {"name": "local tjurina numbers sum to the global one", "passed": True})
-    report.checks.append(
-        {"name": "hodge dims within pole dims, equal where alpha forces it",
-         "passed": True})
-    if not args.no_timing:
-        report.timing = {"total_seconds": round(time.perf_counter() - t0, 3)}
-    return report
-
-
-def cmd_jacobian(spec: ProblemSpec, args) -> Report:
-    f, _ = _prepare(spec, args)
-    report = Report("jacobian", _echo(spec))
-    t0 = time.perf_counter()
-    report.smoothness = smoothness_test(f)
-    report.jacobian = _jacobian_section(f)
-    if not args.no_timing:
-        report.timing = {"total_seconds": round(time.perf_counter() - t0, 3)}
-    return report
-
-
-def cmd_milnor(spec: ProblemSpec, args) -> Report:
-    f, policy = _prepare(spec, args)
-    report = Report("milnor", _echo(spec))
-    t0 = time.perf_counter()
-    report.milnor = _milnor_section(f, policy)
-    report.checks.append(
-        {"name": "milnor eigenspace dims agree at both landing degrees", "passed": True})
-    if not args.no_timing:
-        report.timing = {"total_seconds": round(time.perf_counter() - t0, 3)}
-    return report
-
-
-def cmd_bs(spec: ProblemSpec, args) -> Report:
-    f, policy = _prepare(spec, args)
-    report = Report("bs", _echo(spec))
-    t0 = time.perf_counter()
-    report.briancon_skoda = _bs_section(f, policy)
-    if not args.no_timing:
-        report.timing = {"total_seconds": round(time.perf_counter() - t0, 3)}
-    return report
-
-
-def cmd_family(spec: ProblemSpec, args) -> Report:
-    f, policy = _prepare(spec, args)
-    if spec.family is None:
-        raise InputError("the problem file has no [family] section")
-    report = Report("family", _echo(spec))
-    t0 = time.perf_counter()
-    report.family = _family_section(
-        f, spec, policy, _samples_arg(args),
-        args.q_max if args.q_max is not None else f.nvars - 1, args.threads)
-    if report.family["grp_nabla"] is not None:
-        report.checks.append(
-            {"name": "graded connection well defined on the chosen presentations",
-             "passed": True})
-    if not args.no_timing:
-        report.timing = {"total_seconds": round(time.perf_counter() - t0, 3)}
-    return report
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "pole": cmd_pole,
-    "hodge": cmd_hodge,
-    "jacobian": cmd_jacobian,
-    "milnor": cmd_milnor,
-    "bs": cmd_bs,
-    "family": cmd_family,
-}
+        job.report.timing = {"total_seconds": round(time.perf_counter() - t0, 3)}
+    return job.report
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -660,14 +596,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact pole-order and Hodge filtration computations for "
                     "complements of projective hypersurfaces.")
     sub = ap.add_subparsers(dest="command", metavar="command")
-    for name, help_text in (
-            ("analyze", "full report: smoothness, pole/hodge dims, invariants"),
-            ("pole", "pole-order filtration dims with certificates"),
-            ("hodge", "hodge vs pole filtration (needs singular point data)"),
-            ("jacobian", "jacobian ring dims and global tjurina number"),
-            ("milnor", "milnor fiber monodromy eigenspace dims"),
-            ("bs", "does some power of f kill omega_0 in the brieskorn module"),
-            ("family", "pencil scan: pole constancy, tjurina jumps, connection")):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", metavar="PATH", help="problem file")
         p.add_argument("--q-max", type=int, default=None, metavar="INT",
@@ -679,8 +608,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="constant-run length accepted as stabilized")
         p.add_argument("--stab-max", type=int, default=None, metavar="INT",
                        help="largest power of f tried before giving up")
-        p.add_argument("--threads", type=int, default=1, metavar="INT",
-                       help="worker processes for family samples")
         p.add_argument("--no-timing", action="store_true",
                        help="omit wall-clock times (reproducible output)")
     return ap
@@ -694,8 +621,7 @@ def main(argv=None) -> int:
     try:
         if not args.input:
             raise InputError("--input PATH is required")
-        spec = load_problem(args.input)
-        report = _COMMANDS[args.command](spec, args)
+        report = _run(load_problem(args.input), args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

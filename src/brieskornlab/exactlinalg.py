@@ -268,11 +268,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def reduce_mod(v, s: Subspace) -> dict[int, Fraction]:
-    """Canonical representative of v modulo s (sparse dict, pivot coords zero)."""
-    return s.reduce(v)
-
-
 def rank_of_vectors(vectors: Iterable, ambient_dim: int) -> int:
     rows = (_int_row(_as_dict(v, ambient_dim)) for v in vectors)
     return len(_forward_eliminate(r for r in rows if r))
@@ -367,21 +362,6 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
-
-
-def image_dim_through_quotient(m: ExactMatrix, rel_src: Subspace, rel_dst: Subspace) -> int:
-    """Rank of the map induced by m on (Q^cols / rel_src) -> (Q^rows / rel_dst).
-
-    Checks that m maps rel_src into rel_dst (otherwise the induced map is not
-    defined and QuotientMapError is raised).
-    """
-    if m.ncols != rel_src.ambient_dim or m.nrows != rel_dst.ambient_dim:
-        raise InputError("matrix shape does not match the quotient ambients")
-    for b in rel_src.basis():
-        if not rel_dst.contains(m.matvec(b)):
-            raise QuotientMapError("map does not send the source relations into the target relations")
-    reduced = (rel_dst.reduce(col) for col in m.columns())
-    return rank_of_vectors(reduced, rel_dst.ambient_dim)
 
 
 class SpanSolver:

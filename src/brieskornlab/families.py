@@ -9,7 +9,6 @@ pole pieces, and scans for Tjurina-number jumps.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,30 +117,17 @@ class PoleConstancyResult:
 _constancy: dict[tuple, PoleConstancyResult] = {}
 
 
-def _pole_sample(args):
-    fam, s, policy = args
-    return s, pole_filtration_dims(specialize(fam, s), policy).dims
-
-
 def pole_constancy_check(fam: PencilFamily, samples=None,
-                         policy: StabilizationPolicy | None = None,
-                         threads: int = 1) -> PoleConstancyResult:
+                         policy: StabilizationPolicy | None = None) -> PoleConstancyResult:
     """Pole dims at each sample; constant iff all rows agree.
 
     Samples default to 0, 1, -1, 2.  Non-reduced fibers abort with an input
-    error naming the sample.  threads > 1 evaluates samples in parallel
-    worker processes.
+    error naming the sample.
     """
     ss = tuple(Fraction(s) for s in (samples if samples is not None else DEFAULT_SAMPLES))
     if not ss:
         raise InputError("need at least one sample")
-    jobs = [(fam, s, policy) for s in ss]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            rows = list(pool.map(_pole_sample, jobs))
-    else:
-        rows = [_pole_sample(j) for j in jobs]
-    table = tuple(rows)
+    table = tuple((s, pole_filtration_dims(specialize(fam, s), policy).dims) for s in ss)
     result = PoleConstancyResult(len({dims for _, dims in table}) == 1, table)
     _constancy[(fam, ss, policy or StabilizationPolicy())] = result
     return result
@@ -271,28 +257,20 @@ class TjurinaScanResult:
         return f"TjurinaScanResult(rows={len(self.rows)}, jumps={self.jumps})"
 
 
-def _tjurina_sample(args):
-    fam, s = args
-    f = specialize(fam, s)
-    n, d = f.nvars - 1, f.homogeneous_degree()
-    start = max((n + 1) * (d - 2) + 1, 0)
-    tau = global_tjurina(f)
-    dims = jacobian_dims(f, start + n + 1)
-    return TjurinaScanRow(s, tau, tuple(dims[start:]))
-
-
-def tjurina_scan(fam: PencilFamily, samples=None, threads: int = 1) -> TjurinaScanResult:
+def tjurina_scan(fam: PencilFamily, samples=None) -> TjurinaScanResult:
     """global_tjurina at each sample; a sample is flagged as a jump when its
     value exceeds the minimum over the scan (the generic value nearby)."""
     ss = tuple(Fraction(s) for s in (samples if samples is not None else DEFAULT_SAMPLES))
     if not ss:
         raise InputError("need at least one sample")
-    jobs = [(fam, s) for s in ss]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            rows = tuple(pool.map(_tjurina_sample, jobs))
-    else:
-        rows = tuple(_tjurina_sample(j) for j in jobs)
+    rows = []
+    for s in ss:
+        f = specialize(fam, s)
+        n, d = f.nvars - 1, f.homogeneous_degree()
+        start = max((n + 1) * (d - 2) + 1, 0)
+        tau = global_tjurina(f)
+        dims = jacobian_dims(f, start + n + 1)
+        rows.append(TjurinaScanRow(s, tau, tuple(dims[start:])))
     low = min(r.tjurina for r in rows)
     jumps = tuple(r.sample for r in rows if r.tjurina > low)
-    return TjurinaScanResult(rows, jumps)
+    return TjurinaScanResult(tuple(rows), jumps)

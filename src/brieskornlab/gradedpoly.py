@@ -391,7 +391,10 @@ class _Tokens:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:   # longer than the interpreter's int string limit
+            raise ParseError("number has too many digits", start) from None
 
     def take_name(self) -> str:
         self.skip_ws()
@@ -409,11 +412,18 @@ class _Tokens:
         self.pos += 1
 
 
+# Deepest nesting of parentheses and unary minus signs parse_poly accepts.
+# The parser recurses a few frames per level, so this keeps it well inside
+# the interpreter's recursion limit.
+_MAX_NESTING = 100
+
+
 def parse_poly(source: str, variables: Sequence[str]) -> Poly:
     """Parse polynomial text over the named variables; exact, no floats.
 
-    Raises ParseError (with position) on syntax errors and on names that are
-    not in `variables`.
+    Raises ParseError (with position) on syntax errors, on names that are
+    not in `variables` and on more than _MAX_NESTING (100) nested
+    parentheses or unary minus signs.
     """
     names = list(variables)
     if len(set(names)) != len(names):
@@ -451,16 +461,24 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
             value = value**e
         return value
 
+    depth = 0
+
     def parse_base() -> Poly:
+        nonlocal depth
         ch = toks.peek()
-        if ch == "(":
+        if ch in ("(", "-"):
+            if depth == _MAX_NESTING:
+                raise ParseError(f"more than {_MAX_NESTING} nested parentheses "
+                                 "or signs", toks.pos)
+            depth += 1
             toks.pos += 1
-            value = parse_expr()
-            toks.expect(")")
+            if ch == "(":
+                value = parse_expr()
+                toks.expect(")")
+            else:
+                value = parse_factor().scale(-1)
+            depth -= 1
             return value
-        if ch == "-":
-            toks.pos += 1
-            return parse_factor().scale(-1)
         if ch.isdigit():
             num = toks.take_number()
             if toks.peek() == "/":

@@ -8,9 +8,7 @@ singularities it never stabilizes and the Tjurina request is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactlinalg import InvariantError, Subspace, rank_of_vectors
+from .exactlinalg import InvariantError, rank_of_vectors
 from .gradedpoly import InputError, Poly, hilbert_ci_coeffs, mono_mul, monomial_basis
 
 
@@ -91,26 +89,6 @@ def _ctx(f: Poly) -> _JacContext:
     if got is None:
         got = _contexts[f] = _JacContext(f)
     return got
-
-
-@dataclass(frozen=True)
-class JacobianSlice:
-    """Degree-k piece of R with the ideal image that cuts it out."""
-    k: int
-    dim_Rk: int
-    image: Subspace
-
-
-def jacobian_slice(f: Poly, k: int) -> JacobianSlice:
-    ctx = _ctx(f)
-    if k < 0:
-        return JacobianSlice(k, 0, Subspace.zero(0))
-    ambient = len(ctx.index(k))
-    image = Subspace._from_int_rows(ctx.image_rows(k), ambient)
-    dim = ambient - image.dim
-    if dim < 0:
-        raise InvariantError("negative Jacobian dimension")
-    return JacobianSlice(k, dim, image)
 
 
 def jacobian_dim(f: Poly, k: int) -> int:

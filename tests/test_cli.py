@@ -126,6 +126,66 @@ def test_exit_one_hodge_without_charts(capsys):
     assert out == ""
 
 
+def test_exit_one_family_without_family_section(capsys):
+    code, out, err = run_cli(capsys, "family", "--input",
+                             str(PROBLEMS / "fermat_cubic_curve.txt"))
+    assert code == 1 and "no [family] section" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("polynomial", [
+    "(" * 3000 + "x" + ")" * 3000,
+    "-" * 3000 + "x",
+    "x^" + "9" * 5000,
+    "1" * 5000 + "*x^3",
+], ids=["deep-parentheses", "deep-minus", "long-exponent", "long-coefficient"])
+def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial):
+    p = tmp_path / "p.txt"
+    p.write_text(f"variables = x y z\npolynomial = {polynomial}\n")
+    code, out, err = run_cli(capsys, "pole", "--input", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: polynomial: ") and err.count("\n") == 1
+
+
+def test_exit_one_on_negative_q_max(capsys):
+    code, out, err = run_cli(capsys, "family", "--input",
+                             str(PROBLEMS / "fermat_pencil.txt"), "--q-max", "-3")
+    assert code == 1 and "--q-max" in err
+    assert out == ""
+
+
+POLE_CHECK = "pole dims nondecreasing in q"
+MILNOR_CHECK = "milnor eigenspace dims agree at both landing degrees"
+HODGE_CHECK = "hodge dims within pole dims, equal where alpha forces it"
+NABLA_CHECK = "graded connection well defined on the chosen presentations"
+
+
+@pytest.mark.parametrize("command,sections,checks", [
+    ("analyze", {"smoothness", "pole", "hodge", "alpha", "briancon_skoda", "milnor",
+                 "jacobian", "family"},
+     [POLE_CHECK, MILNOR_CHECK, HODGE_CHECK, NABLA_CHECK]),
+    ("pole", {"pole"}, [POLE_CHECK]),
+    ("hodge", {"smoothness", "hodge", "alpha"}, [HODGE_CHECK]),
+    ("jacobian", {"smoothness", "jacobian"}, []),
+    ("milnor", {"milnor"}, [MILNOR_CHECK]),
+    ("bs", {"briancon_skoda"}, []),
+    ("family", {"family"}, [NABLA_CHECK]),
+])
+def test_command_sections_and_checks(capsys, command, sections, checks):
+    """Each command fills exactly its sections and lists the checks it ran."""
+    code, out, err = run_cli(capsys, command, "--input",
+                             str(PROBLEMS / "fermat_pencil.txt"),
+                             "--json", "--no-timing", "--q-max", "1")
+    assert code == 0, err
+    report = parse_report(out)
+    filled = {name for name in ("smoothness", "pole", "hodge", "alpha",
+                                "briancon_skoda", "milnor", "jacobian", "family")
+              if getattr(report, name) is not None}
+    assert filled == sections
+    assert [c["name"] for c in report.checks] == checks
+
+
 def test_exit_two_on_stabilization_failure(tmp_path, capsys):
     """An unreachable landing-degree floor exhausts the power budget."""
     p = tmp_path / "p.txt"
@@ -213,9 +273,11 @@ def test_schema_version_pinned(capsys):
 
 
 def test_all_problem_files_analyze(capsys):
-    """Every shipped example must run the full pipeline cleanly."""
+    """Every shipped example runs the full pipeline, byte-exact against its
+    committed reference report."""
     for path in sorted(PROBLEMS.glob("*.txt")):
         code, out, err = run_cli(capsys, "analyze", "--input", str(path),
-                                 "--no-timing")
+                                 "--json", "--no-timing")
         assert code == 0, f"{path.name}: {err}"
-        assert "cross-checks" in out
+        assert out == (GOLDEN / f"{path.stem}.json").read_text(), path.name
+        assert "cross-checks" in render_report(parse_report(out), as_json=False)

@@ -3,11 +3,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from brieskornlab.exactlinalg import (ExactMatrix, QuotientMapError, SpanSolver,
-                                      Subspace, image_dim_through_quotient,
-                                      rank_of_vectors, reduce_mod)
+from brieskornlab.exactlinalg import (ExactMatrix, SpanSolver, Subspace,
+                                      rank_of_vectors)
 
 
 def test_subspace_dims_and_membership():
@@ -80,12 +77,6 @@ def test_rank_transpose_invariance():
         assert m.kernel_basis().dim == nc - m.rank()
 
 
-def test_reduce_mod():
-    s = Subspace.from_vectors([{0: 1, 1: 1}], 2)
-    r = reduce_mod({0: 3, 1: 1}, s)
-    assert s.contains({0: 3 - r.get(0, 0), 1: 1 - r.get(1, 0)})
-
-
 def test_span_solver_expresses_exact_combinations():
     rng = random.Random(5)
     solver = SpanSolver(5)
@@ -112,16 +103,3 @@ def test_span_solver_rejects_dependent_vectors():
     assert solver.add({0: 1, 1: 1}, "a")
     assert not solver.add({0: 2, 1: 2}, "b")
     assert solver.dim == 1
-
-
-def test_image_dim_through_quotient():
-    """Projection (x, y) -> x descends from Q^2/<e1> with full rank 1."""
-    m = ExactMatrix.from_rows([{0: 1}], 2)
-    rel_src = Subspace.from_vectors([{1: 1}], 2)
-    assert image_dim_through_quotient(m, rel_src, Subspace.zero(1)) == 1
-
-    # identity does not descend to Q^2/<e0> -> Q^2
-    ident = ExactMatrix.from_rows([{0: 1}, {1: 1}], 2).transpose()
-    with pytest.raises(QuotientMapError):
-        image_dim_through_quotient(ident, Subspace.from_vectors([{0: 1}], 2),
-                                   Subspace.zero(2))

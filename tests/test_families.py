@@ -78,12 +78,6 @@ def test_pole_constancy_detects_singular_member():
     assert table[Fraction(-3)] == (1, 1, 1)
 
 
-def test_pole_constancy_parallel_agrees():
-    seq = pole_constancy_check(FERMAT_PENCIL, samples=(0, 1, -1, 2))
-    par = pole_constancy_check(FERMAT_PENCIL, samples=(0, 1, -1, 2), threads=4)
-    assert seq.table == par.table and seq.constant == par.constant
-
-
 def test_grp_nabla_fermat_pencil():
     m = grp_nabla_matrix(FERMAT_PENCIL, 0, 1)
     assert (m.nrows, m.ncols) == (1, 1)
@@ -154,13 +148,6 @@ def test_tjurina_scan_jump_family():
     assert by_s[Fraction(1)].tjurina == 11
     assert scan.jumps == (Fraction(0),)
     assert all(len(set(r.tail)) == 1 for r in scan.rows)  # tail already stable
-
-
-def test_tjurina_scan_parallel_agrees():
-    seq = tjurina_scan(JUMP_FAMILY, samples=(0, 1))
-    par = tjurina_scan(JUMP_FAMILY, samples=(0, 1), threads=2)
-    assert [(r.sample, r.tjurina, r.tail) for r in seq.rows] == \
-           [(r.sample, r.tjurina, r.tail) for r in par.rows]
 
 
 def test_tjurina_scan_propagates_non_isolated():

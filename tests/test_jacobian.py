@@ -4,7 +4,7 @@ import pytest
 
 from brieskornlab.gradedpoly import InputError, hilbert_ci_coeffs, parse_poly
 from brieskornlab.jacobian import (NonIsolatedError, global_tjurina,
-                                   jacobian_dim, jacobian_dims, jacobian_slice,
+                                   jacobian_dim, jacobian_dims,
                                    smooth_hodge_numbers, smoothness_test)
 
 XYZ = ("x", "y", "z")
@@ -33,12 +33,6 @@ def test_jacobian_dims_cusp():
 
 def test_jacobian_dims_two_cusp():
     assert jacobian_dims(TWO_CUSP, 8) == [1, 3, 6, 7, 6, 4, 4, 4, 4]
-
-
-def test_jacobian_slice_consistency():
-    s = jacobian_slice(TWO_CUSP, 4)
-    assert s.dim_Rk == 6
-    assert s.image.ambient_dim == 15  # monomials of degree 4 in 3 variables
     assert jacobian_dim(TWO_CUSP, -1) == 0  # R_k vanishes below degree zero
 
 
