@@ -17,6 +17,9 @@ quotient, and with it the pole-order filtration on H^n of the complement,
 Milnor-fiber monodromy eigenspaces, and the Briancon-Skoda membership test.
 There is no effective a-priori bound on the torsion order, so every such rank
 is stabilized under an explicit policy and ships with its certificate.
+
+The relation subspaces and rank traces of f live on the one context of f
+(`jacobian._ctx`), which validates, scales and checks f for reducedness once.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import jacobian
 from .exactlinalg import InvariantError, Subspace, echelon_rows
 from .exterior import EulerField, Form, exterior_d, iota_euler, omega0, wedge
-from .gradedpoly import InputError, Poly, is_squarefree, mono_mul, monomial_basis
-from .jacobian import jacobian_dim
+from .gradedpoly import InputError, Poly, mono_mul, monomial_basis
 
 
 class StabilizationError(InvariantError):
@@ -106,7 +109,10 @@ class _RankTrace:
 
 
 class _BrieskornContext:
-    """Per-polynomial cache of relation subspaces and f-power rank traces.
+    """Relation subspaces and f-power rank traces of one reduced f.
+
+    Built on the context of f (`jacobian._JacContext`), whose scaled f,
+    partials and monomial bases it reads; `_ctx` stores it there.
 
     Multiplication by f is well defined on H_f because
     f * (df ^ d eta) = df ^ d(f eta), so it maps the relations in degree k
@@ -120,40 +126,16 @@ class _BrieskornContext:
     multiplication, `times_f`, gives the class vectors of `class_vector`.
     """
 
-    def __init__(self, f: Poly):
-        if not isinstance(f, Poly):
-            raise InputError("expected a Poly")
-        if f.is_zero() or not f.is_homogeneous():
-            raise InputError("f must be a nonzero homogeneous polynomial")
-        if f.nvars < 2:
-            raise InputError("f must have at least two variables")
-        self.d = f.homogeneous_degree()
-        if self.d < 1:
-            raise InputError("f must be nonconstant")
-        if not is_squarefree(f):
+    def __init__(self, f: Poly | jacobian._JacContext):
+        self.base = base = f if isinstance(f, jacobian._JacContext) else jacobian._ctx(f)
+        if not base.reduced:
             raise InputError("f must be reduced (squarefree)")
-        self.nvars = f.nvars
-        self.n = f.nvars - 1
-        fint, self.scale = f.integer_scaled()
-        self.f = fint
-        self.fterms = list(fint.terms.items())
-        self.partials = [list(fint.partial(i).terms.items()) for i in range(self.nvars)]
-        self._monos: dict[int, list] = {}
-        self._index: dict[int, dict] = {}
+        self.d, self.n, self.nvars = base.d, base.n, base.nvars
+        self.f, self.scale, self.partials = base.f, base.scale, base.partials
+        self.monomials, self.index = base.monomials, base.index
+        self.fterms = list(self.f.terms.items())
         self._rel: dict[int, Subspace] = {}
         self._traces: dict[tuple, _RankTrace] = {}
-
-    def monomials(self, m: int) -> list:
-        got = self._monos.get(m)
-        if got is None:
-            got = self._monos[m] = monomial_basis(self.nvars, m)
-        return got
-
-    def index(self, m: int) -> dict:
-        got = self._index.get(m)
-        if got is None:
-            got = self._index[m] = {mono: i for i, mono in enumerate(self.monomials(m))}
-        return got
 
     def relation_rows(self, k: int) -> list:
         gdeg = k - self.d - self.n + 1
@@ -269,14 +251,12 @@ class _BrieskornContext:
         return vec
 
 
-_contexts: dict[Poly, _BrieskornContext] = {}
-
-
 def _ctx(f: Poly) -> _BrieskornContext:
-    got = _contexts.get(f)
-    if got is None:
-        got = _contexts[f] = _BrieskornContext(f)
-    return got
+    """The Brieskorn state of f, kept on the hypersurface context of f."""
+    base = jacobian._ctx(f)
+    if base.brieskorn is None:
+        base.brieskorn = _BrieskornContext(base)
+    return base.brieskorn
 
 
 def relation_space(f: Poly, k: int) -> Subspace:
@@ -286,7 +266,7 @@ def relation_space(f: Poly, k: int) -> Subspace:
 
 def brieskorn_slice(f: Poly, k: int) -> BrieskornSlice:
     ctx = _ctx(f)
-    ambient = tuple(monomial_basis(ctx.nvars, k - ctx.n - 1)) if k >= ctx.n + 1 else ()
+    ambient = tuple(ctx.monomials(k - ctx.n - 1)) if k >= ctx.n + 1 else ()
     sl = BrieskornSlice(k, ambient, ctx.relations(k))
     if sl.dim < 0:
         raise InvariantError("negative Brieskorn dimension")
@@ -506,4 +486,4 @@ def coker_check_prop16(f: Poly, k: int) -> bool:
     if k < ctx.n + 1:
         raise InputError(f"degree must be at least n+1 = {ctx.n + 1}")
     lhs = ctx.hf_dim(k) - ctx.power_rank(k - ctx.d, 1)
-    return lhs == jacobian_dim(f, k - ctx.n - 1)
+    return lhs == ctx.base.dim_R(k - ctx.n - 1)

@@ -15,8 +15,8 @@ from fractions import Fraction
 from .brieskorn import (StabilizationPolicy, class_vector, hbar_certificate,
                         pole_filtration_dims, relation_space)
 from .exactlinalg import ExactMatrix, InvariantError, QuotientMapError, SpanSolver
-from .gradedpoly import InputError, Poly, is_squarefree, monomial_basis
-from .jacobian import global_tjurina, jacobian_dims
+from .gradedpoly import InputError, Poly, monomial_basis
+from .jacobian import _ctx, global_tjurina, jacobian_dims
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
 
@@ -78,7 +78,7 @@ def specialize(fam: PencilFamily, s0) -> Poly:
         power = power * s0
     if total.is_zero():
         raise InputError(f"fiber at s = {s0} is identically zero")
-    if not is_squarefree(total):
+    if not _ctx(total).reduced:
         raise InputError(f"fiber at s = {s0} is not reduced")
     return total
 

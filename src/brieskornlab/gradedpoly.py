@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Coeff = "Fraction | int"

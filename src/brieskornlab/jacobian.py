@@ -1,15 +1,22 @@
-"""Graded Jacobian ring R = C[x]/(partials of f) of a homogeneous polynomial.
+"""Graded Jacobian ring R = C[x]/(partials of f) of a homogeneous polynomial,
+and the one context per hypersurface that every layer computes through.
 
 For smooth hypersurfaces R is the artinian complete intersection whose graded
 pieces carry the primitive Hodge numbers (Griffiths); for isolated
 singularities dim R_k stabilizes at the global Tjurina number; for non-isolated
 singularities it never stabilizes and the Tjurina request is refused.
+
+`_ctx(f)` is the one context of f per process: it validates, scales and
+differentiates f once, holds the Brieskorn state of f beside the ranks of R,
+and decides reducedness on first use only, since R is defined for every f.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .exactlinalg import InvariantError, rank_of_vectors
-from .gradedpoly import InputError, Poly, hilbert_ci_coeffs, mono_mul, monomial_basis
+from .gradedpoly import InputError, Poly, hilbert_ci_coeffs, is_squarefree, mono_mul, monomial_basis
 
 
 class NonIsolatedError(InvariantError):
@@ -26,7 +33,9 @@ _TJURINA_WINDOW_SLACK = 6
 
 
 class _JacContext:
-    """Per-polynomial cache of partials, bases and graded ideal ranks."""
+    """Context of one hypersurface: the validated integer-scaled f, its scale,
+    partials, monomial bases and indices by degree, the ranks dim R_k, the
+    reducedness verdict and the Brieskorn state (set by `brieskorn._ctx`)."""
 
     def __init__(self, f: Poly):
         if not isinstance(f, Poly):
@@ -38,19 +47,29 @@ class _JacContext:
         self.d = f.homogeneous_degree()
         if self.d < 1:
             raise InputError("f must be nonconstant")
-        self.nvars = f.nvars
-        self.n = f.nvars - 1
-        fint, _ = f.integer_scaled()
-        self.f = fint
-        self.partials = [list(fint.partial(i).terms.items()) for i in range(self.nvars)]
+        self.nvars, self.n = f.nvars, f.nvars - 1
+        self.f, self.scale = f.integer_scaled()
+        self.partials = [list(self.f.partial(i).terms.items()) for i in range(self.nvars)]
+        self.brieskorn = None
+        self._monos: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._dims: dict[int, int] = {}
 
-    def index(self, k: int) -> dict:
-        got = self._index.get(k)
+    @cached_property
+    def reduced(self) -> bool:
+        """Whether f is squarefree; decided on first use."""
+        return is_squarefree(self.f)
+
+    def monomials(self, m: int) -> list:
+        got = self._monos.get(m)
         if got is None:
-            basis = monomial_basis(self.nvars, k)
-            got = self._index.setdefault(k, {m: i for i, m in enumerate(basis)})
+            got = self._monos[m] = monomial_basis(self.nvars, m)
+        return got
+
+    def index(self, m: int) -> dict:
+        got = self._index.get(m)
+        if got is None:
+            got = self._index[m] = {mono: i for i, mono in enumerate(self.monomials(m))}
         return got
 
     def image_rows(self, k: int) -> list:
@@ -77,7 +96,7 @@ class _JacContext:
         got = self._dims.get(k)
         if got is None:
             ambient = len(self.index(k))
-            got = self._dims.setdefault(k, ambient - rank_of_vectors(self.image_rows(k), ambient))
+            got = self._dims[k] = ambient - rank_of_vectors(self.image_rows(k), ambient)
         return got
 
 

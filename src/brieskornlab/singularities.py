@@ -23,7 +23,7 @@ from math import floor, inf
 from .brieskorn import (PoleFiltrationReport, StabilizationPolicy, pole_filtration_dims,
                         stabilized_span_rank)
 from .exactlinalg import ExactMatrix, InvariantError, Subspace, rank_of_vectors
-from .gradedpoly import (InputError, Poly, dehomogenize_shift, mono_mul, monomial_basis,
+from .gradedpoly import (InputError, Poly, dehomogenize_shift, monomial_basis,
                          monomials_weighted_below, weight_vector, weighted_degree)
 from .jacobian import global_tjurina, smoothness_test
 

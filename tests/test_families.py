@@ -1,10 +1,11 @@
 """Pencils of hypersurfaces: specialization, pole constancy, graded connection."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from brieskornlab import families
+from brieskornlab import families, gradedpoly
 from brieskornlab.exactlinalg import InvariantError
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,
                                    grp_nabla_matrix, pole_constancy_check,
@@ -137,6 +138,32 @@ def test_grp_nabla_reuses_the_constancy_verdict(monkeypatch):
     with pytest.raises(InvariantError):
         grp_nabla_matrix(FERMAT_PENCIL, 0, 1, samples=(0, 1, -3))
     assert len(calls) == len(samples) + 3
+
+
+def test_each_fiber_is_checked_for_reducedness_once(monkeypatch):
+    """The fiber's context holds the verdict: specializing a fiber again, or
+    asking for its Brieskorn state, does not rerun the squarefree test."""
+    calls = []
+    real = gradedpoly.is_squarefree
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    for name, module in list(sys.modules.items()):
+        if name == "brieskornlab" or name.startswith("brieskornlab."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    samples = (Fraction(5, 7), Fraction(-7, 5), Fraction(9, 4))  # used nowhere else
+    assert pole_constancy_check(FERMAT_PENCIL, samples)
+    tjurina_scan(FERMAT_PENCIL, samples)
+    for q in range(3):
+        grp_nabla_matrix(FERMAT_PENCIL, samples[0], q, samples=samples)
+    fibers = {specialize(FERMAT_PENCIL, s) for s in samples}
+    assert len(fibers) == len(samples)
+    assert 0 < len(calls) <= len(fibers)
+    assert len(set(calls)) == len(calls)
 
 
 def test_tjurina_scan_jump_family():

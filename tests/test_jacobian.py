@@ -2,6 +2,8 @@
 
 import pytest
 
+from brieskornlab import brieskorn, jacobian
+from brieskornlab.brieskorn import hf_dim
 from brieskornlab.gradedpoly import InputError, hilbert_ci_coeffs, parse_poly
 from brieskornlab.jacobian import (NonIsolatedError, global_tjurina,
                                    jacobian_dim, jacobian_dims,
@@ -69,3 +71,29 @@ def test_non_isolated_raises_with_dims():
         global_tjurina(NON_ISOLATED)
     dims = exc.value.dims
     assert len(dims) >= 2 and dims[-1] > dims[0]  # growing, not stabilizing
+
+
+def test_non_reduced_f_has_a_jacobian_ring_but_no_brieskorn_module(monkeypatch):
+    calls = []
+    real = jacobian.is_squarefree
+    monkeypatch.setattr(jacobian, "is_squarefree", lambda f: calls.append(f) or real(f))
+    f = parse_poly("x^2*y", XYZ)
+    monkeypatch.delitem(jacobian._contexts, f, raising=False)   # a fresh context
+    assert jacobian_dims(f, 5) == [1, 3, 4, 5, 6, 7]
+    for _ in range(2):
+        with pytest.raises(InputError, match=r"f must be reduced \(squarefree\)"):
+            hf_dim(f, 4)
+    assert jacobian_dim(f, 6) == 8
+    assert len(calls) == 1   # the verdict is kept on the context
+
+
+def test_brieskorn_and_jacobian_share_one_context():
+    f = parse_poly("x^3 + y^3 + z^3 + 2/3*x^2*y", XYZ)
+    hf_dim(f, 6)
+    jacobian_dims(f, 4)
+    jac, bri = jacobian._ctx(f), brieskorn._ctx(f)
+    assert bri.base is jac and jac.brieskorn is bri
+    assert brieskorn._ctx(f) is bri and jacobian._ctx(f) is jac
+    assert jac.scale == bri.scale == 3 and bri.f is jac.f
+    for m in (3, 4):   # filled by hf_dim (m = k-n-1) and by jacobian_dims
+        assert bri.index(m) is jac.index(m)
