@@ -430,7 +430,8 @@ class BrianconSkodaResult:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.holds, self.witness_power))
+        # only `holds` is shared by everything that compares equal (a bool too)
+        return hash(self.holds)
 
     def __repr__(self) -> str:
         if self.holds:

@@ -4,7 +4,21 @@ and the one context per hypersurface that every layer computes through.
 For smooth hypersurfaces R is the artinian complete intersection whose graded
 pieces carry the primitive Hodge numbers (Griffiths); for isolated
 singularities dim R_k stabilizes at the global Tjurina number; for non-isolated
-singularities it never stabilizes and the Tjurina request is refused.
+singularities it grows without bound and the Tjurina request is refused.
+
+Both outcomes are proved.  Macaulay's theorem bounds the growth of
+any standard graded algebra, dim R_{k+1} <= (dim R_k)^<k> for k >= 1, and the
+bound is asserted at every degree scanned.  The Jacobian ideal is generated in
+degree d-1, so for k >= d-1 Gotzmann's persistence theorem applies: one degree
+of maximal growth, dim R_{k+1} = (dim R_k)^<k>, forces maximal growth in every
+later degree (Gotzmann, Math. Z. 158 (1978); Bruns-Herzog, Cohen-Macaulay
+Rings, 4.2-4.3).  `global_tjurina` stops at the first such k: equal dims there
+prove the Hilbert polynomial is that constant, the length of the singular
+scheme; growing dims prove the singular locus positive dimensional.  Equal
+dims h in degrees k, k+1 with h > k are not maximal growth; they are proved
+final when a coordinate hyperplane x_i = 0 has (S/(J + x_i))_k = 0 (the
+m-regularity criterion of Bayer and Stillman), and otherwise by Gotzmann in
+degrees h, h+1, where the scan jumps.
 
 `_ctx(f)` is the one context of f per process: it validates, scales and
 differentiates f once, holds the Brieskorn state of f beside the ranks of R,
@@ -14,22 +28,26 @@ and decides reducedness on first use only, since R is defined for every f.
 from __future__ import annotations
 
 from functools import cached_property
+from math import comb
 
 from .exactlinalg import InvariantError, rank_of_vectors
 from .gradedpoly import InputError, Poly, hilbert_ci_coeffs, is_squarefree, mono_mul, monomial_basis
 
 
 class NonIsolatedError(InvariantError):
-    """dim R_k failed to stabilize; the singular locus is not finite."""
+    """No global Tjurina number: the singular locus is proven positive
+    dimensional, or the scan budget ran out first (the message says which).
+    `dims` holds the dim R_k the scan evaluated, in increasing degree."""
 
     def __init__(self, message: str, dims: list | None = None):
         super().__init__(message)
         self.dims = list(dims or [])
 
 
-# how far past the smooth socle degree global_tjurina is willing to look:
-# constancy window of n+2 degrees, hard cap of 6(n+2) degrees
-_TJURINA_WINDOW_SLACK = 6
+# resource budget of global_tjurina: it steps through at most
+# _TJURINA_DEGREE_BUDGET * (n+2) degrees past its start, then gives up undecided
+# (a jump to the degree h of a constant run h is let through up to h+1)
+_TJURINA_DEGREE_BUDGET = 6
 
 
 class _JacContext:
@@ -146,31 +164,100 @@ def smooth_hodge_numbers(n: int, d: int) -> list:
     return out
 
 
-def global_tjurina(f: Poly) -> int:
-    """Sum of the local Tjurina numbers, as the stabilized value of dim R_k.
+def _macaulay_bound(h: int, k: int) -> int:
+    """h^<k>, the largest dim in degree k+1 of a standard graded algebra with
+    dim h in degree k (Macaulay; k >= 1).
 
-    Requires the singular locus to be finite: dim R_k must become constant
-    over n+2 consecutive degrees past the smooth socle degree.  When the cap
-    is hit without constancy the input almost certainly has a positive
-    dimensional singular locus and NonIsolatedError is raised with the trace.
+    Writes h = C(a_k, k) + C(a_{k-1}, k-1) + ... + C(a_j, j) with
+    a_k > a_{k-1} > ... > a_j >= j >= 1 (the k-binomial representation, each
+    a_i greedy) and returns C(a_k+1, k+1) + ... + C(a_j+1, j+1).
+    """
+    out = 0
+    while h:
+        a = k
+        while comb(a + 1, k) <= h:
+            a += 1
+        h -= comb(a, k)
+        out += comb(a + 1, k + 1)
+        k -= 1
+    return out
+
+
+def _coordinate_section_vanishes(ctx: _JacContext, k: int) -> bool:
+    """Whether (S/(J + x_i))_k = 0 for some coordinate x_i: the degree-k rows
+    of J, read modulo x_i (on the monomials free of x_i), span that space."""
+    rows = ctx.image_rows(k)
+    for i in reversed(range(ctx.nvars)):
+        cols = {c: j for j, c in enumerate(
+            c for c, mono in enumerate(ctx.monomials(k)) if not mono[i])}
+        cut = ({cols[c]: v for c, v in row.items() if c in cols} for row in rows)
+        if rank_of_vectors(cut, len(cols)) == len(cols):
+            return True
+    return False
+
+
+def global_tjurina(f: Poly) -> int:
+    """Sum of the local Tjurina numbers, certified by Gotzmann persistence or
+    by a coordinate hyperplane (Bayer-Stillman).
+
+    Scans k = start, start+1, ... with start = max((n+1)(d-2)+1, d-1), one past
+    the smooth socle degree and at least the generating degree of J, evaluating
+    each dim R_k once.  At every step dim R_{k+1} <= (dim R_k)^<k> is asserted
+    (a violation means the elimination is wrong and raises InvariantError).  At
+    the first k where dim R_{k+1} = (dim R_k)^<k> the growth is maximal in every
+    later degree, so: equal dims prove the Hilbert polynomial of R is that
+    constant and it is returned as tau; growing dims prove the singular locus
+    positive dimensional and NonIsolatedError is raised with the dims scanned.
+    dim R_k = 0 ends the scan at once (the smooth case, tau = 0).
+
+    Equal dims h = dim R_k = dim R_{k+1} with h > k are no Gotzmann
+    certificate (h^<k> > h).  They are one when a coordinate hyperplane x_i = 0
+    has (S/(J + x_i))_k = 0: then x_i maps R_k onto R_{k+1}, so bijectively;
+    J + (x_i) is k-regular, its syzygies lie in degrees <= k+1, so J : x_i is
+    generated in degree <= k and equals J from degree k on; x_i is then
+    bijective R_j -> R_{j+1} for every j >= k, and tau = h (the one-form case
+    of the m-regularity criterion of Bayer and Stillman, Invent. Math. 87
+    (1987)).  The test fails when every coordinate hyperplane meets the
+    singular locus; the scan then jumps to degree h and tests h, h+1 there
+    (h^<h> = h), which costs dim R in degrees up to tau+1, the largest
+    ambients of the scan.  Without a certificate by degree
+    start + _TJURINA_DEGREE_BUDGET * (n+2), or by h+1 after a jump, the scan
+    gives up, raising NonIsolatedError that says tau is undecided up to that
+    degree.
     """
     ctx = _ctx(f)
-    start = max((ctx.n + 1) * (ctx.d - 2) + 1, 0)
-    window = ctx.n + 2
-    cap = start + _TJURINA_WINDOW_SLACK * window
-    dims = []
-    run = 0
-    for k in range(start, cap + 1):
-        v = ctx.dim_R(k)
-        if v == 0:
-            return 0
-        if dims and v == dims[-1]:
-            run += 1
+    start = max((ctx.n + 1) * (ctx.d - 2) + 1, ctx.d - 1)
+    top = start + _TJURINA_DEGREE_BUDGET * (ctx.n + 2)
+    k, h = start, ctx.dim_R(start)
+    dims = [h]
+    while h and k < top:
+        bound = _macaulay_bound(h, k)
+        nxt = ctx.dim_R(k + 1)
+        dims.append(nxt)
+        if nxt > bound:
+            raise InvariantError(
+                f"dim R_{k + 1} = {nxt} exceeds Macaulay's bound {bound} "
+                f"from dim R_{k} = {h}")
+        if nxt == bound:
+            if nxt == h:
+                return h
+            raise NonIsolatedError(
+                f"dim R_k grows maximally from degree {k} to {k + 1} "
+                f"({h} -> {nxt}, Macaulay's bound), "
+                "so by Gotzmann persistence it grows in every later degree and "
+                "the singular locus is positive dimensional", dims)
+        if nxt == h and _coordinate_section_vanishes(ctx, k):
+            return h
+        if nxt == h and h > k + 1:
+            # Gotzmann certifies a constant h from degree h on (h^<j> > h for
+            # j < h), so the scan goes there at once and the budget reaches h+1
+            k, h = h, ctx.dim_R(h)
+            dims.append(h)
+            top = max(top, k + 1)
         else:
-            run = 1
-        dims.append(v)
-        if run >= window:
-            return v
+            k, h = k + 1, nxt
+    if not h:
+        return 0
     raise NonIsolatedError(
-        f"dim R_k did not stabilize for degrees {start}..{cap}; "
-        "the singular locus looks positive dimensional", dims)
+        f"dim R_k gave no certificate from degree {start} on; "
+        f"the Tjurina number is undecided up to degree {top}", dims)

@@ -189,6 +189,19 @@ def test_briancon_skoda_result_is_boolish():
     assert r == True or r.witness_power == 2
 
 
+def test_briancon_skoda_result_hash_agrees_with_eq():
+    cert = hbar_certificate(CUSP, 3)
+    results = [BrianconSkodaResult(True, 2, cert), BrianconSkodaResult(True, 2, cert),
+               BrianconSkodaResult(True, 1, cert), BrianconSkodaResult(False, None, cert),
+               True, False]
+    for a in results:
+        for b in results:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert BrianconSkodaResult(True, 2, cert) == True   # noqa: E712
+    assert len({BrianconSkodaResult(True, 2, cert), True}) == 1
+
+
 @pytest.mark.parametrize("f", [FERMAT_CUBIC, CUSP, TWO_CUSP])
 def test_coker_dimension_formula(f):
     """dim H_{f,k} - rank(f .) equals the Jacobian ring dim in degree k-n-1."""
