@@ -15,8 +15,13 @@ complementary index sets I.
 Ranks of high f-powers out of a fixed degree compute the torsion-free
 quotient, and with it the pole-order filtration on H^n of the complement,
 Milnor-fiber monodromy eigenspaces, and the Briancon-Skoda membership test.
-There is no effective a-priori bound on the torsion order, so every such rank
-is stabilized under an explicit policy and ships with its certificate.
+For singular f there is no effective a-priori bound on the torsion order, so
+every such rank is stabilized under an explicit policy and ships with its
+certificate.  For smooth f the cone has an isolated singularity and H_f is a
+free C[f]-module of rank (d-1)^(n+1) on a monomial basis of the Jacobian ring
+times omega_0 (Sebastiani, Manuscripta Math. 3 (1970); Brieskorn, Manuscripta
+Math. 2 (1970)), so f is injective, there is no torsion, and
+dim H_{f,k} = sum_{j>=0} dim R_{k-n-1-jd}: those ranks are theorems.
 
 The relation subspaces and rank traces of f live on the one context of f
 (`jacobian._ctx`), which validates, scales and checks f for reducedness once.
@@ -53,6 +58,12 @@ class StabilizationPolicy:
     min_target_degree = (n+1)*d, the first degree past the range where the
     transition maps are known to become isomorphisms.  Rank 0 is accepted
     immediately: once every image vanishes it stays zero at higher powers.
+
+    On proved-smooth f the ranks are not scanned: every value of the trace is
+    dim H_{f,k} by Sebastiani's theorem (see `_stabilize`).  The policy still
+    shapes that certificate exactly as it would a scanned constant trace: its
+    length, power and landing degree, and StabilizationError when the window
+    cannot be met within `max_power`.
     """
 
     window: int | None = None
@@ -71,12 +82,15 @@ class StabilizationPolicy:
 
 @dataclass(frozen=True)
 class StabilizationCertificate:
-    """Evidence for one stabilized rank: the full trace of powers tried."""
+    """Evidence for one stabilized rank: the full trace of powers tried, and
+    the rule that accepted it: "Sebastiani" (a theorem for smooth f), or for a
+    scanned trace "early zero" or "window" (the policy)."""
     degree: int
     values: tuple          # rank of f^N out of degree k, N = 0..power
     power: int
     landing_degree: int
     early_zero: bool
+    rule: str
 
     @property
     def value(self) -> int:
@@ -302,25 +316,77 @@ def f_power_image_dim(f: Poly, k: int, N: int) -> int:
     return _ctx(f).power_rank(k, N)
 
 
-def _stabilize(ctx: _BrieskornContext, k: int, policy: StabilizationPolicy,
-               polys=None) -> StabilizationCertificate:
-    window, min_target, max_power = policy.resolved(ctx.n, ctx.d)
+def _window(k: int, d: int, resolved: tuple, rank,
+            rule: str | None = None) -> StabilizationCertificate:
+    """Run the policy (window, min_target, max_power) over rank(N), N = 0, 1, ...
+
+    A certificate names `rule` if given, else the policy clause that accepted.
+    """
+    window, min_target, max_power = resolved
     values = []
     for N in range(max_power + 1):
-        v = ctx.power_rank(k, N) if polys is None else ctx.span_rank(k, N, polys)
+        v = rank(N)
         if values and v > values[-1]:
             raise InvariantError(
                 f"rank of f^N out of degree {k} increased from {values[-1]} to {v} at N={N}")
         values.append(v)
-        landing = k + N * ctx.d
+        landing = k + N * d
         if v == 0:
-            return StabilizationCertificate(k, tuple(values), N, landing, True)
+            return StabilizationCertificate(k, tuple(values), N, landing, True,
+                                            rule or "early zero")
         if (len(values) >= window and landing >= min_target
                 and len(set(values[-window:])) == 1):
-            return StabilizationCertificate(k, tuple(values), N, landing, False)
+            return StabilizationCertificate(k, tuple(values), N, landing, False,
+                                            rule or "window")
     raise StabilizationError(
         f"rank out of degree {k} did not stabilize within {max_power} powers "
         f"(trace {values})", k, values)
+
+
+def _scan(ctx: _BrieskornContext, k: int, resolved: tuple,
+          polys=None) -> StabilizationCertificate:
+    """Stabilize by elimination under the resolved policy: the rank of f^N
+    out of degree k (or out of the span of the classes of polys), one power
+    at a time."""
+    if polys is None:
+        return _window(k, ctx.d, resolved, lambda N: ctx.power_rank(k, N))
+    return _window(k, ctx.d, resolved, lambda N: ctx.span_rank(k, N, polys))
+
+
+def _sebastiani_dim(ctx: _BrieskornContext, k: int) -> int:
+    """dim H_{f,k} = sum_{j>=0} dim R_{k-n-1-jd} of smooth f (free module)."""
+    return sum(ctx.base.dim_R(m) for m in range(k - ctx.n - 1, -1, -ctx.d))
+
+
+def _stabilize(ctx: _BrieskornContext, k: int, policy: StabilizationPolicy,
+               polys=None) -> StabilizationCertificate:
+    """Certificate for the rank of f^N out of degree k (or out of the span of
+    the classes of polys) at high N.
+
+    On proved-smooth f (`jacobian._JacContext.smooth`) the rank out of
+    degree k takes no power of f: H_f is free, so every value is
+    h = dim H_{f,k} by `_sebastiani_dim`, whose dim R are theorems from the
+    complete-intersection Hilbert series, and the policy is run over the
+    constant trace (h, ..., h) under rule "Sebastiani".  Each such call
+    first checks the formula exactly at the lowest degrees, through the
+    engine: the rank of f out of degree n+1 and dim H_f in degree n+1+d
+    (cache reads after the first call); a mismatch raises InvariantError.
+    Then the only eliminations behind the numbers are the smoothness probe
+    and this spot check.  Singular f, and spans of classes, are scanned
+    (`_scan`).
+    """
+    resolved = policy.resolved(ctx.n, ctx.d)
+    if polys is not None or not ctx.base.smooth:
+        return _scan(ctx, k, resolved, polys)
+    low = ctx.n + 1
+    for what, exact, at in (("rank of f out of", ctx.power_rank(low, 1), low),
+                            ("dim H_f in", ctx.hf_dim(low + ctx.d), low + ctx.d)):
+        if exact != _sebastiani_dim(ctx, at):
+            raise InvariantError(
+                f"smooth f: {what} degree {at} is {exact}, but Sebastiani's "
+                f"free-module formula gives {_sebastiani_dim(ctx, at)}")
+    h = _sebastiani_dim(ctx, k)
+    return _window(k, ctx.d, resolved, lambda N: h, "Sebastiani")
 
 
 def hbar_dim(f: Poly, k: int, policy: StabilizationPolicy | None = None) -> int:

@@ -357,8 +357,9 @@ class ExactMatrix:
                    for a, b in zip(self.rows, other.rows))
 
     def __hash__(self) -> int:
+        # over the rows as __eq__ reads them, explicit zeros dropped
         return hash((self.nrows, self.ncols,
-                     tuple(frozenset(r.items()) for r in self.rows)))
+                     tuple(frozenset(_as_dict(r, self.ncols).items()) for r in self.rows)))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols})"

@@ -20,9 +20,18 @@ final when a coordinate hyperplane x_i = 0 has (S/(J + x_i))_k = 0 (the
 m-regularity criterion of Bayer and Stillman), and otherwise by Gotzmann in
 degrees h, h+1, where the scan jumps.
 
+Smoothness is decided by one exact elimination, at the probe degree
+(n+1)(d-2)+1 one past the smooth socle degree: f = 0 is smooth exactly when
+R vanishes there.  Once that is proved, the partials are a regular sequence
+of n+1 forms of degree d-1, R is their complete intersection, and every other
+dim R_k is read off the Hilbert series ((1-t^(d-1))/(1-t))^(n+1) (empty for
+d = 1, where R = 0); those numbers are theorems, not eliminations.  Before the
+verdict, and for singular f, dim R_k is an exact rank.
+
 `_ctx(f)` is the one context of f per process: it validates, scales and
 differentiates f once, holds the Brieskorn state of f beside the ranks of R,
-and decides reducedness on first use only, since R is defined for every f.
+and decides reducedness and smoothness on first use only, since R is defined
+for every f.
 """
 
 from __future__ import annotations
@@ -53,7 +62,8 @@ _TJURINA_DEGREE_BUDGET = 6
 class _JacContext:
     """Context of one hypersurface: the validated integer-scaled f, its scale,
     partials, monomial bases and indices by degree, the ranks dim R_k, the
-    reducedness verdict and the Brieskorn state (set by `brieskorn._ctx`)."""
+    reducedness and smoothness verdicts and the Brieskorn state (set by
+    `brieskorn._ctx`)."""
 
     def __init__(self, f: Poly):
         if not isinstance(f, Poly):
@@ -66,17 +76,29 @@ class _JacContext:
         if self.d < 1:
             raise InputError("f must be nonconstant")
         self.nvars, self.n = f.nvars, f.nvars - 1
+        self.probe = (self.n + 1) * (self.d - 2) + 1
         self.f, self.scale = f.integer_scaled()
         self.partials = [list(self.f.partial(i).terms.items()) for i in range(self.nvars)]
         self.brieskorn = None
         self._monos: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._dims: dict[int, int] = {}
+        self._series: list | None = None   # Hilbert function of R, once smooth
 
     @cached_property
     def reduced(self) -> bool:
         """Whether f is squarefree; decided on first use."""
         return is_squarefree(self.f)
+
+    @cached_property
+    def smooth(self) -> bool:
+        """Whether f = 0 is smooth, by the exact dim R at the probe degree;
+        decided on first use.  A proof of smoothness switches `dim_R` to the
+        complete-intersection Hilbert series."""
+        if self.dim_R(self.probe):
+            return False
+        self._series = hilbert_ci_coeffs(self.nvars, self.d - 1) if self.d > 1 else []
+        return True
 
     def monomials(self, m: int) -> list:
         got = self._monos.get(m)
@@ -109,8 +131,12 @@ class _JacContext:
         return rows
 
     def dim_R(self, k: int) -> int:
+        """dim R_k: read off the Hilbert series once f is proved smooth (but
+        at the probe degree, which proved it), an exact rank otherwise."""
         if k < 0:
             return 0
+        if self._series is not None and k != self.probe:
+            return self._series[k] if k < len(self._series) else 0
         got = self._dims.get(k)
         if got is None:
             ambient = len(self.index(k))
@@ -136,6 +162,10 @@ def jacobian_dim(f: Poly, k: int) -> int:
 def jacobian_dims(f: Poly, k_max: int) -> list:
     """[dim R_k for k = 0..k_max]."""
     ctx = _ctx(f)
+    if k_max >= ctx.probe:
+        # the probe is among the degrees asked for: deciding smoothness first
+        # lets a smooth f read every other degree off the Hilbert series
+        ctx.smooth
     return [ctx.dim_R(k) for k in range(k_max + 1)]
 
 
@@ -144,11 +174,10 @@ def smoothness_test(f: Poly) -> bool:
 
     R is artinian exactly in the smooth case, and the smooth socle degree is
     (n+1)(d-2), so a single vanishing test one degree above it decides: once
-    some R_k = 0, every later degree vanishes too.
+    some R_k = 0, every later degree vanishes too.  The verdict is kept on
+    the context of f (`_JacContext.smooth`).
     """
-    ctx = _ctx(f)
-    probe = (ctx.n + 1) * (ctx.d - 2) + 1
-    return ctx.dim_R(probe) == 0
+    return _ctx(f).smooth
 
 
 def smooth_hodge_numbers(n: int, d: int) -> list:
@@ -226,7 +255,7 @@ def global_tjurina(f: Poly) -> int:
     degree.
     """
     ctx = _ctx(f)
-    start = max((ctx.n + 1) * (ctx.d - 2) + 1, ctx.d - 1)
+    start = max(ctx.probe, ctx.d - 1)
     top = start + _TJURINA_DEGREE_BUDGET * (ctx.n + 2)
     k, h = start, ctx.dim_R(start)
     dims = [h]

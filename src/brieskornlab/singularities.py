@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor, inf
 
 from .brieskorn import (PoleFiltrationReport, StabilizationPolicy, pole_filtration_dims,
@@ -55,6 +56,38 @@ class WeightedChart:
     @property
     def rational_singularity(self) -> bool:
         return self.alpha > 1
+
+    @cached_property
+    def tjurina(self) -> int:
+        """The local Tjurina number, computed on first use and kept on the
+        chart; read it through `local_tjurina`."""
+        h = self.local_eq
+        nloc = self.nloc
+        gens = [h] + [h.partial(i) for i in range(nloc)]
+        gens = [g for g in gens if not g.is_zero()]
+
+        def truncated_dim(K: int) -> int:
+            monos = [m for m in monomial_basis_below(nloc, K)]
+            idx = {m: i for i, m in enumerate(monos)}
+            rows = []
+            for g in gens:
+                glow = min(sum(mono) for mono in g.terms)
+                for m in monomial_basis_below(nloc, K - glow):
+                    row = {}
+                    for mono, c in g.shift(m).terms.items():
+                        if sum(mono) < K:
+                            row[idx[mono]] = c
+                    if row:
+                        rows.append(row)
+            return len(monos) - rank_of_vectors(rows, len(monos))
+
+        prev = None
+        for K in range(2, 64):
+            cur = truncated_dim(K)
+            if prev is not None and cur == prev:
+                return cur
+            prev = cur
+        raise InvariantError("local Tjurina truncation did not stabilize by order 64")
 
 
 def _isolated_weighted(h1: Poly, weights: tuple) -> bool:
@@ -319,35 +352,10 @@ def local_tjurina(chart: WeightedChart) -> int:
     dim C[y]/((h,dh)+m^K) is nondecreasing in K and bounded by the Tjurina
     number; one flat step K -> K+1 certifies stabilization, since
     m^K inside (ideal + m^{K+1}) forces m^K inside the ideal by Krull
-    intersection in the local ring.
+    intersection in the local ring.  Computed once per chart
+    (`WeightedChart.tjurina`), so the coverage check and the report share it.
     """
-    h = chart.local_eq
-    nloc = chart.nloc
-    gens = [h] + [h.partial(i) for i in range(nloc)]
-    gens = [g for g in gens if not g.is_zero()]
-
-    def truncated_dim(K: int) -> int:
-        monos = [m for m in monomial_basis_below(nloc, K)]
-        idx = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for g in gens:
-            glow = min(sum(mono) for mono in g.terms)
-            for m in monomial_basis_below(nloc, K - glow):
-                row = {}
-                for mono, c in g.shift(m).terms.items():
-                    if sum(mono) < K:
-                        row[idx[mono]] = c
-                if row:
-                    rows.append(row)
-        return len(monos) - rank_of_vectors(rows, len(monos))
-
-    prev = None
-    for K in range(2, 64):
-        cur = truncated_dim(K)
-        if prev is not None and cur == prev:
-            return cur
-        prev = cur
-    raise InvariantError("local Tjurina truncation did not stabilize by order 64")
+    return chart.tjurina
 
 
 def monomial_basis_below(nvars: int, bound: int) -> list:

@@ -43,6 +43,17 @@ def test_subspace_semantic_equality():
     assert s != Subspace.from_vectors([{0: 1, 1: 1}], 3)
 
 
+def test_matrix_hash_agrees_with_eq():
+    """__eq__ ignores explicit zero entries, so the hash must too."""
+    a = ExactMatrix(2, 3, ({0: 1, 2: 0}, {1: Fraction(1, 2)}))
+    b = ExactMatrix(2, 3, ({0: Fraction(1)}, {1: Fraction(1, 2), 0: 0}))
+    c = ExactMatrix.from_rows([{0: 1}, {1: Fraction(1, 2)}], 3)
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert a != ExactMatrix(2, 3, ({0: 1}, {1: 1}))
+
+
 def test_rank_of_vectors():
     assert rank_of_vectors([{0: 1}, {0: 2}, {}], 2) == 1
     assert rank_of_vectors([], 5) == 0

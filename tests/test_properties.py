@@ -3,7 +3,10 @@
 For smooth f the Jacobian ring is a complete intersection of three forms of
 degree d-1, so its Hilbert function is that of ((1-t^(d-1))/(1-t))^3; and the
 cokernel of multiplication by f on H_f is the Jacobian ring shifted by n+1
-(`coker_check_prop16`).  Both are checked through the one context of f.  For
+(`coker_check_prop16`).  Both are checked through the one context of f, with
+exact elimination as the oracle for the series the context reads once f is
+proved smooth; and every certificate the Sebastiani fast path issues equals
+the one the f-power scan by elimination gives under the same policy.  For
 any f, singular or not, the Hilbert function of R obeys Macaulay's bound, and
 a Tjurina number certified by Gotzmann persistence stays the dim of R after
 the certified degree.
@@ -19,7 +22,9 @@ from hypothesis import HealthCheck, assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from brieskornlab import brieskorn, jacobian  # noqa: E402
-from brieskornlab.brieskorn import coker_check_prop16  # noqa: E402
+from brieskornlab.brieskorn import (StabilizationError, StabilizationPolicy,  # noqa: E402
+                                    coker_check_prop16)
+from brieskornlab.exactlinalg import rank_of_vectors  # noqa: E402
 from brieskornlab.gradedpoly import Poly, hilbert_ci_coeffs, monomial_basis  # noqa: E402
 from brieskornlab.jacobian import (NonIsolatedError, _macaulay_bound,  # noqa: E402
                                    global_tjurina, jacobian_dim, jacobian_dims,
@@ -45,8 +50,43 @@ def test_smooth_curve_matches_complete_intersection(f):
     for k in range(n + 1, (n + 1) * d + 1):
         assert coker_check_prop16(f, k), k
     coeffs = hilbert_ci_coeffs(n + 1, d - 1)
+    ctx = jacobian._ctx(f)
+    eliminated = [len(ctx.index(k)) - rank_of_vectors(ctx.image_rows(k), len(ctx.index(k)))
+                  for k in range(len(coeffs) + 1)]
+    assert eliminated == coeffs + [0]
     assert jacobian_dims(f, len(coeffs)) == coeffs + [0]
-    assert brieskorn._ctx(f).base is jacobian._ctx(f)
+    assert brieskorn._ctx(f).base is ctx
+
+
+def _outcome(stabilize):
+    """A certificate's fields but its rule, or the StabilizationError raised."""
+    try:
+        c = stabilize()
+    except StabilizationError as e:
+        return ("error", str(e), e.degree, tuple(e.values))
+    return ("cert", c.degree, c.values, c.power, c.landing_degree, c.early_zero)
+
+
+@settings(max_examples=5, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(smooth_plane_curves())
+def test_sebastiani_certificate_matches_the_scan(f):
+    """On smooth f the fast path's certificate, or StabilizationError, equals
+    the scan's field by field in every degree n+1..(n+2)d under the default
+    and two small policies; only the rule differs ("Sebastiani" against the
+    policy clause that accepted)."""
+    ctx = brieskorn._ctx(f)
+    for policy in (StabilizationPolicy(), StabilizationPolicy(window=2, max_power=2),
+                   StabilizationPolicy(window=3, max_power=4)):
+        resolved = policy.resolved(ctx.n, ctx.d)
+        for k in range(ctx.n + 1, (ctx.n + 2) * ctx.d + 1):
+            fast = _outcome(lambda: brieskorn._stabilize(ctx, k, policy))
+            scan = _outcome(lambda: brieskorn._scan(ctx, k, resolved))
+            assert fast == scan, (k, policy)
+            event(fast[0])
+            if fast[0] == "cert":
+                assert brieskorn._stabilize(ctx, k, policy).rule == "Sebastiani"
+                assert brieskorn._scan(ctx, k, resolved).rule in ("early zero", "window")
 
 
 @st.composite

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from brieskornlab import singularities
 from brieskornlab.exactlinalg import InvariantError
 from brieskornlab.gradedpoly import InputError, Poly, parse_poly
 from brieskornlab.singularities import (WeightedChart, alpha_Y, build_chart,
@@ -81,6 +82,20 @@ def test_local_tjurina_values():
     for ch in two_cusp_charts():
         assert local_tjurina(ch) == 2
         assert ch.swh_tail  # y*z^3 tail above weighted degree 1
+
+
+def test_chart_tjurina_is_computed_once(monkeypatch):
+    """The coverage check and the report's chart entries share one local
+    Tjurina number per chart: later reads run no elimination."""
+    charts = two_cusp_charts()
+    rep = hodge_filtration_dims(TWO_CUSP, charts)
+
+    def no_elimination(*_):
+        raise AssertionError("local Tjurina number recomputed")
+
+    monkeypatch.setattr(singularities, "rank_of_vectors", no_elimination)
+    assert [local_tjurina(c) for c in rep.charts] == [2, 2]
+    assert verify_chart_coverage(TWO_CUSP, charts) == 4
 
 
 def test_monomial_ideal_geq():
