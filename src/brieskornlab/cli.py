@@ -186,7 +186,7 @@ def load_problem(path: str) -> ProblemSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None
     return parse_problem(text, source=path)
 
@@ -370,20 +370,29 @@ def _family(job: _Job) -> None:
     direction = parse_poly(spec.family.direction, spec.variables)
     fam = PencilFamily.pencil(job.f, direction)
     constancy = pole_constancy_check(fam, ss, policy)
-    scan = tjurina_scan(fam, ss)
     out = {
         "samples": [_rat(s) for s in ss],
         "pole_table": [{"s": _rat(s), "dims": list(dims)} for s, dims in constancy.table],
         "pole_constant": constancy.constant,
-        "tjurina_table": [{"s": _rat(r.sample), "tjurina": r.tjurina,
-                           "tail": list(r.tail)} for r in scan.rows],
-        "tjurina_jumps": [_rat(s) for s in scan.jumps],
+        "tjurina_table": None,
+        "tjurina_jumps": None,
         "grp_nabla": None,
         "note": None,
     }
     job.report.family = out
+    notes = []
+    try:
+        scan = tjurina_scan(fam, ss)
+    except NonIsolatedError as e:
+        notes.append("tjurina unavailable: " + str(e))
+    else:
+        out["tjurina_table"] = [{"s": _rat(r.sample), "tjurina": r.tjurina,
+                                 "tail": list(r.tail)} for r in scan.rows]
+        out["tjurina_jumps"] = [_rat(s) for s in scan.jumps]
     if not constancy.constant:
-        out["note"] = "graded connection matrices refused: pole dims vary over the samples"
+        notes.append("graded connection matrices refused: pole dims vary over the samples")
+    out["note"] = "; ".join(notes) or None
+    if not constancy.constant:
         return
     s0 = ss[0]
     q_max = args.q_max if args.q_max is not None else job.f.nvars - 1
@@ -514,14 +523,15 @@ def _render_text(report: Report) -> str:
         for line in _table(("s", "pole dims"), rows):
             lines.append("  " + line)
         lines.append(f"  pole dims constant: {'yes' if fam['pole_constant'] else 'no'}")
-        rows = [(row["s"], row["tjurina"], " ".join(str(v) for v in row["tail"]))
-                for row in fam["tjurina_table"]]
-        for line in _table(("s", "tjurina", "jacobian tail"), rows):
-            lines.append("  " + line)
-        if fam["tjurina_jumps"]:
-            lines.append("  tjurina jumps at s = " + ", ".join(fam["tjurina_jumps"]))
-        else:
-            lines.append("  no tjurina jumps over the samples")
+        if fam["tjurina_table"] is not None:
+            rows = [(row["s"], row["tjurina"], " ".join(str(v) for v in row["tail"]))
+                    for row in fam["tjurina_table"]]
+            for line in _table(("s", "tjurina", "jacobian tail"), rows):
+                lines.append("  " + line)
+            if fam["tjurina_jumps"]:
+                lines.append("  tjurina jumps at s = " + ", ".join(fam["tjurina_jumps"]))
+            else:
+                lines.append("  no tjurina jumps over the samples")
         if fam["note"]:
             lines.append(f"  note: {fam['note']}")
         for m in fam["grp_nabla"] or ():

@@ -1,11 +1,15 @@
 """Exact sparse linear algebra over Q: rank, kernel, canonical reduction.
 
-Everything is fraction-free where it counts: input vectors are scaled to
-integer rows, elimination combines rows by cross-multiplication and strips the
-content, and rationals only appear in the final pivot-normalized form.  Pivots
-are chosen sparsity-first (sparsest row, then the column hitting the fewest
-rows, then the entry of smallest bit length) so the relation matrices coming
-from discriminants of small hypersurfaces eliminate without fill-in blowup.
+All elimination is fraction-free and goes through one step, `_combine`:
+input vectors are scaled to integer rows, and a row is cleared at a pivot
+column by cross-multiplying it with the pivot row and stripping the content.
+The sparse forward elimination, the back-substitution of `_rref` and the
+incremental `SpanSolver` all use it.  Fractions appear only in the output:
+the unit-pivot tails of a `Subspace` and the coordinates `SpanSolver.express`
+returns.  Pivots are chosen sparsity-first (sparsest row, then the column
+hitting the fewest rows, then the entry of smallest bit length) so the
+relation matrices coming from discriminants of small hypersurfaces eliminate
+without fill-in blowup.
 
 A `Subspace` is stored in reduced row echelon form with unit pivots, which
 makes equality structural and makes `reduce` a single pass: tails only touch
@@ -53,15 +57,11 @@ def _int_row(v: Mapping[int, object]) -> dict[int, int]:
             den = val.denominator
             lcm = lcm * den // gcd(lcm, den)
     row = {}
-    g = 0
     for c, val in v.items():
         n = int(val * lcm) if lcm != 1 or isinstance(val, Fraction) else val
         if n:
             row[c] = n
-            g = gcd(g, n)
-    if g > 1:
-        for c in row:
-            row[c] //= g
+    _strip_content(row)
     return row
 
 
@@ -74,6 +74,26 @@ def _strip_content(row: dict[int, int]) -> None:
     if g > 1:
         for c in row:
             row[c] //= g
+
+
+def _combine(row: dict[int, int], prow: dict[int, int], pcol: int) -> dict[int, int]:
+    """row*(p/g) - prow*(q/g) with p = prow[pcol], q = row[pcol], g = gcd(p, q).
+
+    The result is zero at pcol and has its content stripped.  This is the
+    only elimination arithmetic in the module.
+    """
+    p, q = prow[pcol], row[pcol]
+    g = gcd(p, q)
+    mr, mp = p // g, q // g
+    new = {c: val * mr for c, val in row.items()}
+    for c, val in prow.items():
+        s = new.get(c, 0) - val * mp
+        if s:
+            new[c] = s
+        else:
+            new.pop(c, None)
+    _strip_content(new)
+    return new
 
 
 def _forward_eliminate(int_rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
@@ -101,28 +121,15 @@ def _forward_eliminate(int_rows: Iterable[dict[int, int]]) -> list[tuple[int, di
             continue  # stale heap entry
         # pivot column: fewest other rows, then smallest entry, then lowest index
         pcol = min(row, key=lambda c: (len(by_col[c]), abs(row[c]).bit_length(), c))
-        pval = row[pcol]
         del rows[rid]
         for c in row:
             by_col[c].discard(rid)
         for oid in sorted(by_col[pcol]):
             other = rows[oid]
-            q = other[pcol]
-            g = gcd(pval, q)
-            mo, mp = pval // g, q // g
-            new = {}
-            for c, val in other.items():
-                new[c] = val * mo
-            for c, val in row.items():
-                s = new.get(c, 0) - val * mp
-                if s:
-                    new[c] = s
-                else:
-                    new.pop(c, None)
+            new = _combine(other, row, pcol)
             for c in other:
                 if c not in new:
                     by_col[c].discard(oid)
-            _strip_content(new)
             if new:
                 for c in new:
                     if c not in other:
@@ -130,8 +137,6 @@ def _forward_eliminate(int_rows: Iterable[dict[int, int]]) -> list[tuple[int, di
                 rows[oid] = new
                 heapq.heappush(heap, (len(new), oid))
             else:
-                for c in new:
-                    by_col[c].discard(oid)
                 del rows[oid]
         finished.append((pcol, row))
     return finished
@@ -141,29 +146,13 @@ def _rref(int_rows: Iterable[dict[int, int]]):
     """Full reduction: returns (pivots sorted, tails {pivot: {col: Fraction}})."""
     finished = _forward_eliminate(int_rows)
     # substitute in reverse pivot-time order: later pivot rows are already clean
-    pivot_of = {}
-    for i, (pcol, _) in enumerate(finished):
-        pivot_of[pcol] = i
+    pivot_of = {pcol: i for i, (pcol, _) in enumerate(finished)}
     for i in range(len(finished) - 1, -1, -1):
         pcol, row = finished[i]
         hits = [c for c in row if c != pcol and c in pivot_of and pivot_of[c] > i]
         for c in sorted(hits, key=lambda c: pivot_of[c]):
-            jcol, jrow = finished[pivot_of[c]]
-            q = row.get(c)
-            if not q:
-                continue
-            p = jrow[jcol]
-            g = gcd(p, q)
-            mr, mj = p // g, q // g
-            new = {cc: val * mr for cc, val in row.items()}
-            for cc, val in jrow.items():
-                s = new.get(cc, 0) - val * mj
-                if s:
-                    new[cc] = s
-                else:
-                    new.pop(cc, None)
-            _strip_content(new)
-            row = new
+            if row.get(c):
+                row = _combine(row, finished[pivot_of[c]][1], c)
         finished[i] = (pcol, row)
     pivots = sorted(p for p, _ in finished)
     tails: dict[int, dict[int, Fraction]] = {}
@@ -202,7 +191,7 @@ class Subspace:
     @classmethod
     def from_vectors(cls, vectors: Iterable, ambient_dim: int) -> "Subspace":
         rows = [_int_row(_as_dict(v, ambient_dim)) for v in vectors]
-        pivots, tails = _rref(r for r in rows if r)
+        pivots, tails = _rref(rows)
         return cls(ambient_dim, pivots, tails)
 
     @classmethod
@@ -270,7 +259,7 @@ class Subspace:
 
 def rank_of_vectors(vectors: Iterable, ambient_dim: int) -> int:
     rows = (_int_row(_as_dict(v, ambient_dim)) for v in vectors)
-    return len(_forward_eliminate(r for r in rows if r))
+    return len(_forward_eliminate(rows))
 
 
 def echelon_rows(vectors: Iterable[Mapping[int, object]]) -> list[dict[int, int]]:
@@ -281,11 +270,15 @@ def echelon_rows(vectors: Iterable[Mapping[int, object]]) -> list[dict[int, int]
     given, without the range check of `rank_of_vectors`.
     """
     rows = (_int_row(v) for v in vectors)
-    return [row for _, row in _forward_eliminate(r for r in rows if r)]
+    return [row for _, row in _forward_eliminate(rows)]
 
 
 class ExactMatrix:
-    """Immutable sparse matrix over Q (rows of sparse dicts)."""
+    """Immutable sparse matrix over Q (rows of sparse dicts).
+
+    A value type: the graded connection matrices are built, compared and
+    rendered as ExactMatrix, and `kernel_basis` solves the chart conditions.
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -306,47 +299,20 @@ class ExactMatrix:
     def entry(self, r: int, c: int):
         return self.rows[r].get(c, 0)
 
-    def rank(self) -> int:
-        return rank_of_vectors(self.rows, self.ncols)
-
-    def transpose(self) -> "ExactMatrix":
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.ncols)]
-        for r, row in enumerate(self.rows):
-            for c, val in row.items():
-                cols[c][r] = val
-        return ExactMatrix(self.ncols, self.nrows, tuple(cols))
-
-    def columns(self) -> list[dict[int, Fraction]]:
-        return list(self.transpose().rows)
-
-    def matvec(self, v) -> dict[int, Fraction]:
-        vv = _as_dict(v, self.ncols)
-        out = {}
-        for r, row in enumerate(self.rows):
-            s = 0
-            for c, val in row.items():
-                a = vv.get(c)
-                if a:
-                    s += val * a
-            if s:
-                out[r] = s
-        return out
-
     def kernel_basis(self) -> Subspace:
-        """RREF basis of the null space {v : self @ v = 0}."""
+        """RREF basis of the null space {v : self @ v = 0}.
+
+        Read off the row space's RREF with one elimination: for a free column
+        c, e_c minus the tails at c has unit pivot c and support on c and the
+        row-space pivots, so these vectors are already a reduced basis.
+        """
         rowspace = Subspace.from_vectors(self.rows, self.ncols)
-        pivots = set(rowspace.pivots)
-        vectors = []
-        for c in range(self.ncols):
-            if c in pivots:
-                continue
-            v = {c: 1}
-            for p in rowspace.pivots:
-                t = rowspace.tails[p].get(c)
-                if t:
-                    v[p] = -t
-            vectors.append(v)
-        return Subspace.from_vectors(vectors, self.ncols)
+        free = [c for c in range(self.ncols) if c not in rowspace._pivset]
+        tails: dict[int, dict] = {c: {} for c in free}
+        for p in rowspace.pivots:
+            for c, t in rowspace.tails[p].items():
+                tails[c][p] = -t
+        return Subspace(self.ncols, free, tails)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -368,89 +334,56 @@ class ExactMatrix:
 class SpanSolver:
     """Incremental exact row space with coordinate recovery.
 
-    add() keeps the internal rows mutually reduced (Gauss-Jordan), so express()
-    is a single pass; combinations are tracked against the labels of the
-    vectors that were added as new basis members.
+    The rows are integer echelon rows in insertion order, each zero on the
+    pivots of the rows before it, so one forward pass reduces a vector.
+    Column ambient_dim + j holds the coordinate of the j-th accepted vector
+    a_j: a row (x | c) stands for x = sum_j c_j a_j, and the step that
+    combines rows updates the coordinates with them.
     """
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._rows: list[tuple[int, dict, dict]] = []  # (pivot, vector, combo)
+        self._rows: list[tuple[int, dict[int, int]]] = []  # (pivot, row)
+        self._labels: list = []
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v, track: bool):
-        vv = dict(_as_dict(v, self.ambient_dim))
-        combo: dict = {}
-        for pivot, vec, cmb in self._rows:
-            a = vv.get(pivot)
-            if not a:
-                continue
-            for c, val in vec.items():
-                s = vv.get(c, 0) - a * val
-                if s:
-                    vv[c] = s
-                else:
-                    vv.pop(c, None)
-            if track:
-                for lbl, val in cmb.items():
-                    s = combo.get(lbl, 0) + a * val
-                    if s:
-                        combo[lbl] = s
-                    else:
-                        combo.pop(lbl, None)
-        return vv, combo
+    def _reduce(self, v) -> tuple[dict[int, int], int]:
+        """Reduced integer row of v, tagged in the next free coordinate column."""
+        tag = self.ambient_dim + len(self._rows)
+        vv = _as_dict(v, self.ambient_dim)
+        vv[tag] = 1
+        row = _int_row(vv)
+        for pcol, prow in self._rows:
+            if pcol in row:
+                row = _combine(row, prow, pcol)
+        return row, tag
 
     def add(self, v, label) -> bool:
         """Add v; True if it enlarged the span (label becomes a basis name)."""
-        vv, cmb0 = self._reduce(v, track=True)
-        if not vv:
+        row, _ = self._reduce(v)
+        pivot = min(row)
+        if pivot >= self.ambient_dim:
             return False
-        pivot = min(vv)
-        pval = vv[pivot]
-        vec = {c: _ratio(val, pval) for c, val in vv.items()}
-        # vv = v - sum(cmb0 . originals), so the stored row vec = vv / pval
-        # carries 1/pval of the new vector minus the reduction contributions
-        combo = {label: _ratio(1, pval)}
-        for lbl, val in cmb0.items():
-            s = combo.get(lbl, 0) - _ratio(val, pval)
-            if s:
-                combo[lbl] = s
-            else:
-                combo.pop(lbl, None)
-        # keep older rows reduced against the new pivot
-        for i, (p, w, cmb) in enumerate(self._rows):
-            a = w.get(pivot)
-            if not a:
-                continue
-            neww = dict(w)
-            for c, val in vec.items():
-                s = neww.get(c, 0) - a * val
-                if s:
-                    neww[c] = s
-                else:
-                    neww.pop(c, None)
-            newc = dict(cmb)
-            for lbl, val in combo.items():
-                s = newc.get(lbl, 0) - a * val
-                if s:
-                    newc[lbl] = s
-                else:
-                    newc.pop(lbl, None)
-            self._rows[i] = (p, neww, newc)
-        self._rows.append((pivot, vec, combo))
+        self._rows.append((pivot, row))
+        self._labels.append(label)
         return True
 
     def express(self, v):
         """Coordinates of v over the added basis labels, or None if outside."""
-        vv, combo = self._reduce(v, track=True)
-        if vv:
+        row, tag = self._reduce(v)
+        if min(row) < self.ambient_dim:
             return None
+        # the row (0 | c, t) says 0 = sum_j c_j a_j + t v
+        t = row.pop(tag)
+        combo: dict = {}
+        for c, val in row.items():
+            label = self._labels[c - self.ambient_dim]
+            s = combo.get(label, 0) - Fraction(val, t)
+            if s:
+                combo[label] = s
+            else:
+                combo.pop(label, None)
         return combo
-
-
-def _ratio(a, b) -> Fraction:
-    q = Fraction(a) / Fraction(b) if not isinstance(a, Fraction) or not isinstance(b, Fraction) else a / b
-    return int(q) if isinstance(q, Fraction) and q.denominator == 1 else q

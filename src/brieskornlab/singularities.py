@@ -428,11 +428,7 @@ def hodge_filtration_dims(f: Poly, charts, policy: StabilizationPolicy | None = 
     charts = tuple(charts)
     if charts:
         verify_chart_coverage(f, charts)
-        alpha = min(c.alpha for c in charts)
-    else:
-        if not smoothness_test(f):
-            raise InputError("hypersurface is singular but no charts were supplied")
-        alpha = inf
+    alpha = alpha_Y(charts, f)
     certs = []
     dims = []
     for q in range(n + 1):

@@ -114,6 +114,15 @@ def test_exit_one_on_missing_file(capsys):
     assert code == 1 and "cannot read" in err
 
 
+def test_exit_one_on_non_utf8_file(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"variables = x y z\npolynomial = x^3\xff\n")
+    code, out, err = run_cli(capsys, "pole", "--input", str(p))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {p}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_exit_one_without_input_flag(capsys):
     code, _, err = run_cli(capsys, "pole")
     assert code == 1 and "--input" in err
@@ -281,3 +290,37 @@ def test_all_problem_files_analyze(capsys):
         assert code == 0, f"{path.name}: {err}"
         assert out == (GOLDEN / f"{path.stem}.json").read_text(), path.name
         assert "cross-checks" in render_report(parse_report(out), as_json=False)
+
+
+NON_ISOLATED_PENCIL = """\
+variables = x y z t
+polynomial = x^2*z + y^3 + x*y*t
+
+[family]
+direction = x^3
+samples = 0 1
+"""
+
+
+@pytest.mark.parametrize("command", ["family", "analyze"])
+def test_family_with_non_isolated_fiber_still_reports(command, tmp_path, capsys):
+    """A fiber with a positive-dimensional singular locus has no Tjurina
+    number; the family section says so and keeps the pole table and the
+    connection matrices."""
+    p = tmp_path / "pencil.txt"
+    p.write_text(NON_ISOLATED_PENCIL)
+    code, out, err = run_cli(capsys, command, "--input", str(p), "--json", "--no-timing")
+    assert code == 0, err
+    fam = json.loads(out)["family"]
+    assert fam["tjurina_table"] is None and fam["tjurina_jumps"] is None
+    assert fam["note"].startswith("tjurina unavailable: ")
+    assert "positive dimensional" in fam["note"]
+    assert [row["s"] for row in fam["pole_table"]] == ["0", "1"]
+    assert fam["pole_constant"] is True
+    assert [(m["q"], m["target_dim"], m["source_dim"]) for m in fam["grp_nabla"]] == [
+        (q, 0, 0) for q in range(4)]
+    code, text, _ = run_cli(capsys, command, "--input", str(p), "--no-timing")
+    assert code == 0
+    assert "tjurina" not in text.replace("tjurina unavailable", "")
+    assert "note: tjurina unavailable: " in text
+    assert "graded connection matrix, q = 3" in text

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from brieskornlab import exactlinalg
 from brieskornlab.exactlinalg import (ExactMatrix, SpanSolver, Subspace,
                                       rank_of_vectors)
 
@@ -60,21 +61,35 @@ def test_rank_of_vectors():
     assert rank_of_vectors([{i: 1} for i in range(4)], 4) == 4
 
 
+def _transpose(rows: list, ncols: int) -> list:
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, val in row.items():
+            cols[c][r] = val
+    return cols
+
+
+def _product(rows: list, v: dict) -> list:
+    """The entries of rows @ v."""
+    return [sum(val * v.get(c, 0) for c, val in row.items()) for row in rows]
+
+
 def test_matrix_rank_and_kernel():
-    m = ExactMatrix.from_rows([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6},
-                               {1: 1, 2: 1}], 3)
-    assert m.rank() == 2
-    ker = m.kernel_basis()
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
+    assert rank_of_vectors(rows, 3) == 2
+    ker = ExactMatrix.from_rows(rows, 3).kernel_basis()
     assert ker.dim == 1
     for b in ker.basis():
-        assert all(c == 0 for c in m.matvec(b).values())
+        assert not any(_product(rows, b))
 
 
 def test_matrix_rational_entries():
-    m = ExactMatrix.from_rows([{0: Fraction(1, 2), 1: Fraction(1, 3)},
-                               {0: 3, 1: 2}], 2)
-    assert m.rank() == 1  # second row = 6 * first
-    assert m.transpose().rank() == 1
+    rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]
+    assert rank_of_vectors(rows, 2) == 1  # second row = 6 * first
+    assert rank_of_vectors(_transpose(rows, 2), 2) == 1
+    ker = ExactMatrix.from_rows(rows, 2).kernel_basis()
+    assert ker.dim == 1
+    assert not any(_product(rows, ker.basis()[0]))
 
 
 def test_rank_transpose_invariance():
@@ -83,9 +98,28 @@ def test_rank_transpose_invariance():
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [{c: rng.randint(-2, 2) for c in range(nc) if rng.random() < 0.6}
                 for _ in range(nr)]
-        m = ExactMatrix.from_rows(rows, nc)
-        assert m.rank() == m.transpose().rank()
-        assert m.kernel_basis().dim == nc - m.rank()
+        rank = rank_of_vectors(rows, nc)
+        assert rank == rank_of_vectors(_transpose(rows, nc), nr)
+        ker = ExactMatrix.from_rows(rows, nc).kernel_basis()
+        assert ker.dim == nc - rank
+        for b in ker.basis():
+            assert not any(_product(rows, b))
+
+
+def test_kernel_basis_runs_one_elimination(monkeypatch):
+    """The null space is read off the row space's RREF, not eliminated again."""
+    calls = []
+    forward = exactlinalg._forward_eliminate
+
+    def counting(int_rows):
+        calls.append(1)
+        return forward(int_rows)
+
+    monkeypatch.setattr(exactlinalg, "_forward_eliminate", counting)
+    rows = [{0: 1, 1: 2, 3: -1}, {1: 1, 2: 1}, {0: 2, 1: 5, 2: 1, 3: -2}]
+    ker = ExactMatrix.from_rows(rows, 4).kernel_basis()
+    assert len(calls) == 1
+    assert ker.dim == 4 - rank_of_vectors(rows, 4) == 2
 
 
 def test_span_solver_expresses_exact_combinations():
