@@ -583,10 +583,7 @@ def _run(spec: ProblemSpec, args) -> Report:
         overrides["window"] = args.stab_window
     if args.stab_max is not None:
         overrides["max_power"] = args.stab_max
-    policy = StabilizationPolicy(
-        window=overrides.get("window"),
-        min_target_degree=overrides.get("min_target_degree"),
-        max_power=overrides.get("max_power", 20))
+    policy = StabilizationPolicy(**overrides)
     job = _Job(spec, args, f, policy, Report(args.command, _echo(spec)))
     t0 = time.perf_counter()
     for name in _COMMANDS[args.command][1]:

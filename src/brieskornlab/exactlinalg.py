@@ -23,7 +23,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .gradedpoly import InputError
+
+class InputError(ValueError):
+    """An input violates a documented precondition."""
 
 
 class InvariantError(RuntimeError):
@@ -233,7 +235,7 @@ class Subspace:
                     out[cc] = s
                 else:
                     out.pop(cc, None)
-        return {c: val for c, val in out.items() if val}
+        return out
 
     def contains(self, v) -> bool:
         return not self.reduce(v)

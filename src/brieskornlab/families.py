@@ -266,10 +266,10 @@ def tjurina_scan(fam: PencilFamily, samples=None) -> TjurinaScanResult:
     rows = []
     for s in ss:
         f = specialize(fam, s)
-        n, d = f.nvars - 1, f.homogeneous_degree()
-        start = max((n + 1) * (d - 2) + 1, 0)
+        ctx = _ctx(f)
+        start = max(ctx.probe, 0)
         tau = global_tjurina(f)
-        dims = jacobian_dims(f, start + n + 1)
+        dims = jacobian_dims(f, start + ctx.n + 1)
         rows.append(TjurinaScanRow(s, tau, tuple(dims[start:])))
     low = min(r.tjurina for r in rows)
     jumps = tuple(r.sample for r in rows if r.tjurina > low)

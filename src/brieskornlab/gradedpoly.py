@@ -4,20 +4,21 @@ Coefficients are exact rationals (`fractions.Fraction`, with plain ints allowed
 as a fast path) and monomials are exponent tuples, one entry per variable.
 Everything downstream builds matrices out of these, so all enumeration here is
 deterministic: graded-lex order with the user's variable order throughout.
+The one algorithm beyond arithmetic, the gcd of homogeneous forms behind the
+reducedness test, is linear algebra too: the kernel of a Sylvester map solved
+by `exactlinalg`'s elimination (see "gcd tools" below).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
+
+from .exactlinalg import ExactMatrix, InputError
 
 Monomial = tuple[int, ...]
 Coeff = "Fraction | int"
-
-
-class InputError(ValueError):
-    """An input violates a documented precondition."""
 
 
 class ParseError(InputError):
@@ -271,13 +272,6 @@ class Poly:
     def __repr__(self) -> str:
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"Poly({render(self, names)})"
-
-    def __reduce__(self):
-        return (_rebuild_poly, (self.nvars, tuple(self.terms.items())))
-
-
-def _rebuild_poly(nvars: int, items) -> Poly:
-    return Poly(nvars, dict(items))
 
 
 def _coeff(c):
@@ -582,8 +576,14 @@ def dehomogenize_shift(g: Poly, chart: int, point: Sequence) -> Poly:
 
 # ------------------------------------------------------------------ gcd tools
 #
-# Multivariate gcd by primitive PRS, used only to reject non-squarefree input.
-# Results are normalized to have leading (graded-lex) coefficient 1.
+# The gcd of homogeneous forms is linear algebra, like everything else.  Let a
+# and b have degrees alpha and beta and gcd g of degree gamma.  The map
+# phi_e(u, v) = u*a - v*b from S_{beta-e} + S_{alpha-e} to S_{alpha+beta-e}
+# has kernel {(b/g*t, a/g*t) : t in S_{gamma-e}}: it is zero exactly when
+# e > gamma, so a and b are coprime iff ker phi_1 = 0 (one elimination), and
+# at e = gamma it is a line whose v-part is a/g up to a scalar.  Since
+# dim ker phi_1 = dim S_{gamma-1}, that dimension names gamma.  Results are
+# normalized to have leading (graded-lex) coefficient 1.
 
 
 def _leading(p: Poly) -> tuple[Monomial, Fraction]:
@@ -598,102 +598,45 @@ def _normalize(p: Poly) -> Poly:
     return p.scale(Fraction(1, 1) / c)
 
 
-def _max_var(p: Poly):
-    """Largest variable index that actually occurs, or None."""
-    best = None
-    for m in p.terms:
-        for i in range(p.nvars - 1, -1 if best is None else best, -1):
-            if m[i]:
-                if best is None or i > best:
-                    best = i
-                break
-    return best
-
-
-def _univar(p: Poly, v: int) -> dict[int, Poly]:
-    """View p as a univariate in x_v with Poly coefficients (x_v stripped)."""
-    coeffs: dict[int, dict] = {}
-    for m, c in p.terms.items():
-        e = m[v]
-        rest = m[:v] + (0,) + m[v + 1:]
-        coeffs.setdefault(e, {})[rest] = c
-    return {e: Poly(p.nvars, t) for e, t in coeffs.items()}
-
-
-def _from_univar(coeffs: dict[int, Poly], v: int, nvars: int) -> Poly:
-    out: dict = {}
-    for e, poly in coeffs.items():
-        for m, c in poly.terms.items():
-            out[m[:v] + (e,) + m[v + 1:]] = c
-    return Poly(nvars, out)
-
-
-def _pseudo_rem(a: dict[int, Poly], b: dict[int, Poly], nvars: int) -> dict[int, Poly]:
-    da, db = max(a), max(b)
-    lb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        # r <- lb*r - lr * x^(dr-db) * b
-        nr: dict[int, Poly] = {}
-        for e, c in r.items():
-            nr[e] = lb * c
-        for e, c in b.items():
-            t = nr.get(e + dr - db, Poly.zero(nvars)) - lr * c
-            nr[e + dr - db] = t
-        r = {e: c for e, c in nr.items() if not c.is_zero()}
-    return r
-
-
-def _content(coeffs: dict[int, Poly]) -> Poly:
-    g = None
-    for c in coeffs.values():
-        g = c if g is None else poly_gcd(g, c)
-        if g.degree() == 0:
-            break
-    return g
+def _sylvester_kernel(a: Poly, b: Poly, alpha: int, beta: int, e: int):
+    """ker phi_e as a Subspace over the columns (v, u), and the monomial
+    basis of S_{alpha-e} that indexes the v-part (the leading columns)."""
+    vs, us = monomial_basis(a.nvars, alpha - e), monomial_basis(a.nvars, beta - e)
+    target = {m: i for i, m in enumerate(monomial_basis(a.nvars, alpha + beta - e))}
+    rows: list[dict] = [{} for _ in target]
+    neg_b = -b
+    for col, (factor, m) in enumerate([(neg_b, m) for m in vs] + [(a, m) for m in us]):
+        for t, c in factor.terms.items():
+            rows[target[mono_mul(t, m)]][col] = c
+    return ExactMatrix.from_rows(rows, len(vs) + len(us)).kernel_basis(), vs
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """gcd up to scalar, normalized to leading coefficient 1 (1 for coprime)."""
+    """gcd of homogeneous a and b up to scalar, normalized to leading
+    coefficient 1 (1 for coprime), read off the kernel of phi_e above.
+
+    Raises InputError when a nonzero argument is not homogeneous.
+    """
     a._same_ring(b)
+    if not (a.is_homogeneous() and b.is_homogeneous()):
+        raise InputError("poly_gcd needs homogeneous polynomials")
     if a.is_zero():
         return _normalize(b)
     if b.is_zero():
         return _normalize(a)
-    va, vb = _max_var(a), _max_var(b)
-    if va is None or vb is None:
-        # a nonzero constant is a unit
+    alpha, beta = a.homogeneous_degree(), b.homogeneous_degree()
+    kernel, vs = _sylvester_kernel(a, b, alpha, beta, 1)
+    if not kernel.dim:   # also when a or b is a nonzero constant
         return Poly.constant(a.nvars, 1)
-    v = max(va, vb)
-    ua, ub = _univar(a, v), _univar(b, v)
-    if max(ua) == 0 or max(ub) == 0:
-        # one argument does not involve x_v: gcd divides its content
-        small = ua[0] if max(ua) == 0 else ub[0]
-        other = _content(ub if max(ua) == 0 else ua)
-        return _normalize(poly_gcd(small, other))
-    ca, cb = _content(ua), _content(ub)
-    cont = poly_gcd(ca, cb)
-    pa = {e: _exact_divide(c, ca) for e, c in ua.items()}
-    pb = {e: _exact_divide(c, cb) for e, c in ub.items()}
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    while True:
-        r = _pseudo_rem(pa, pb, a.nvars)
-        if not r:
-            break
-        cr = _content(r)
-        pa, pb = pb, {e: _exact_divide(c, cr) for e, c in r.items()}
-    result = cont * _from_univar(pb, v, a.nvars)
-    return _normalize(result)
-
-
-def _exact_divide(p: Poly, q: Poly) -> Poly:
-    out = try_divide(p, q)
-    if out is None:
-        raise ArithmeticError("inexact division where exactness was guaranteed")
-    return out
+    # gamma is the largest e with dim S_{e-1} = dim ker phi_1; in one
+    # variable every form is a monomial and gamma = min(alpha, beta)
+    gamma = max(e for e in range(1, min(alpha, beta) + 1)
+                if comb(e + a.nvars - 2, a.nvars - 1) == kernel.dim)
+    if gamma > 1:
+        kernel, vs = _sylvester_kernel(a, b, alpha, beta, gamma)
+    (line,) = kernel.basis()
+    cofactor = Poly(a.nvars, {vs[c]: val for c, val in line.items() if c < len(vs)})
+    return _normalize(try_divide(a, cofactor))
 
 
 def try_divide(p: Poly, q: Poly):
@@ -720,10 +663,11 @@ def try_divide(p: Poly, q: Poly):
 
 
 def is_squarefree(f: Poly) -> bool:
-    """True iff f has no repeated factor (characteristic zero).
+    """True iff the homogeneous f has no repeated factor (characteristic zero).
 
     Uses gcd(f, df/dx_0, ..., df/dx_n): the gcd is a constant exactly when f is
-    squarefree, and needs no genericity assumption.
+    squarefree, and needs no genericity assumption.  Raises InputError when f
+    is nonzero and not homogeneous.
     """
     if f.is_zero():
         return False

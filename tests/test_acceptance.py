@@ -33,6 +33,7 @@ from brieskornlab import (
     hilbert_ci_coeffs,
     hodge_filtration_dims,
     iota_euler,
+    is_squarefree,
     jacobian_dim,
     lie_euler,
     milnor_eigenspace_dim,
@@ -155,6 +156,23 @@ def test_two_cusp_quartic_hodge_strictly_below_pole():
     assert report.hodge_dims[0] < report.pole_dims[0]
     assert (report.hodge_dims[0], report.pole_dims[0]) == (1, 2)
     _done("two-cusp quartic: F^2 strictly below P^2", started, budget=60)
+
+
+# ---------------------------------------------------------------------------
+# dense input
+
+
+def test_dense_sextic_and_quartic_surface_are_reduced_within_budget():
+    """Reducedness is one Sylvester kernel per gcd, so dense forms with
+    coefficients in -3..3 are decided in milliseconds; a recursive PRS gcd
+    ran for minutes on the same sextic."""
+    started = time.perf_counter()
+    rng = random.Random(8)
+    for nvars, d in ((3, 6), (4, 4)):
+        f = Poly.from_terms(nvars, {m: rng.randint(-3, 3) for m in monomial_basis(nvars, d)})
+        assert len(f.terms) > len(monomial_basis(nvars, d)) // 2
+        assert is_squarefree(f), (nvars, d)
+    _done("dense sextic and quartic surface are reduced", started, budget=5)
 
 
 # ---------------------------------------------------------------------------

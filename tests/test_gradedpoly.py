@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from brieskornlab import exactlinalg
 from brieskornlab.gradedpoly import (InputError, ParseError, Poly,
                                      dehomogenize_shift, hilbert_ci_coeffs,
                                      is_squarefree, monomial_basis,
@@ -143,6 +144,30 @@ def test_gcd_and_division():
     assert try_divide(P("x^2"), P("y")) is None
     q = try_divide(P("x^2*y + x*y^2"), P("x*y"))
     assert q == P("x + y")
+
+
+def test_gcd_costs_one_elimination_on_a_coprime_pair(monkeypatch):
+    """A coprime pair is decided by the one kernel of phi_1; a common factor
+    of degree 2 costs a second elimination at e = 2."""
+    real, calls = exactlinalg._forward_eliminate, []
+    monkeypatch.setattr(exactlinalg, "_forward_eliminate",
+                        lambda rows: calls.append(1) or real(rows))
+    f = P("x^3 + y^3 + z^3 - 2*x*y*z")
+    assert poly_gcd(f, f.partial(0)) == P("1")
+    assert len(calls) == 1
+    calls.clear()
+    assert poly_gcd(P("(x^2 + y*z)*(x - z)"), P("(x^2 + y*z)*(y + 2*z)")) == P("x^2 + y*z")
+    assert len(calls) == 2
+
+
+def test_gcd_needs_homogeneous_input():
+    with pytest.raises(InputError, match="homogeneous"):
+        poly_gcd(P("x^2 + y"), P("x"))
+    with pytest.raises(InputError, match="homogeneous"):
+        is_squarefree(P("x^3 + y^2 + z"))
+    assert poly_gcd(P("0"), P("2*x*y")) == P("x*y")
+    assert poly_gcd(P("3"), P("x^2")) == P("1")
+    assert poly_gcd(P("2*x^3", ("x",)), P("x^5", ("x",))) == P("x^3", ("x",))
 
 
 def test_integer_scaled():

@@ -1,9 +1,12 @@
-"""Source hygiene of the package: no module imports a name it never uses.
+"""Source hygiene of the package: no module imports a name it never uses,
+and no private helper outlives its callers.
 
-The scan is syntactic.  Every name bound by an import statement in a module
+The scans are syntactic.  Every name bound by an import statement in a module
 of src/brieskornlab (the package __init__, which re-exports, excepted) must
 appear as a name somewhere else in that module; `from __future__` imports
-are directives, not names, and are skipped.
+are directives, not names, and are skipped.  Every module-level private
+function or class (one leading underscore) must be referenced, as a name or
+an attribute, by some module of the package outside its own definition.
 """
 
 import ast
@@ -41,3 +44,52 @@ def test_no_module_imports_an_unused_name():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _references(tree, skip=None) -> set:
+    """Names and attribute names used in tree, outside the node skip."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """(module, name) of each module-level private def or class that no
+    module in sources references outside the definition itself."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    elsewhere = {name: set().union(*(_references(t) for other, t in trees.items() if other != name))
+                 for name in trees}
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and node.name not in elsewhere[name] | _references(tree, skip=node)):
+                out.append((name, node.name))
+    return sorted(out)
+
+
+def test_scanner_flags_only_unreferenced_private_defs():
+    sources = {"a": ("def _used_here(): pass\n"
+                     "def _recursive(n): return _recursive(n - 1)\n"
+                     "class _Dead: pass\n"
+                     "def _used_there(): pass\n"
+                     "def __dunder__(): pass\n"
+                     "def public(): return _used_here()\n"),
+               "b": ("from . import a\n"
+                     "def f(): return a._used_there()\n")}
+    assert unreferenced_private_defs(sources) == [("a", "_Dead"), ("a", "_recursive")]
+
+
+def test_no_private_def_is_left_unreferenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) > 1
+    assert unreferenced_private_defs(sources) == []

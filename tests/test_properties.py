@@ -9,7 +9,9 @@ proved smooth; and every certificate the Sebastiani fast path issues equals
 the one the f-power scan by elimination gives under the same policy.  For
 any f, singular or not, the Hilbert function of R obeys Macaulay's bound, and
 a Tjurina number certified by Gotzmann persistence stays the dim of R after
-the certified degree.
+the certified degree.  The Sylvester-kernel gcd of forms in 2-4 variables
+returns a monic common divisor that a planted common factor divides, and
+the squarefree test it drives rejects f*h^2 and accepts smooth forms.
 """
 
 import re
@@ -25,7 +27,8 @@ from brieskornlab import brieskorn, jacobian  # noqa: E402
 from brieskornlab.brieskorn import (StabilizationError, StabilizationPolicy,  # noqa: E402
                                     coker_check_prop16)
 from brieskornlab.exactlinalg import rank_of_vectors  # noqa: E402
-from brieskornlab.gradedpoly import Poly, hilbert_ci_coeffs, monomial_basis  # noqa: E402
+from brieskornlab.gradedpoly import (Poly, hilbert_ci_coeffs, is_squarefree,  # noqa: E402
+                                     monomial_basis, poly_gcd, try_divide)
 from brieskornlab.jacobian import (NonIsolatedError, _macaulay_bound,  # noqa: E402
                                    global_tjurina, jacobian_dim, jacobian_dims,
                                    smoothness_test)
@@ -128,3 +131,53 @@ def test_jacobian_growth_obeys_macaulay_and_the_certificate(f):
     event("finite, tau > 0" if tau else "smooth")
     high = max(start, tau) + 2
     assert tau == jacobian_dim(f, high) == jacobian_dim(f, high + 1)
+
+
+@st.composite
+def forms(draw, nvars, degree):
+    """A nonzero form of the given degree with coefficients in -3..3."""
+    monos = monomial_basis(nvars, degree)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+    f = Poly.from_terms(nvars, dict(zip(monos, coeffs)))
+    assume(not f.is_zero())
+    return f
+
+
+@st.composite
+def planted_gcd_pairs(draw):
+    """(g, g*a', g*b') for random forms in 2-4 variables, deg g in 1..2."""
+    nvars = draw(st.integers(2, 4))
+    g = draw(forms(nvars, draw(st.integers(1, 2))))
+    a = draw(forms(nvars, draw(st.integers(0, 2))))
+    b = draw(forms(nvars, draw(st.integers(0, 2))))
+    return g, g * a, g * b
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(planted_gcd_pairs())
+def test_gcd_is_a_monic_common_divisor_that_the_planted_factor_divides(pair):
+    g, a, b = pair
+    gcd = poly_gcd(a, b)
+    lead = max(gcd.terms, key=lambda m: (sum(m), m))
+    assert gcd.terms[lead] == 1
+    assert try_divide(a, gcd) is not None and try_divide(b, gcd) is not None
+    assert try_divide(gcd, g) is not None
+    event(f"deg gcd - deg g = {gcd.homogeneous_degree() - g.homogeneous_degree()}")
+
+
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.integers(2, 4).flatmap(
+    lambda nvars: st.tuples(forms(nvars, 1) | forms(nvars, 2), forms(nvars, 1) | forms(nvars, 2))))
+def test_a_squared_factor_is_never_squarefree(pair):
+    f, h = pair
+    assert not is_squarefree(f * h * h)
+
+
+@settings(max_examples=20, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.sampled_from(((2, 5), (3, 3), (3, 4), (4, 3))).flatmap(lambda nd: forms(*nd)))
+def test_smooth_forms_are_squarefree(f):
+    assume(smoothness_test(f))
+    assert is_squarefree(f)
