@@ -112,11 +112,6 @@ class PoleConstancyResult:
         return f"PoleConstancyResult(constant={self.constant}, samples={len(self.table)})"
 
 
-# Constancy verdicts by (family, samples, policy): a family run checks the
-# pole dims once, and grp_nabla_matrix finds the verdict here for every q.
-_constancy: dict[tuple, PoleConstancyResult] = {}
-
-
 def pole_constancy_check(fam: PencilFamily, samples=None,
                          policy: StabilizationPolicy | None = None) -> PoleConstancyResult:
     """Pole dims at each sample; constant iff all rows agree.
@@ -128,9 +123,7 @@ def pole_constancy_check(fam: PencilFamily, samples=None,
     if not ss:
         raise InputError("need at least one sample")
     table = tuple((s, pole_filtration_dims(specialize(fam, s), policy).dims) for s in ss)
-    result = PoleConstancyResult(len({dims for _, dims in table}) == 1, table)
-    _constancy[(fam, ss, policy or StabilizationPolicy())] = result
-    return result
+    return PoleConstancyResult(len({dims for _, dims in table}) == 1, table)
 
 
 def _graded_quotient(f: Poly, n: int, d: int, k: int, power: int):
@@ -160,11 +153,11 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     Multiplication by -q * xi_f(fam, s0) from H-bar_{qd}/f H-bar_{(q-1)d} to
     H-bar_{(q+1)d}/f H-bar_{qd}, in bases chosen by the stabilized class maps.
     Refused unless the pole dims are constant across the sample set (the
-    hypothesis the underlying comparison needs); a verdict that
-    pole_constancy_check already reached for the same samples and policy is
-    reused rather than recomputed.  Every ambient monomial is
-    re-expressed through the chosen basis and its image compared, so a
-    successful return certifies the map is well defined on the quotients.
+    hypothesis the underlying comparison needs).  The check runs on every
+    call; each fiber's context keeps its rank traces, so a repeat runs no
+    elimination.  Every ambient monomial is re-expressed through the chosen
+    basis and its image compared, so a successful return certifies the map
+    is well defined on the quotients.
     """
     if q < 0:
         raise InputError("q must be nonnegative")
@@ -173,9 +166,7 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     if s0 not in ss:
         ss = ss + (s0,)
     policy = policy or StabilizationPolicy()
-    constancy = _constancy.get((fam, ss, policy))
-    if constancy is None:
-        constancy = pole_constancy_check(fam, ss, policy)
+    constancy = pole_constancy_check(fam, ss, policy)
     if not constancy:
         raise InvariantError(
             "pole dims are not constant over the samples; "

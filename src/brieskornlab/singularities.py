@@ -12,6 +12,11 @@ The local ideal of level q is evaluated through its low-weight jets: every
 element of weighted degree at least q+1-alpha is a member for free, so
 membership of a germ g is decided entirely by the truncation of g below that
 threshold against the truncated span of an explicit finite generating family.
+
+The three local eliminations (those jet spaces, the isolatedness check on
+h_1 and the local Tjurina number) share one truncated-jet row builder,
+`_jet_rows`; the local Tjurina number is its unit-weight case, with jets
+taken in total degree.
 """
 
 from __future__ import annotations
@@ -60,34 +65,41 @@ class WeightedChart:
     @cached_property
     def tjurina(self) -> int:
         """The local Tjurina number, computed on first use and kept on the
-        chart; read it through `local_tjurina`."""
+        chart; read it through `local_tjurina`.  The jets of (h, dh) are
+        taken in total degree: the unit-weight case of `_jet_rows`."""
         h = self.local_eq
-        nloc = self.nloc
-        gens = [h] + [h.partial(i) for i in range(nloc)]
-        gens = [g for g in gens if not g.is_zero()]
-
-        def truncated_dim(K: int) -> int:
-            monos = [m for m in monomial_basis_below(nloc, K)]
-            idx = {m: i for i, m in enumerate(monos)}
-            rows = []
-            for g in gens:
-                glow = min(sum(mono) for mono in g.terms)
-                for m in monomial_basis_below(nloc, K - glow):
-                    row = {}
-                    for mono, c in g.shift(m).terms.items():
-                        if sum(mono) < K:
-                            row[idx[mono]] = c
-                    if row:
-                        rows.append(row)
-            return len(monos) - rank_of_vectors(rows, len(monos))
-
+        gens = [h] + [h.partial(i) for i in range(self.nloc)]
+        unit = (1,) * self.nloc
         prev = None
         for K in range(2, 64):
-            cur = truncated_dim(K)
+            monos = monomials_weighted_below(self.nloc, unit, K)
+            idx = {m: i for i, m in enumerate(monos)}
+            cur = len(monos) - rank_of_vectors(_jet_rows(gens, unit, K, idx), len(monos))
             if prev is not None and cur == prev:
                 return cur
             prev = cur
         raise InvariantError("local Tjurina truncation did not stabilize by order 64")
+
+
+def _jet_rows(gens, weights: tuple, threshold, idx: dict) -> list:
+    """Truncations below weighted degree threshold of every monomial multiple
+    of each generator, as sparse rows over the columns idx (monomial -> index).
+
+    A multiple o*g reaches below the threshold only when wdeg(o) is below
+    threshold minus the lowest weighted degree of g; multiples whose
+    truncation vanishes give no row.
+    """
+    rows = []
+    for g in gens:
+        gt = g.truncate_weighted(weights, threshold)
+        if gt.is_zero():
+            continue
+        glow = gt.min_weighted_degree(weights)
+        for o in monomials_weighted_below(gt.nvars, weights, threshold - glow):
+            prod = gt.shift(o).truncate_weighted(weights, threshold)
+            if not prod.is_zero():
+                rows.append({idx[m]: c for m, c in prod.terms.items()})
+    return rows
 
 
 def _isolated_weighted(h1: Poly, weights: tuple) -> bool:
@@ -99,40 +111,18 @@ def _isolated_weighted(h1: Poly, weights: tuple) -> bool:
     degrees.  Stripping one variable at a time from a surviving monomial drops
     its weighted degree by at most max(w), so the algebra vanishes above s
     iff it vanishes in every attainable weighted degree in (s, s+max(w)].
+    The partials are weighted homogeneous, so their jet span below a
+    threshold past s+max(w) is graded, and the algebra vanishes in a degree
+    iff every monomial of that degree is a pivot column of the span.
     """
-    nloc = h1.nvars
-    wmax = max(weights)
     socle = sum(1 - 2 * w for w in weights)
-    partials = [h1.partial(i) for i in range(nloc)]
-    probe: dict = {}
-    for m in monomials_weighted_below(nloc, weights, socle + wmax, strict=False):
-        wd = weighted_degree(m, weights)
-        if wd > socle:
-            probe.setdefault(wd, []).append(m)
-    for wd, monos in probe.items():
-        idx = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for i, dp in enumerate(partials):
-            if dp.is_zero():
-                continue
-            # generators of the degree-wd piece: dp * m', weights say which m'
-            target = wd - (1 - weights[i])
-            if target < 0:
-                continue
-            for mp in monomials_weighted_below(nloc, weights, target, strict=False):
-                if weighted_degree(mp, weights) != target:
-                    continue
-                row = {}
-                for mono, c in dp.shift(mp).terms.items():
-                    col = idx.get(mono)
-                    if col is None:
-                        return False  # product left the weighted-graded piece: impossible
-                    row[col] = c
-                if row:
-                    rows.append(row)
-        if rank_of_vectors(rows, len(monos)) < len(monos):
-            return False
-    return True
+    threshold = socle + 2 * max(weights)
+    monos = monomials_weighted_below(h1.nvars, weights, threshold)
+    idx = {m: i for i, m in enumerate(monos)}
+    partials = [h1.partial(i) for i in range(h1.nvars)]
+    pivots = set(Subspace.from_vectors(_jet_rows(partials, weights, threshold, idx),
+                                       len(monos)).pivots)
+    return all(i in pivots for m, i in idx.items() if weighted_degree(m, weights) > socle)
 
 
 def build_chart(f: Poly, point, chart: int, weights) -> WeightedChart:
@@ -259,19 +249,6 @@ def local_jq_jets(chart: WeightedChart, q: int) -> LocalIdealJets:
     dh = [h.partial(i) for i in range(nloc)]
     k0 = min(floor(nloc - chart.alpha) - 1, q)
 
-    def truncated_rows(g: Poly) -> list:
-        """Truncations of all monomial multiples of g that land below theta."""
-        gt = g.truncate_weighted(ws, theta)
-        if gt.is_zero():
-            return []
-        glow = gt.min_weighted_degree(ws)
-        out = []
-        for o in monomials_weighted_below(nloc, ws, theta - glow, strict=True):
-            prod = gt.shift(o).truncate_weighted(ws, theta)
-            if not prod.is_zero():
-                out.append({idx[m]: c for m, c in prod.terms.items()})
-        return out
-
     rows = []
     for k in range(k0 + 1):
         jmax = q - k
@@ -283,8 +260,7 @@ def local_jq_jets(chart: WeightedChart, q: int) -> LocalIdealJets:
             level = [Poly.monomial(nloc, m0)]
             for j in range(jmax + 1):
                 hpow = hpows[jmax - j]
-                for A in level:
-                    rows.extend(truncated_rows(A * hpow))
+                rows.extend(_jet_rows((A * hpow for A in level), ws, theta, idx))
                 if j == jmax:
                     break
                 r = k + 1 + j
@@ -356,14 +332,6 @@ def local_tjurina(chart: WeightedChart) -> int:
     (`WeightedChart.tjurina`), so the coverage check and the report share it.
     """
     return chart.tjurina
-
-
-def monomial_basis_below(nvars: int, bound: int) -> list:
-    """All monomials of total degree < bound (graded, then basis order)."""
-    out = []
-    for k in range(max(bound, 0)):
-        out.extend(monomial_basis(nvars, k))
-    return out
 
 
 def verify_chart_coverage(f: Poly, charts) -> int:

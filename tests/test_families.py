@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from brieskornlab import families, gradedpoly
+from brieskornlab import brieskorn, families, gradedpoly
 from brieskornlab.exactlinalg import InvariantError
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,
                                    grp_nabla_matrix, pole_constancy_check,
@@ -122,8 +122,9 @@ def test_grp_nabla_refuses_nonconstant_pole_dims():
         grp_nabla_matrix(FERMAT_PENCIL, 0, 1, samples=(0, -3))
 
 
-def test_grp_nabla_reuses_the_constancy_verdict(monkeypatch):
-    """A family run checks pole constancy once, not once more per q."""
+def test_grp_nabla_rechecks_constancy_from_cached_fiber_traces(monkeypatch):
+    """Every grp_nabla_matrix call checks pole constancy over its samples, and
+    a repeated check reads the fibers' cached rank traces: no elimination."""
     calls = []
     real = families.pole_filtration_dims
     monkeypatch.setattr(families, "pole_filtration_dims",
@@ -133,11 +134,17 @@ def test_grp_nabla_reuses_the_constancy_verdict(monkeypatch):
     assert len(calls) == len(samples)
     for q in range(3):
         grp_nabla_matrix(FERMAT_PENCIL, 0, q, samples=samples)
-    assert len(calls) == len(samples)
-    # another sample set is a different guard and is checked afresh
+    assert len(calls) == 4 * len(samples)
     with pytest.raises(InvariantError):
         grp_nabla_matrix(FERMAT_PENCIL, 0, 1, samples=(0, 1, -3))
-    assert len(calls) == len(samples) + 3
+    assert len(calls) == 4 * len(samples) + 3
+
+    def no_elimination(*_):
+        raise AssertionError("fiber rank recomputed")
+
+    monkeypatch.setattr(brieskorn, "echelon_rows", no_elimination)
+    monkeypatch.setattr(brieskorn._BrieskornContext, "relation_rows", no_elimination)
+    assert pole_constancy_check(FERMAT_PENCIL, samples)
 
 
 def test_each_fiber_is_checked_for_reducedness_once(monkeypatch):

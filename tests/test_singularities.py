@@ -84,6 +84,22 @@ def test_local_tjurina_values():
         assert ch.swh_tail  # y*z^3 tail above weighted degree 1
 
 
+@pytest.mark.parametrize("a,b", [(a, b) for b in range(2, 7) for a in range(2, b + 1)])
+def test_local_tjurina_brieskorn_pham(a, b):
+    """x^a + y^b is quasi-homogeneous, so tau = mu = (a-1)(b-1)."""
+    f = parse_poly(f"x^{a}*z^{b - a} + y^{b}", XYZ)
+    ch = build_chart(f, (0, 0, 1), 2, (Fraction(1, a), Fraction(1, b)))
+    assert local_tjurina(ch) == (a - 1) * (b - 1)
+
+
+def test_local_tjurina_below_milnor():
+    """x^4 + y^5 + x^2*y^3 has mu = 12 but tau = 11: with the tail x^2*y^3 the
+    germ is not in its own Jacobian ideal, so its Tjurina algebra is smaller."""
+    f = parse_poly("x^4*z + y^5 + x^2*y^3", XYZ)
+    ch = build_chart(f, (0, 0, 1), 2, (Fraction(1, 4), Fraction(1, 5)))
+    assert local_tjurina(ch) == 11
+
+
 def test_chart_tjurina_is_computed_once(monkeypatch):
     """The coverage check and the report's chart entries share one local
     Tjurina number per chart: later reads run no elimination."""
@@ -96,6 +112,30 @@ def test_chart_tjurina_is_computed_once(monkeypatch):
     monkeypatch.setattr(singularities, "rank_of_vectors", no_elimination)
     assert [local_tjurina(c) for c in rep.charts] == [2, 2]
     assert verify_chart_coverage(TWO_CUSP, charts) == 4
+
+
+def test_build_chart_rejects_non_isolated_h1():
+    f = parse_poly("y^2*z^2 + x^4", XYZ)  # h1 = y^2
+    with pytest.raises(InputError, match="non-isolated"):
+        build_chart(f, (0, 0, 1), 2, (Fraction(1, 2), Fraction(1, 2)))
+
+
+THIRD = Fraction(1, 3)
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("h1,weights,isolated", [
+    ("x^2*y", (THIRD, THIRD), False),
+    ("x*y*z", (THIRD, THIRD, THIRD), False),
+    ("x^2*y + z^2", (THIRD, THIRD, HALF), False),
+    ("x^3 + y^2", (THIRD, HALF), True),
+    ("x^2 + y^2 + z^2", (HALF, HALF, HALF), True),
+    ("x^2*y + y^3", (THIRD, THIRD), True),
+    ("x^3 + x*y^2", (THIRD, THIRD), True),
+])
+def test_isolated_weighted(h1, weights, isolated):
+    poly = parse_poly(h1, XYZ[:len(weights)])
+    assert singularities._isolated_weighted(poly, weights) is isolated
 
 
 def test_monomial_ideal_geq():
