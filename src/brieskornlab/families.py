@@ -9,7 +9,7 @@ pole pieces, and scans for Tjurina-number jumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brieskorn import (StabilizationPolicy, class_vector, hbar_certificate,
@@ -24,9 +24,15 @@ DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
 @dataclass(frozen=True)
 class PencilFamily:
     """f_s = sum coeffs[j] * s^j, every nonzero coefficient homogeneous of the
-    same degree.  A pencil is the two-coefficient case f0 + s*g."""
+    same degree.  A pencil is the two-coefficient case f0 + s*g.
+
+    The family keeps every fiber `specialize` returns, by sample, so the
+    fiber's context (`jacobian._ctx`), which lives as long as the fiber, is
+    reused by every later call on the family."""
 
     coeffs: tuple
+    _fibers: dict = field(default_factory=dict, init=False, compare=False,
+                          hash=False, repr=False)
 
     def __post_init__(self):
         cs = tuple(self.coeffs)
@@ -68,8 +74,14 @@ class PencilFamily:
 
 
 def specialize(fam: PencilFamily, s0) -> Poly:
-    """Exact substitution s = s0; refuses non-reduced fibers."""
+    """Exact substitution s = s0; refuses non-reduced fibers.
+
+    The family keeps the fiber, so a repeat returns the same Poly and the
+    context of the first call."""
     s0 = Fraction(s0)
+    got = fam._fibers.get(s0)
+    if got is not None:
+        return got
     total = Poly.zero(fam.nvars)
     power = Fraction(1)
     for c in fam.coeffs:
@@ -80,6 +92,7 @@ def specialize(fam: PencilFamily, s0) -> Poly:
         raise InputError(f"fiber at s = {s0} is identically zero")
     if not _ctx(total).reduced:
         raise InputError(f"fiber at s = {s0} is not reduced")
+    fam._fibers[s0] = total
     return total
 
 
@@ -154,10 +167,21 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     H-bar_{(q+1)d}/f H-bar_{qd}, in bases chosen by the stabilized class maps.
     Refused unless the pole dims are constant across the sample set (the
     hypothesis the underlying comparison needs).  The check runs on every
-    call; each fiber's context keeps its rank traces, so a repeat runs no
-    elimination.  Every ambient monomial is re-expressed through the chosen
-    basis and its image compared, so a successful return certifies the map
-    is well defined on the quotients.
+    call; the family keeps its fibers and each fiber's context its rank
+    traces, so a repeat runs no elimination.  Every ambient monomial is
+    re-expressed through the chosen basis and its image compared, so a
+    successful return certifies the map is well defined on the quotients.
+
+    Each quotient is presented through the classes of f^p * m in degree
+    k + p*d.  On a singular fiber p is the certified power of degree k (and
+    of k - d, less one), so the classes live in the torsion-free quotient.
+    On a proved-smooth fiber p = 0: H_f is a free C[f]-module (Sebastiani),
+    f^p is injective and keeps every linear relation among classes, so the
+    chosen basis and coordinates are those of any higher power, and
+    H-bar_k / f H-bar_{k-d} is the Jacobian ring piece R_{k-n-1} (Griffiths).
+    The certificates are still asked for, so a policy that cannot be met
+    raises as on a singular fiber.  `extra_stabilization` adds powers above
+    0 on smooth fibers, above the certified power otherwise.
     """
     if q < 0:
         raise InputError("q must be nonnegative")
@@ -180,6 +204,8 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     p_src = hbar_certificate(f, src_k, policy).power + extra_stabilization if src_k >= n + 1 else 0
     if src_k - d >= n + 1:
         p_src = max(p_src, hbar_certificate(f, src_k - d, policy).power - 1 + extra_stabilization)
+    if _ctx(f).smooth:
+        p_tgt = p_src = extra_stabilization
 
     tgt_solver, tgt_basis = _graded_quotient(f, n, d, tgt_k, p_tgt)
     src_solver, src_basis = _graded_quotient(f, n, d, src_k, p_src)

@@ -64,7 +64,7 @@ class Poly:
     produces Fractions when a denominator actually appears.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "__weakref__")
 
     def __init__(self, nvars: int, terms: dict):
         # internal constructor: assumes terms is already clean (no zeros, right arity)

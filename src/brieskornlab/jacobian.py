@@ -28,14 +28,18 @@ dim R_k is read off the Hilbert series ((1-t^(d-1))/(1-t))^(n+1) (empty for
 d = 1, where R = 0); those numbers are theorems, not eliminations.  Before the
 verdict, and for singular f, dim R_k is an exact rank.
 
-`_ctx(f)` is the one context of f per process: it validates, scales and
-differentiates f once, holds the Brieskorn state of f beside the ranks of R,
-and decides reducedness and smoothness on first use only, since R is defined
-for every f.
+`_ctx(f)` is the one context of f per live polynomial: it validates, scales
+and differentiates f once, holds the Brieskorn state of f beside the ranks of
+R, and decides reducedness and smoothness on first use only, since R is
+defined for every f.  The context lives exactly as long as the Poly it was
+first asked for (a weak key): an equal Poly shares it while that one is
+alive, and builds a new one after.  A caller that asks about one polynomial
+again keeps that Poly alive, as `families.PencilFamily` keeps its fibers.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from math import comb
 
@@ -144,7 +148,7 @@ class _JacContext:
         return got
 
 
-_contexts: dict[Poly, _JacContext] = {}
+_contexts: weakref.WeakKeyDictionary[Poly, _JacContext] = weakref.WeakKeyDictionary()
 
 
 def _ctx(f: Poly) -> _JacContext:

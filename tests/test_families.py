@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from brieskornlab import brieskorn, families, gradedpoly
+from brieskornlab import brieskorn, families, gradedpoly, jacobian
 from brieskornlab.exactlinalg import InvariantError
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,
                                    grp_nabla_matrix, pole_constancy_check,
@@ -42,6 +42,14 @@ def test_specialize_exact():
     assert specialize(FERMAT_PENCIL, 0) == FERMAT_CUBIC
     quad = PencilFamily((FERMAT_CUBIC, Poly.zero(3), XYZ_CUBE))
     assert specialize(quad, 3) == FERMAT_CUBIC + XYZ_CUBE.scale(9)
+
+
+def test_kept_fibers_stay_out_of_compare_hash_and_repr():
+    fam = PencilFamily.pencil(FERMAT_CUBIC, XYZ_CUBE.scale(3))
+    fresh = PencilFamily.pencil(FERMAT_CUBIC, XYZ_CUBE.scale(3))
+    assert specialize(fam, 2) is specialize(fam, Fraction(2))
+    assert fam == fresh and hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
+    assert "fibers" not in repr(fam)
 
 
 def test_specialize_rejects_degenerate_fibers():
@@ -115,6 +123,53 @@ def test_grp_nabla_quartic_pencil_stable():
     assert (m1.nrows, m1.ncols) == (3, 3)
     assert m1.rows == m2.rows
     assert any(m1.rows)  # genuinely nonzero action
+
+
+def _quotient_powers(monkeypatch) -> list:
+    """Record (degree, power) of every graded quotient grp_nabla_matrix builds."""
+    built = []
+    real = families._graded_quotient
+
+    def recorded(f, n, d, k, power):
+        built.append((k, power))
+        return real(f, n, d, k, power)
+
+    monkeypatch.setattr(families, "_graded_quotient", recorded)
+    return built
+
+
+def test_grp_nabla_smooth_fiber_presents_at_power_zero(monkeypatch):
+    """A smooth fiber's quotients take no power of f: no relation subspace
+    is built above the target degree (q+1)d (nor above n+1+d, where the
+    Sebastiani spot check reads dim H_f), and extra powers only lift the
+    presentation, never the matrix."""
+    fam = PencilFamily.pencil(parse_poly("x^4 + 2*y^4 + 3*z^4 - x*y^3", XYZ),
+                              parse_poly("x*y*z^2 + y^2*z^2", XYZ))
+    built = _quotient_powers(monkeypatch)
+    f = specialize(fam, 0)
+    assert jacobian.smoothness_test(f)
+    for q in range(3):
+        m = grp_nabla_matrix(fam, 0, q)
+        assert max(brieskorn._ctx(f)._rel) <= max((q + 1) * 4, 3 + 4), q
+    assert {p for _, p in built} == {0}
+    for extra in (1, 2):
+        built.clear()
+        assert grp_nabla_matrix(fam, 0, 2, extra_stabilization=extra) == m
+        assert {p for _, p in built} == {extra}
+
+
+def test_grp_nabla_singular_fiber_keeps_the_certified_power(monkeypatch):
+    """The fiber at s = 0 of the Tjurina jump family is singular: its
+    quotients are still built at the certified power, and the relation
+    subspace of the certified landing degree exists."""
+    built = _quotient_powers(monkeypatch)
+    f = specialize(JUMP_FAMILY, 0)
+    assert not jacobian.smoothness_test(f)
+    grp_nabla_matrix(JUMP_FAMILY, 0, 1, samples=(0,))
+    cert = brieskorn.hbar_certificate(f, 10)
+    assert cert.power > 0
+    assert (10, cert.power) in built
+    assert cert.landing_degree in brieskorn._ctx(f)._rel
 
 
 def test_grp_nabla_refuses_nonconstant_pole_dims():

@@ -1,12 +1,17 @@
 """Source hygiene of the package: no module imports a name it never uses,
-and no private helper outlives its callers.
+no private helper outlives its callers, and no module starts a process-global
+cache.
 
 The scans are syntactic.  Every name bound by an import statement in a module
 of src/brieskornlab (the package __init__, which re-exports, excepted) must
 appear as a name somewhere else in that module; `from __future__` imports
 are directives, not names, and are skipped.  Every module-level private
 function or class (one leading underscore) must be referenced, as a name or
-an attribute, by some module of the package outside its own definition.
+an attribute, by some module of the package outside its own definition.  No
+module binds an empty mutable container ({}, [], set(), dict(), list()) at
+module level: such a binding is a cache or registry that lives as long as
+the process, where per-polynomial state belongs on an object that dies with
+the polynomial.  Non-empty tables (cli._COMMANDS, cli._SECTIONS) are data.
 """
 
 import ast
@@ -93,3 +98,61 @@ def test_no_private_def_is_left_unreferenced():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 1
     assert unreferenced_private_defs(sources) == []
+
+
+_EMPTY_CALLS = {"set", "dict", "list"}
+
+
+def _is_empty_container(node) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EMPTY_CALLS and not node.args and not node.keywords)
+
+
+def module_level_empty_containers(source: str) -> list:
+    """(line, target) of each module-level binding of an empty mutable
+    container, plain or annotated."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if _is_empty_container(node.value):
+            out.extend((node.lineno, ast.unparse(t)) for t in targets)
+    return out
+
+
+def test_scanner_flags_only_empty_module_level_containers():
+    source = ("import weakref\n"
+              "_cache = {}\n"
+              "_seen: list[int] = []\n"
+              "_a = _b = set()\n"
+              "_d = dict()\n"
+              "_l = list()\n"
+              "TABLE = {'a': 1}\n"
+              "_pairs = dict(a=1)\n"
+              "_copy = list((1, 2))\n"
+              "_frozen = ()\n"
+              "_live = weakref.WeakKeyDictionary()\n"
+              "_declared: dict\n"
+              "def f():\n"
+              "    local = {}\n"
+              "    return local\n"
+              "class C:\n"
+              "    def __init__(self):\n"
+              "        self.memo = {}\n")
+    assert module_level_empty_containers(source) == [
+        (2, "_cache"), (3, "_seen"), (4, "_a"), (4, "_b"), (5, "_d"), (6, "_l")]
+
+
+def test_no_module_binds_an_empty_container_at_module_level():
+    found = {p.name: module_level_empty_containers(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 1
+    assert {name: hits for name, hits in found.items() if hits} == {}

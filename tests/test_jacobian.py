@@ -1,5 +1,9 @@
-"""Jacobian rings: graded dims, smoothness, Tjurina numbers."""
+"""Jacobian rings: graded dims, smoothness, Tjurina numbers; the lifetime of
+the context of a hypersurface."""
 
+import gc
+import weakref
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -8,6 +12,7 @@ import pytest
 from brieskornlab import brieskorn, jacobian
 from brieskornlab.brieskorn import hf_dim
 from brieskornlab.exactlinalg import InvariantError
+from brieskornlab.families import PencilFamily, pole_constancy_check, specialize
 from brieskornlab.gradedpoly import InputError, hilbert_ci_coeffs, parse_poly
 from brieskornlab.jacobian import (NonIsolatedError, _macaulay_bound, global_tjurina,
                                    jacobian_dim, jacobian_dims,
@@ -226,3 +231,35 @@ def test_brieskorn_and_jacobian_share_one_context():
     assert jac.scale == bri.scale == 3 and bri.f is jac.f
     for m in (3, 4):   # filled by hf_dim (m = k-n-1) and by jacobian_dims
         assert bri.index(m) is jac.index(m)
+
+
+def test_a_context_lives_as_long_as_its_polynomial():
+    """The context of f, with its Brieskorn state, is dropped with f: no
+    process-global cache keeps it."""
+    f = parse_poly("x^5 + y^5 + z^5 - 7*x^2*y^2*z", XYZ)   # used nowhere else
+    assert smoothness_test(f)
+    assert hf_dim(f, 8) == 12 + 1   # dim R_5 + dim R_0
+    ref = weakref.ref(jacobian._ctx(f))
+    assert jacobian._ctx(f) is ref()
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_family_keeps_its_fibers_and_their_contexts(monkeypatch):
+    """Two pole constancy checks on one family share its fiber objects, so
+    the second one runs no elimination."""
+    fam = PencilFamily.pencil(parse_poly("x^3 + y^3 + z^3 - 5*x*y*z", XYZ),
+                              parse_poly("x^2*y + 3*y^2*z", XYZ))
+    samples = (0, 1, Fraction(-2, 3))
+    first = pole_constancy_check(fam, samples)
+    fibers = [specialize(fam, s) for s in samples]
+
+    def no_elimination(*_):
+        raise AssertionError("fiber rank recomputed")
+
+    monkeypatch.setattr(brieskorn, "echelon_rows", no_elimination)
+    monkeypatch.setattr(brieskorn._BrieskornContext, "relation_rows", no_elimination)
+    monkeypatch.setattr(jacobian, "rank_of_vectors", no_elimination)
+    assert pole_constancy_check(fam, samples).table == first.table
+    assert all(specialize(fam, s) is fiber for s, fiber in zip(samples, fibers))

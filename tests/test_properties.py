@@ -11,7 +11,10 @@ any f, singular or not, the Hilbert function of R obeys Macaulay's bound, and
 a Tjurina number certified by Gotzmann persistence stays the dim of R after
 the certified degree.  The Sylvester-kernel gcd of forms in 2-4 variables
 returns a monic common divisor that a planted common factor divides, and
-the squarefree test it drives rejects f*h^2 and accepts smooth forms.
+the squarefree test it drives rejects f*h^2 and accepts smooth forms.  On
+pencils whose sampled fibers are smooth, the graded connection matrix at
+s = 0 is multiplication by -q*g in the Jacobian ring of the fiber, computed
+by the dense Fraction Gauss-Jordan of `test_kernel_oracle`.
 """
 
 import re
@@ -23,12 +26,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from test_kernel_oracle import dense_rref  # noqa: E402
+
 from brieskornlab import brieskorn, jacobian  # noqa: E402
 from brieskornlab.brieskorn import (StabilizationError, StabilizationPolicy,  # noqa: E402
                                     coker_check_prop16)
 from brieskornlab.exactlinalg import rank_of_vectors  # noqa: E402
-from brieskornlab.gradedpoly import (Poly, hilbert_ci_coeffs, is_squarefree,  # noqa: E402
-                                     monomial_basis, poly_gcd, try_divide)
+from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,  # noqa: E402
+                                   grp_nabla_matrix, specialize)
+from brieskornlab.gradedpoly import (InputError, Poly, hilbert_ci_coeffs,  # noqa: E402
+                                     is_squarefree, monomial_basis, poly_gcd,
+                                     try_divide)
 from brieskornlab.jacobian import (NonIsolatedError, _macaulay_bound,  # noqa: E402
                                    global_tjurina, jacobian_dim, jacobian_dims,
                                    smoothness_test)
@@ -181,3 +189,73 @@ def test_a_squared_factor_is_never_squarefree(pair):
 def test_smooth_forms_are_squarefree(f):
     assume(smoothness_test(f))
     assert is_squarefree(f)
+
+
+@st.composite
+def smooth_pencils(draw):
+    """f + s*g with f a ternary cubic or quartic (coefficients in -3..3) and g
+    a sparse nonzero form of the same degree, every fiber at DEFAULT_SAMPLES
+    smooth; the family keeps those fibers."""
+    d = draw(st.sampled_from((3, 4)))
+    monos = monomial_basis(3, d)
+    f = Poly.from_terms(3, dict(zip(monos, draw(st.lists(
+        st.integers(-3, 3), min_size=len(monos), max_size=len(monos))))))
+    g = Poly.from_terms(3, dict(zip(monos, draw(st.lists(
+        st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=len(monos), max_size=len(monos))))))
+    assume(not f.is_zero() and not g.is_zero())
+    fam = PencilFamily.pencil(f, g)
+    try:
+        smooth = all(smoothness_test(specialize(fam, s)) for s in DEFAULT_SAMPLES)
+    except InputError:   # a zero or non-reduced fiber
+        smooth = False
+    assume(smooth)
+    return fam
+
+
+def jacobian_ring_presentation(f: Poly, m: int, images: list) -> tuple:
+    """Greedy monomial basis of R_m = S_m / J_m, J the Jacobian ideal of f,
+    and the coordinates of each image over it, by one dense Gauss-Jordan.
+
+    The columns are the generators partial_i(f) * x^a of J_m, then every
+    monomial of degree m, then the images.  Leftmost pivots take the
+    monomials that are independent of J_m and of the monomials before them,
+    the greedy basis; since J_m and the monomials span S_m, no image is a
+    pivot, and its column in the RREF holds its coordinates.
+    """
+    if m < 0:
+        return [], [{} for _ in images]
+    monos = monomial_basis(3, m)
+    d = f.homogeneous_degree()
+    gens = [f.partial(i) * Poly.monomial(3, a)
+            for a in monomial_basis(3, m - d + 1) for i in range(3)]
+    columns = gens + [Poly.monomial(3, mono) for mono in monos] + images
+    position = {mono: r for r, mono in enumerate(monos)}
+    rows = [{} for _ in monos]
+    for c, p in enumerate(columns):
+        for mono, v in p.terms.items():
+            rows[position[mono]][c] = v
+    pivots, rref = dense_rref(rows, len(columns))
+    first, last = len(gens), len(gens) + len(monos)
+    assert pivots[-1] < last
+    basis = [(r, c) for r, c in enumerate(pivots) if c >= first]
+    coords = [{i: rref[r][c] for i, (r, _) in enumerate(basis) if rref[r][c]}
+              for c in range(last, len(columns))]
+    return [monos[c - first] for _, c in basis], coords
+
+
+@settings(max_examples=6, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(smooth_pencils())
+def test_smooth_connection_is_multiplication_in_the_jacobian_ring(fam):
+    """grp_nabla_matrix(fam, 0, q) for q <= 2 is multiplication by -q*g from
+    R_{qd-n-1} to R_{(q+1)d-n-1} (Griffiths), over the greedy monomial bases."""
+    f, g = fam.coeffs
+    d = f.homogeneous_degree()
+    for q in range(3):
+        source, _ = jacobian_ring_presentation(f, q * d - 3, [])
+        images = [g.scale(-q) * Poly.monomial(3, mono) for mono in source]
+        target, columns = jacobian_ring_presentation(f, (q + 1) * d - 3, images)
+        m = grp_nabla_matrix(fam, 0, q)
+        assert (m.nrows, m.ncols) == (len(target), len(source)), q
+        assert [[m.entry(r, c) for c in range(m.ncols)] for r in range(m.nrows)] == \
+            [[col.get(r, 0) for col in columns] for r in range(len(target))], q
