@@ -6,11 +6,13 @@ deg x_i = deg dx_i = 1) and carries multiplication by f as the degree-d
 transition map.  The degree-k piece is presented as C[x]_{k-n-1}, the
 coefficients of omega_0 = dx_0^...^dx_n, modulo the relation subspace
 
-    (df^dOmega^{n-1})_k = span{ f_a d_b(g) - f_b d_a(g) },
+    (df^dOmega^{n-1})_k = { (g.grad f) omega_0 : div g = 0 },
 
-with g running over monomials of degree k-d-n+1 and a < b over variable
-pairs; that closed form is the full expansion of df^d(g dx_I) for the
-complementary index sets I.
+with g running over the polynomial vector fields of degree k-n-d: the
+exact n-forms are the closed ones, iota_g omega_0 with div g = 0, and
+df ^ iota_g omega_0 = (g.grad f) omega_0 (Brieskorn, Manuscripta Math. 2
+(1970)).  One row is built per field of an explicit monomial basis of the
+divergence-free fields (`_BrieskornContext.relation_rows`).
 
 Ranks of high f-powers out of a fixed degree compute the torsion-free
 quotient, and with it the pole-order filtration on H^n of the complement,
@@ -31,12 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import jacobian
-from .exactlinalg import InvariantError, Subspace, echelon_rows
+from .exactlinalg import InvariantError, Subspace, _strip_content, echelon_rows
 from .exterior import EulerField, Form, exterior_d, iota_euler, omega0, wedge
-from .gradedpoly import InputError, Poly, mono_mul, monomial_basis
+from .gradedpoly import InputError, Poly, mono_mul
 
 
 class StabilizationError(InvariantError):
@@ -152,36 +153,63 @@ class _BrieskornContext:
         self._traces: dict[tuple, _RankTrace] = {}
 
     def relation_rows(self, k: int) -> list:
-        gdeg = k - self.d - self.n + 1
-        if gdeg < 0:
+        """Integer rows, content stripped, spanning (df^dOmega^{n-1})_k in the
+        coordinates of C[x]_{k-n-1}: the row of g.grad(f) for every field g of
+        a monomial basis of the divergence-free vector fields of degree
+        e = k-n-d.
+
+        The rows span.  Every n-form is iota_g omega_0 for one vector field
+        g, of total degree e+n when g has degree e, and
+        d(iota_g omega_0) = div(g) omega_0, while iota_g(df ^ omega_0) = 0
+        gives df ^ iota_g omega_0 = (g.grad f) omega_0.  By the Euler
+        homotopy (d iota_E + iota_E d multiplies a form by its total degree)
+        every closed form of positive degree is exact, so the exact n-forms
+        of degree e+n are the iota_g omega_0 with div g = 0, and
+        (df^dOmega^{n-1})_k = {(g.grad f) omega_0 : div g = 0, deg g = e}.
+
+        The fields are a basis of that kernel.  div maps S_e^{n+1} onto
+        S_{e-1}, since x^b = div(x^{b+e_0} e_0) / (b_0+1), so the kernel has
+        dimension (n+1) dim S_e - dim S_{e-1}.  The fields are
+          (a) x^alpha e_a for alpha in S_e with alpha_a = 0, and
+          (b) (b_n+1) x^{b+e_a} e_a - (b_a+1) x^{b+e_n} e_n for b in S_{e-1}
+              and a < n,
+        each of divergence 0.  A type (b) field is the only field with the
+        term x^{b+e_a} e_a: type (a) fields in component a avoid x_a, and
+        every other type (b) field has another e_a-term or none.  So a
+        vanishing combination has no type (b) field, and the type (a)
+        fields are distinct monomial fields: the fields are independent.
+        There are (n+1) C(e+n-1, n-1) of type (a) and n dim S_{e-1} of type
+        (b), which is (n+1) dim S_e - dim S_{e-1}, the dimension of the
+        kernel.  A field with g.grad(f) = 0 gives no row, so that count
+        bounds the number of rows.
+        """
+        e = k - self.n - self.d
+        if e < 0:
             return []
-        idx = self.index(k - self.n - 1)
+        n = self.n
+        idx = self.index(k - n - 1)
         rows = []
-        for g in monomial_basis(self.nvars, gdeg):
-            for a in range(self.nvars):
-                ea = g[a]
-                for b in range(a + 1, self.nvars):
-                    eb = g[b]
-                    row: dict = {}
-                    if eb:
-                        gb = g[:b] + (eb - 1,) + g[b + 1:]
-                        for mono, c in self.partials[a]:
-                            col = idx[mono_mul(mono, gb)]
-                            row[col] = row.get(col, 0) + c * eb
-                    if ea:
-                        ga = g[:a] + (ea - 1,) + g[a + 1:]
-                        for mono, c in self.partials[b]:
-                            col = idx[mono_mul(mono, ga)]
-                            row[col] = row.get(col, 0) - c * ea
-                    row = {col: v for col, v in row.items() if v}
-                    if row:
-                        content = 0
-                        for v in row.values():
-                            content = gcd(content, v)
-                        if content > 1:
-                            row = {col: v // content for col, v in row.items()}
-                        rows.append(row)
-        return rows
+        for alpha in self.monomials(e):
+            for a, terms in enumerate(self.partials):
+                if not alpha[a]:
+                    rows.append({idx[mono_mul(mono, alpha)]: c for mono, c in terms})
+        # x_a * f_a: the e_a-term of a type (b) field adds (b_n+1) x^b x_a f_a
+        shifted = [[(mono[:a] + (mono[a] + 1,) + mono[a + 1:], c) for mono, c in terms]
+                   for a, terms in enumerate(self.partials)]
+        for b in self.monomials(e - 1):
+            last = [(idx[mono_mul(mono, b)], c) for mono, c in shifted[n]]
+            for a in range(n):
+                row = {idx[mono_mul(mono, b)]: (b[n] + 1) * c for mono, c in shifted[a]}
+                for col, c in last:
+                    v = row.get(col, 0) - (b[a] + 1) * c
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+                rows.append(row)
+        for row in rows:
+            _strip_content(row)
+        return [row for row in rows if row]
 
     def relations(self, k: int) -> Subspace:
         got = self._rel.get(k)

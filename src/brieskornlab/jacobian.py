@@ -62,6 +62,14 @@ class NonIsolatedError(InvariantError):
 # (a jump to the degree h of a constant run h is let through up to h+1)
 _TJURINA_DEGREE_BUDGET = 6
 
+# input budget: the most monomials one degree of a context may have.  Every
+# index, and so every Jacobian and relation row, is built through
+# `_JacContext.monomials`, which refuses a larger basis before building it.  A basis and its index
+# take about 150 bytes a monomial (CPython 3.11), so this bounds one at about
+# 40 MB; the largest that the tests build has 4495 monomials (4 variables,
+# degree 28), the problem corpus and the benchmark workloads 680.
+_MAX_BASIS_SIZE = 250_000
+
 
 class _JacContext:
     """Context of one hypersurface: the validated integer-scaled f, its scale,
@@ -107,6 +115,11 @@ class _JacContext:
     def monomials(self, m: int) -> list:
         got = self._monos.get(m)
         if got is None:
+            size = comb(m + self.n, self.n) if m >= 0 else 0
+            if size > _MAX_BASIS_SIZE:
+                raise InputError(
+                    f"degree {m} has {size} monomials in {self.nvars} variables, "
+                    f"more than the limit of {_MAX_BASIS_SIZE}")
             got = self._monos[m] = monomial_basis(self.nvars, m)
         return got
 

@@ -8,9 +8,11 @@ Hilbert series, Euler-characteristic counts for the Milnor fiber).
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from brieskornlab import brieskorn
 from brieskornlab.brieskorn import (BrianconSkodaResult, StabilizationError,
                                     StabilizationPolicy, briancon_skoda,
                                     brieskorn_slice, coker_check_prop16,
@@ -64,6 +66,39 @@ def test_relation_space_matches_exterior_construction(f):
 def test_relation_space_matches_exterior_construction_surface():
     for k in range(4, 12):
         assert relation_space(CUBIC_SURFACE, k) == relation_space_oracle(CUBIC_SURFACE, k)
+
+
+def divergence_free_count(n: int, e: int) -> int:
+    """dim of the divergence-free vector fields of degree e in n+1 variables,
+    (n+1) dim S_e - dim S_{e-1}."""
+    return (n + 1) * comb(e + n, n) - comb(e + n - 1, n)
+
+
+def test_relation_rows_never_exceed_the_divergence_free_basis():
+    """One row per basis field at most: a field g with g.grad f = 0 gives
+    none.  On xyz the field x e_0 - z e_2 has x*yz - z*xy = 0, so only the
+    bound holds in general."""
+    xyz = parse_poly("x*y*z", XYZ)
+    for f in (FERMAT_CUBIC, CUSP, TWO_CUSP, CUBIC_SURFACE, xyz):
+        ctx = brieskorn._ctx(f)
+        n, d = ctx.n, ctx.d
+        assert ctx.relation_rows(n + d - 1) == []
+        for e in range(6):
+            assert len(ctx.relation_rows(n + d + e)) <= divergence_free_count(n, e), (f, e)
+    ctx = brieskorn._ctx(xyz)
+    assert len(ctx.relation_rows(ctx.n + ctx.d + 1)) < divergence_free_count(ctx.n, 1)
+
+
+@pytest.mark.parametrize("f", [FERMAT_CUBIC, parse_poly("x^3 + y^3 + z^3 + t^3", XYZT)])
+def test_relation_rows_one_per_divergence_free_field_on_fermat(f):
+    """On Fermat f = sum x_a^d no basis field annihilates grad f (down to
+    e = 0, where the fields are the constant e_a and the rows the partials),
+    so the count is exact: about half the C(n+1, 2) dim S_{e+1} rows of the
+    rotations f_a d_b(g) - f_b d_a(g)."""
+    ctx = brieskorn._ctx(f)
+    n, d = ctx.n, ctx.d
+    for e in range(5):
+        assert len(ctx.relation_rows(n + d + e)) == divergence_free_count(n, e), e
 
 
 def test_brieskorn_slice_consistency():

@@ -1,6 +1,10 @@
 """Problem-file parsing, report rendering, exit codes, golden output."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,6 +159,27 @@ def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial):
     assert code == 1
     assert out == ""
     assert err.startswith("error: polynomial: ") and err.count("\n") == 1
+
+
+def test_exit_one_when_a_degree_exceeds_the_basis_budget(tmp_path):
+    """The smoothness probe of the degree-30 Fermat form in five variables
+    lies in degree 141, with C(145, 4) monomials.  That basis is refused
+    before it is built, so a process capped at 512 MiB of address space
+    exits 1 with a one-line message instead of a MemoryError traceback."""
+    p = tmp_path / "big.txt"
+    p.write_text("variables = x y z t u\npolynomial = x^30+y^30+z^30+t^30+u^30\n")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "brieskornlab.cli", "jacobian", "--input", str(p)],
+                          capture_output=True, text=True, env=env, preexec_fn=cap_memory,
+                          timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: degree 141 has 17666220 monomials")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 def test_exit_one_on_negative_q_max(capsys):

@@ -14,9 +14,13 @@ returns a monic common divisor that a planted common factor divides, and
 the squarefree test it drives rejects f*h^2 and accepts smooth forms.  On
 pencils whose sampled fibers are smooth, the graded connection matrix at
 s = 0 is multiplication by -q*g in the Jacobian ring of the fiber, computed
-by the dense Fraction Gauss-Jordan of `test_kernel_oracle`.
+by the dense Fraction Gauss-Jordan of `test_kernel_oracle`.  On reduced
+singular forms in 3 and 4 variables, the relation spaces built from the
+divergence-free vector fields equal those of the rotation rows
+f_a d_b(g) - f_b d_a(g).
 """
 
+import itertools
 import re
 
 import pytest
@@ -31,7 +35,7 @@ from test_kernel_oracle import dense_rref  # noqa: E402
 from brieskornlab import brieskorn, jacobian  # noqa: E402
 from brieskornlab.brieskorn import (StabilizationError, StabilizationPolicy,  # noqa: E402
                                     coker_check_prop16)
-from brieskornlab.exactlinalg import rank_of_vectors  # noqa: E402
+from brieskornlab.exactlinalg import Subspace, rank_of_vectors  # noqa: E402
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,  # noqa: E402
                                    grp_nabla_matrix, specialize)
 from brieskornlab.gradedpoly import (InputError, Poly, hilbert_ci_coeffs,  # noqa: E402
@@ -259,3 +263,48 @@ def test_smooth_connection_is_multiplication_in_the_jacobian_ring(fam):
         assert (m.nrows, m.ncols) == (len(target), len(source)), q
         assert [[m.entry(r, c) for c in range(m.ncols)] for r in range(m.nrows)] == \
             [[col.get(r, 0) for col in columns] for r in range(len(target))], q
+
+
+def rotation_relation_space(f: Poly, k: int) -> Subspace:
+    """(df^dOmega^{n-1})_k spanned by the rotation rows f_a d_b(g) - f_b d_a(g),
+    g a monomial of degree k-d-n+1 and a < b: the coefficient of omega_0 in
+    df ^ d(g dx_I) for the index sets I missing a and b."""
+    nvars, d = f.nvars, f.homogeneous_degree()
+    n = nvars - 1
+    idx = {mono: i for i, mono in enumerate(monomial_basis(nvars, k - n - 1))}
+    partials = [f.partial(a) for a in range(nvars)]
+    vectors = []
+    for mono in monomial_basis(nvars, k - d - n + 1):
+        g = Poly.monomial(nvars, mono)
+        for a, b in itertools.combinations(range(nvars), 2):
+            row = partials[a] * g.partial(b) - partials[b] * g.partial(a)
+            vectors.append({idx[m]: c for m, c in row.terms.items()})
+    return Subspace.from_vectors(vectors, len(idx))
+
+
+@st.composite
+def reduced_singular_forms(draw):
+    """A squarefree product of linear and quadratic forms with sparse
+    coefficients in -3..2: two to three factors of degree up to 4 in 3
+    variables, up to 3 in 4 variables.  Two components meet in P^n, so
+    f = 0 is singular."""
+    nvars = draw(st.sampled_from((3, 4)))
+    shapes = ((1, 1), (1, 2), (1, 1, 1)) + (((2, 2), (1, 1, 2)) if nvars == 3 else ())
+    f = Poly.constant(nvars, 1)
+    for deg in draw(st.sampled_from(shapes)):
+        monos = monomial_basis(nvars, deg)
+        coeffs = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)),
+                               min_size=len(monos), max_size=len(monos)))
+        f = f * Poly.from_terms(nvars, dict(zip(monos, coeffs)))
+    assume(not f.is_zero() and is_squarefree(f))
+    return f
+
+
+@settings(max_examples=10, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(reduced_singular_forms())
+def test_divergence_free_relations_match_the_rotation_rows(f):
+    n, d = f.nvars - 1, f.homogeneous_degree()
+    event(f"{f.nvars} variables, degree {d}")
+    for k in range(n + 1, (n + 2) * d + 1):
+        assert brieskorn.relation_space(f, k) == rotation_relation_space(f, k), k
