@@ -31,7 +31,6 @@ The relation subspaces and rank traces of f live on the one context of f
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jacobian
@@ -49,7 +48,6 @@ class StabilizationError(InvariantError):
         self.values = list(values)
 
 
-@dataclass(frozen=True)
 class StabilizationPolicy:
     """Acceptance rule for f-power rank stabilization.
 
@@ -64,12 +62,20 @@ class StabilizationPolicy:
     dim H_{f,k} by Sebastiani's theorem (see `_stabilize`).  The policy still
     shapes that certificate exactly as it would a scanned constant trace: its
     length, power and landing degree, and StabilizationError when the window
-    cannot be met within `max_power`.
+    cannot be met within `max_power`.  Immutable by convention.
     """
 
-    window: int | None = None
-    min_target_degree: int | None = None
-    max_power: int = 20
+    __slots__ = ("window", "min_target_degree", "max_power")
+
+    def __init__(self, window: int | None = None, min_target_degree: int | None = None,
+                 max_power: int = 20):
+        self.window = window
+        self.min_target_degree = min_target_degree
+        self.max_power = max_power
+
+    def __repr__(self) -> str:
+        return (f"StabilizationPolicy(window={self.window}, "
+                f"min_target_degree={self.min_target_degree}, max_power={self.max_power})")
 
     def resolved(self, n: int, d: int) -> tuple:
         w = self.window if self.window is not None else max(2, n)
@@ -81,29 +87,38 @@ class StabilizationPolicy:
         return w, mt, self.max_power
 
 
-@dataclass(frozen=True)
 class StabilizationCertificate:
     """Evidence for one stabilized rank: the full trace of powers tried, and
     the rule that accepted it: "Sebastiani" (a theorem for smooth f), or for a
-    scanned trace "early zero" or "window" (the policy)."""
-    degree: int
-    values: tuple          # rank of f^N out of degree k, N = 0..power
-    power: int
-    landing_degree: int
-    early_zero: bool
-    rule: str
+    scanned trace "early zero" or "window" (the policy).  `values` holds the
+    rank of f^N out of degree k, N = 0..power.  Immutable by convention."""
+
+    __slots__ = ("degree", "values", "power", "landing_degree", "early_zero", "rule")
+
+    def __init__(self, degree: int, values: tuple, power: int, landing_degree: int,
+                 early_zero: bool, rule: str):
+        self.degree = degree
+        self.values = values
+        self.power = power
+        self.landing_degree = landing_degree
+        self.early_zero = early_zero
+        self.rule = rule
 
     @property
     def value(self) -> int:
         return self.values[-1]
 
 
-@dataclass(frozen=True)
 class BrieskornSlice:
-    """Degree-k piece of H_f: ambient monomial basis plus relation subspace."""
-    k: int
-    ambient: tuple         # monomial basis of C[x]_{k-n-1}, coefficient order
-    relations: Subspace
+    """Degree-k piece of H_f: ambient monomial basis of C[x]_{k-n-1}, in
+    coefficient order, plus relation subspace."""
+
+    __slots__ = ("k", "ambient", "relations")
+
+    def __init__(self, k: int, ambient: tuple, relations: Subspace):
+        self.k = k
+        self.ambient = ambient
+        self.relations = relations
 
     @property
     def dim(self) -> int:
@@ -446,13 +461,16 @@ def stabilized_span_rank(f: Poly, k: int, polys, policy: StabilizationPolicy | N
     return _stabilize(ctx, k, policy or StabilizationPolicy(), polys=use)
 
 
-@dataclass(frozen=True)
 class PoleFiltrationReport:
     """dims[q] = dim P^{n-q} H^n(U) for q = 0..n, with their certificates."""
-    n: int
-    d: int
-    dims: tuple
-    certificates: tuple
+
+    __slots__ = ("n", "d", "dims", "certificates")
+
+    def __init__(self, n: int, d: int, dims: tuple, certificates: tuple):
+        self.n = n
+        self.d = d
+        self.dims = dims
+        self.certificates = certificates
 
     @property
     def total_dim(self) -> int:

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .brieskorn import (StabilizationPolicy, briancon_skoda, hbar_certificate,
@@ -35,26 +34,50 @@ SCHEMA = "brieskorn-lab/1"
 # ---------------------------------------------------------------------------
 # problem files
 
-@dataclass(frozen=True)
 class ChartData:
-    point: tuple
-    chart: str
-    weights: tuple
+    """One [singular_point] section; immutable by convention."""
+
+    __slots__ = ("point", "chart", "weights")
+
+    def __init__(self, point: tuple, chart: str, weights: tuple):
+        self.point = point
+        self.chart = chart
+        self.weights = weights
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChartData):
+            return NotImplemented
+        return ((self.point, self.chart, self.weights)
+                == (other.point, other.chart, other.weights))
 
 
-@dataclass(frozen=True)
 class FamilyData:
-    direction: str
-    samples: tuple | None = None
+    """The [family] section; immutable by convention."""
+
+    __slots__ = ("direction", "samples")
+
+    def __init__(self, direction: str, samples: tuple | None = None):
+        self.direction = direction
+        self.samples = samples
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FamilyData):
+            return NotImplemented
+        return (self.direction, self.samples) == (other.direction, other.samples)
 
 
-@dataclass
 class ProblemSpec:
-    variables: tuple
-    polynomial: str
-    singular_points: tuple = ()
-    family: FamilyData | None = None
-    policy: dict = field(default_factory=dict)
+    """A parsed problem file."""
+
+    __slots__ = ("variables", "polynomial", "singular_points", "family", "policy")
+
+    def __init__(self, variables: tuple, polynomial: str, singular_points: tuple = (),
+                 family: FamilyData | None = None, policy: dict | None = None):
+        self.variables = variables
+        self.polynomial = polynomial
+        self.singular_points = singular_points
+        self.family = family
+        self.policy = {} if policy is None else policy
 
 
 def _fraction(text: str, where: str) -> Fraction:
@@ -194,41 +217,56 @@ def load_problem(path: str) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # report assembly
 
-@dataclass
+# the Report attributes with their JSON keys, in the order of the JSON object
+_REPORT_KEYS = (("command", "command"), ("input_echo", "input"), ("smoothness", "smoothness"),
+                ("pole", "pole"), ("hodge", "hodge"), ("alpha", "alpha"),
+                ("briancon_skoda", "briancon_skoda"), ("milnor", "milnor"),
+                ("jacobian", "jacobian"), ("family", "family"), ("checks", "checks"),
+                ("timing", "timing"))
+
+
 class Report:
     """Everything a command computed, in JSON-native values only.
 
     Sections are None when the command did not touch them, so text and json
     renderings draw from one source.  Rationals are "p/q" strings.  The JSON
-    object has the fields in declaration order, each under its own name
-    unless its metadata names a "json" key.
+    object has the attributes in the order of `_REPORT_KEYS`, each under its
+    key there.
     """
-    command: str
-    input_echo: dict = field(metadata={"json": "input"})
-    smoothness: bool | None = None
-    pole: dict | None = None
-    hodge: dict | None = None
-    alpha: str | None = None
-    briancon_skoda: dict | None = None
-    milnor: dict | None = None
-    jacobian: dict | None = None
-    family: dict | None = None
-    checks: list = field(default_factory=list)
-    timing: dict | None = None
+
+    __slots__ = tuple(attr for attr, _ in _REPORT_KEYS)
+
+    def __init__(self, command: str, input_echo: dict, smoothness: bool | None = None,
+                 pole: dict | None = None, hodge: dict | None = None, alpha: str | None = None,
+                 briancon_skoda: dict | None = None, milnor: dict | None = None,
+                 jacobian: dict | None = None, family: dict | None = None,
+                 checks: list | None = None, timing: dict | None = None):
+        self.command = command
+        self.input_echo = input_echo
+        self.smoothness = smoothness
+        self.pole = pole
+        self.hodge = hodge
+        self.alpha = alpha
+        self.briancon_skoda = briancon_skoda
+        self.milnor = milnor
+        self.jacobian = jacobian
+        self.family = family
+        self.checks = [] if checks is None else checks
+        self.timing = timing
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Report):
+            return NotImplemented
+        return all(getattr(self, attr) == getattr(other, attr) for attr in self.__slots__)
 
     def to_json(self) -> dict:
-        return {"schema": SCHEMA,
-                **{_json_key(f): getattr(self, f.name) for f in fields(self)}}
+        return {"schema": SCHEMA, **{key: getattr(self, attr) for attr, key in _REPORT_KEYS}}
 
     @classmethod
     def from_json(cls, data: dict) -> "Report":
         if data.get("schema") != SCHEMA:
             raise InputError(f"unsupported report schema {data.get('schema')!r}")
-        return cls(**{f.name: data[_json_key(f)] for f in fields(cls)})
-
-
-def _json_key(f) -> str:
-    return f.metadata.get("json", f.name)
+        return cls(**{attr: data[key] for attr, key in _REPORT_KEYS})
 
 
 def _rat(x) -> str:
@@ -262,14 +300,18 @@ def _echo(spec: ProblemSpec) -> dict:
 # ---------------------------------------------------------------------------
 # section builders: each fills its Report field(s) and lists the checks it ran
 
-@dataclass
 class _Job:
     """The parsed input every builder reads and the report it fills."""
-    spec: ProblemSpec
-    args: argparse.Namespace
-    f: Poly
-    policy: StabilizationPolicy
-    report: Report
+
+    __slots__ = ("spec", "args", "f", "policy", "report")
+
+    def __init__(self, spec: ProblemSpec, args: argparse.Namespace, f: Poly,
+                 policy: StabilizationPolicy, report: Report):
+        self.spec = spec
+        self.args = args
+        self.f = f
+        self.policy = policy
+        self.report = report
 
 
 class _NoData(InputError):

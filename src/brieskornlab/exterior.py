@@ -9,22 +9,22 @@ degree k as multiplication by k/d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .gradedpoly import InputError, Poly
 
 
-@dataclass(frozen=True)
 class EulerField:
-    """The Euler vector field scaled by 1/d."""
-    nvars: int
-    d: int
+    """The Euler vector field scaled by 1/d; immutable by convention."""
 
-    def __post_init__(self):
-        if self.d < 1 or self.nvars < 1:
+    __slots__ = ("nvars", "d")
+
+    def __init__(self, nvars: int, d: int):
+        if d < 1 or nvars < 1:
             raise InputError("EulerField needs positive degree and variable count")
+        self.nvars = nvars
+        self.d = d
 
 
 class Form:

@@ -9,33 +9,30 @@ pole pieces, and scans for Tjurina-number jumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brieskorn import (StabilizationPolicy, class_vector, hbar_certificate,
                         pole_filtration_dims, relation_space)
 from .exactlinalg import ExactMatrix, InvariantError, QuotientMapError, SpanSolver
-from .gradedpoly import InputError, Poly, monomial_basis
+from .gradedpoly import InputError, Poly
 from .jacobian import _ctx, global_tjurina, jacobian_dims
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
 
 
-@dataclass(frozen=True)
 class PencilFamily:
     """f_s = sum coeffs[j] * s^j, every nonzero coefficient homogeneous of the
-    same degree.  A pencil is the two-coefficient case f0 + s*g.
+    same degree.  A pencil is the two-coefficient case f0 + s*g.  Immutable
+    by convention; equality, hash and repr read the coefficients only.
 
     The family keeps every fiber `specialize` returns, by sample, so the
     fiber's context (`jacobian._ctx`), which lives as long as the fiber, is
     reused by every later call on the family."""
 
-    coeffs: tuple
-    _fibers: dict = field(default_factory=dict, init=False, compare=False,
-                          hash=False, repr=False)
+    __slots__ = ("coeffs", "_fibers")
 
-    def __post_init__(self):
-        cs = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple):
+        cs = tuple(coeffs)
         if not cs or all(c.is_zero() for c in cs):
             raise InputError("family needs at least one nonzero coefficient")
         nvars = cs[0].nvars
@@ -51,7 +48,19 @@ class PencilFamily:
                 deg = c.homogeneous_degree()
             elif c.homogeneous_degree() != deg:
                 raise InputError("family coefficients must share one degree")
-        object.__setattr__(self, "coeffs", cs)
+        self.coeffs = cs
+        self._fibers = {}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PencilFamily):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"PencilFamily(coeffs={self.coeffs!r})"
 
     @classmethod
     def pencil(cls, base: Poly, direction: Poly) -> "PencilFamily":
@@ -147,12 +156,13 @@ def _graded_quotient(f: Poly, n: int, d: int, k: int, power: int):
     """
     if k < n + 1:
         return None, []
+    ctx = _ctx(f)
     solver = SpanSolver(relation_space(f, k + power * d).ambient_dim)
     basis = []
-    fimage_src = monomial_basis(f.nvars, k - d - n - 1) if k - d >= n + 1 else []
+    fimage_src = ctx.monomials(k - d - n - 1) if k - d >= n + 1 else []
     for mono in fimage_src:
         solver.add(class_vector(f, f.shift(mono), k, power), None)
-    for mono in monomial_basis(f.nvars, k - n - 1):
+    for mono in ctx.monomials(k - n - 1):
         if solver.add(class_vector(f, Poly.monomial(f.nvars, mono), k, power), len(basis)):
             basis.append(mono)
     return solver, basis
@@ -204,7 +214,8 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     p_src = hbar_certificate(f, src_k, policy).power + extra_stabilization if src_k >= n + 1 else 0
     if src_k - d >= n + 1:
         p_src = max(p_src, hbar_certificate(f, src_k - d, policy).power - 1 + extra_stabilization)
-    if _ctx(f).smooth:
+    ctx = _ctx(f)
+    if ctx.smooth:
         p_tgt = p_src = extra_stabilization
 
     tgt_solver, tgt_basis = _graded_quotient(f, n, d, tgt_k, p_tgt)
@@ -225,7 +236,7 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     # well-definedness: every ambient monomial must map consistently with its
     # expression through the chosen source basis
     basis_pos = {mono: i for i, mono in enumerate(src_basis)}
-    for mono in monomial_basis(f.nvars, src_k - n - 1):
+    for mono in ctx.monomials(src_k - n - 1):
         if mono in basis_pos:
             continue
         combo = src_solver.express(class_vector(f, Poly.monomial(f.nvars, mono), src_k, p_src))
@@ -254,11 +265,16 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     return ExactMatrix.from_rows(rows, ncols)
 
 
-@dataclass(frozen=True)
 class TjurinaScanRow:
-    sample: Fraction
-    tjurina: int
-    tail: tuple
+    """Global Tjurina number at one sample, and the dims of R from the scan's
+    start degree on."""
+
+    __slots__ = ("sample", "tjurina", "tail")
+
+    def __init__(self, sample: Fraction, tjurina: int, tail: tuple):
+        self.sample = sample
+        self.tjurina = tjurina
+        self.tail = tail
 
 
 class TjurinaScanResult:

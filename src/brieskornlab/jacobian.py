@@ -63,8 +63,9 @@ class NonIsolatedError(InvariantError):
 _TJURINA_DEGREE_BUDGET = 6
 
 # input budget: the most monomials one degree of a context may have.  Every
-# index, and so every Jacobian and relation row, is built through
-# `_JacContext.monomials`, which refuses a larger basis before building it.  A basis and its index
+# index, every Jacobian and relation row, and the bases of the family quotients
+# and the global level-q sections are built through `_JacContext.monomials`,
+# which refuses a larger basis before building it.  A basis and its index
 # take about 150 bytes a monomial (CPython 3.11), so this bounds one at about
 # 40 MB; the largest that the tests build has 4495 monomials (4 variables,
 # degree 28), the problem corpus and the benchmark workloads 680.
@@ -75,7 +76,9 @@ class _JacContext:
     """Context of one hypersurface: the validated integer-scaled f, its scale,
     partials, monomial bases and indices by degree, the ranks dim R_k, the
     reducedness and smoothness verdicts and the Brieskorn state (set by
-    `brieskorn._ctx`)."""
+    `brieskorn._ctx`).  Of the Jacobian rows it keeps only those of the last
+    two degrees `dim_R` eliminated: the Tjurina scan tests degree k after
+    eliminating degree k+1 (`_coordinate_section_vanishes`)."""
 
     def __init__(self, f: Poly):
         if not isinstance(f, Poly):
@@ -95,6 +98,7 @@ class _JacContext:
         self._monos: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._dims: dict[int, int] = {}
+        self._recent_rows: tuple = ()   # ((k, image rows), ...) of dim_R's last two eliminations
         self._series: list | None = None   # Hilbert function of R, once smooth
 
     @cached_property
@@ -136,7 +140,7 @@ class _JacContext:
             return []
         idx = self.index(k)
         rows = []
-        for m in monomial_basis(self.nvars, mdeg):
+        for m in self.monomials(mdeg):
             for terms in self.partials:
                 row = {}
                 for mono, c in terms:
@@ -157,7 +161,9 @@ class _JacContext:
         got = self._dims.get(k)
         if got is None:
             ambient = len(self.index(k))
-            got = self._dims[k] = ambient - rank_of_vectors(self.image_rows(k), ambient)
+            rows = self.image_rows(k)
+            self._recent_rows = ((k, rows),) + self._recent_rows[:1]
+            got = self._dims[k] = ambient - rank_of_vectors(rows, ambient)
         return got
 
 
@@ -231,8 +237,12 @@ def _macaulay_bound(h: int, k: int) -> int:
 
 def _coordinate_section_vanishes(ctx: _JacContext, k: int) -> bool:
     """Whether (S/(J + x_i))_k = 0 for some coordinate x_i: the degree-k rows
-    of J, read modulo x_i (on the monomials free of x_i), span that space."""
-    rows = ctx.image_rows(k)
+    of J, read modulo x_i (on the monomials free of x_i), span that space.
+    The rows are the ones `dim_R` built for degree k when the context still
+    holds them."""
+    rows = next((rows for j, rows in ctx._recent_rows if j == k), None)
+    if rows is None:
+        rows = ctx.image_rows(k)
     for i in reversed(range(ctx.nvars)):
         cols = {c: j for j, c in enumerate(
             c for c, mono in enumerate(ctx.monomials(k)) if not mono[i])}

@@ -21,7 +21,6 @@ taken in total degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, inf
@@ -29,25 +28,29 @@ from math import floor, inf
 from .brieskorn import (PoleFiltrationReport, StabilizationPolicy, pole_filtration_dims,
                         stabilized_span_rank)
 from .exactlinalg import ExactMatrix, InvariantError, Subspace, rank_of_vectors
-from .gradedpoly import (InputError, Poly, dehomogenize_shift, monomial_basis,
-                         monomials_weighted_below, weight_vector, weighted_degree)
-from .jacobian import global_tjurina, smoothness_test
+from .gradedpoly import (InputError, Poly, dehomogenize_shift, monomials_weighted_below,
+                         weight_vector, weighted_degree)
+from .jacobian import _ctx, global_tjurina, smoothness_test
 
 
-@dataclass(frozen=True)
 class WeightedChart:
     """A singular point with an affine chart and validated local weights.
 
     point is scaled so the chart coordinate equals 1; local_eq lives in the
     n remaining variables in their original order, centered at the point.
     h1 is the weighted-degree-1 part of local_eq; alpha the sum of weights.
+    Immutable by convention; no __slots__, since `tjurina` is kept in the
+    instance __dict__.
     """
-    point: tuple
-    chart: int
-    weights: tuple
-    local_eq: Poly
-    alpha: Fraction
-    h1: Poly
+
+    def __init__(self, point: tuple, chart: int, weights: tuple, local_eq: Poly,
+                 alpha: Fraction, h1: Poly):
+        self.point = point
+        self.chart = chart
+        self.weights = weights
+        self.local_eq = local_eq
+        self.alpha = alpha
+        self.h1 = h1
 
     @property
     def nloc(self) -> int:
@@ -203,7 +206,6 @@ def monomial_ideal_geq(chart: WeightedChart, beta) -> list:
     return gens
 
 
-@dataclass(frozen=True)
 class LocalIdealJets:
     """Membership data for the level-q local ideal below its free threshold.
 
@@ -212,10 +214,14 @@ class LocalIdealJets:
     generating family.  A germ belongs to the ideal iff its truncation lies
     in jet_space; with threshold <= 0 there is no condition at all.
     """
-    q: int
-    threshold: Fraction
-    basis: tuple
-    jet_space: Subspace
+
+    __slots__ = ("q", "threshold", "basis", "jet_space")
+
+    def __init__(self, q: int, threshold: Fraction, basis: tuple, jet_space: Subspace):
+        self.q = q
+        self.threshold = threshold
+        self.basis = basis
+        self.jet_space = jet_space
 
 
 def local_jq_jets(chart: WeightedChart, q: int) -> LocalIdealJets:
@@ -308,7 +314,7 @@ def global_jq_dim(f: Poly, charts, q: int) -> tuple:
     m = (q + 1) * d - n - 1
     if m < 0:
         return 0, []
-    globals_ = monomial_basis(f.nvars, m)
+    globals_ = _ctx(f).monomials(m)
     rows = []
     for chart in charts:
         rows.extend(_chart_conditions(f, chart, q, globals_))
@@ -359,22 +365,29 @@ def verify_chart_coverage(f: Poly, charts) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class HodgeReport:
     """Hodge vs pole-order filtration dims on H^n(U), with the alpha invariant.
 
     hodge_dims[q] = dim F^{n-q}, pole_dims[q] = dim P^{n-q}, q = 0..n.
     equal_range lists the q where F = P is forced (q <= alpha-1) and checked.
+    alpha is a Fraction, or math.inf for smooth input.
     """
-    n: int
-    d: int
-    alpha: object            # Fraction, or math.inf for smooth input
-    hodge_dims: tuple
-    pole_dims: tuple
-    equal_range: tuple
-    certificates: tuple
-    pole_report: PoleFiltrationReport
-    charts: tuple
+
+    __slots__ = ("n", "d", "alpha", "hodge_dims", "pole_dims", "equal_range",
+                 "certificates", "pole_report", "charts")
+
+    def __init__(self, n: int, d: int, alpha, hodge_dims: tuple, pole_dims: tuple,
+                 equal_range: tuple, certificates: tuple, pole_report: PoleFiltrationReport,
+                 charts: tuple):
+        self.n = n
+        self.d = d
+        self.alpha = alpha
+        self.hodge_dims = hodge_dims
+        self.pole_dims = pole_dims
+        self.equal_range = equal_range
+        self.certificates = certificates
+        self.pole_report = pole_report
+        self.charts = charts
 
     @property
     def strict_drop(self) -> tuple:

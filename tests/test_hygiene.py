@@ -12,9 +12,16 @@ module binds an empty mutable container ({}, [], set(), dict(), list()) at
 module level: such a binding is a cache or registry that lives as long as
 the process, where per-polynomial state belongs on an object that dies with
 the polynomial.  Non-empty tables (cli._COMMANDS, cli._SECTIONS) are data.
+
+One check is not syntactic: a cold `import brieskornlab.cli`, which every
+CLI job pays, loads no `dataclasses` and none of the source-introspection
+modules it pulls in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brieskornlab"
@@ -156,3 +163,17 @@ def test_no_module_binds_an_empty_container_at_module_level():
              for p in sorted(PACKAGE.glob("*.py"))}
     assert len(found) > 1
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`
+_START_UP_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_no_introspection_modules():
+    probe = ("import sys, brieskornlab.cli; "
+             f"print(' '.join(m for m in {_START_UP_HEAVY!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -2,15 +2,19 @@
 the context of a hypersurface."""
 
 import gc
+import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from brieskornlab import brieskorn, jacobian
+from brieskornlab import brieskorn, gradedpoly, jacobian
 from brieskornlab.brieskorn import hf_dim
+from brieskornlab.cli import main
 from brieskornlab.exactlinalg import InvariantError
 from brieskornlab.families import PencilFamily, pole_constancy_check, specialize
 from brieskornlab.gradedpoly import InputError, hilbert_ci_coeffs, parse_poly
@@ -26,6 +30,7 @@ CUSP = parse_poly("x^3 + y^2*z", XYZ)
 TWO_CUSP = parse_poly("x^2*y^2 + x*z^3 + y*z^3", XYZ)
 NODAL_CUBIC = parse_poly("y^2*z - x^3 - x^2*z", XYZ)
 NON_ISOLATED = parse_poly("x^2*t + y^2*z", XYZT)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_jacobian_dims_fermat_matches_hilbert_series():
@@ -263,3 +268,53 @@ def test_a_family_keeps_its_fibers_and_their_contexts(monkeypatch):
     monkeypatch.setattr(jacobian, "rank_of_vectors", no_elimination)
     assert pole_constancy_check(fam, samples).table == first.table
     assert all(specialize(fam, s) is fiber for s, fiber in zip(samples, fibers))
+
+
+def _run_family(capsys, path) -> None:
+    assert main(["family", "--q-max", "2", "--input", str(path), "--json", "--no-timing"]) == 0
+    capsys.readouterr()
+
+
+def test_the_tjurina_scan_reads_the_rows_dim_R_built(monkeypatch, capsys):
+    """The coordinate-hyperplane test of degree k runs after dim R_{k+1}; it
+    reads the rows that dim R_k was taken of instead of building them again.
+    On the jump family both fibers reach that test at their probe degree 10,
+    whose dim the smoothness test took."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    built, tested = [], []
+    real_rows = jacobian._JacContext.image_rows
+    real_test = jacobian._coordinate_section_vanishes
+    monkeypatch.setattr(jacobian._JacContext, "image_rows",
+                        lambda ctx, k: built.append((ctx, k)) or real_rows(ctx, k))
+    monkeypatch.setattr(jacobian, "_coordinate_section_vanishes",
+                        lambda ctx, k: tested.append(k) or real_test(ctx, k))
+    _run_family(capsys, PROBLEMS / "tjurina_jump_family.txt")
+    assert tested == [10, 10]
+    assert built and max(Counter(built).values()) == 1
+
+
+def test_each_monomial_basis_is_built_once_per_context(monkeypatch, capsys, tmp_path):
+    """Outside gradedpoly's own Sylvester kernel every monomial basis comes
+    from a context (`_JacContext.monomials`, cached and under the input
+    budget), so no family run builds one twice for one polynomial."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    built = []
+    real = gradedpoly.monomial_basis
+
+    def counted(nvars, degree):
+        caller = sys._getframe(1)
+        built.append((caller.f_code.co_name, caller.f_locals.get("self"), nvars, degree))
+        return real(nvars, degree)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("brieskornlab.") and name != "brieskornlab.gradedpoly":
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    quartic = tmp_path / "quartic_pencil.txt"
+    quartic.write_text("variables = x y z\npolynomial = x^4 + 2*y^4 + 3*z^4 - x*y^3\n"
+                       "[family]\ndirection = x^2*y*z + y^3*z\n")
+    for path in (PROBLEMS / "tjurina_jump_family.txt", PROBLEMS / "fermat_pencil.txt", quartic):
+        _run_family(capsys, path)
+    assert built and {caller for caller, *_ in built} == {"monomials"}
+    assert max(Counter((ctx, nvars, degree) for _, ctx, nvars, degree in built).values()) == 1
