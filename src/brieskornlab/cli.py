@@ -353,13 +353,14 @@ def _jacobian(job: _Job) -> None:
     n, d = f.nvars - 1, f.homogeneous_degree()
     socle = max((n + 1) * (d - 2), 0)
     k_max = socle + n + 3
-    dims = jacobian_dims(f, k_max)
-    out = {"dims": dims, "max_degree": k_max, "socle_degree": socle,
+    out = {"dims": None, "max_degree": k_max, "socle_degree": socle,
            "tjurina": None, "note": None}
     try:
         out["tjurina"] = global_tjurina(f)
     except NonIsolatedError as e:
         out["note"] = ("tjurina unavailable: " + str(e))
+    # after the scan, so the dims past its certificate cost no elimination
+    out["dims"] = jacobian_dims(f, k_max)
     job.report.jacobian = out
 
 

@@ -1,6 +1,6 @@
 """Exact sparse linear algebra over Q: rank, kernel, canonical reduction.
 
-All elimination is fraction-free and goes through one step, `_combine`:
+All exact elimination is fraction-free and goes through one step, `_combine`:
 input vectors are scaled to integer rows, and a row is cleared at a pivot
 column by cross-multiplying it with the pivot row and stripping the content.
 The sparse forward elimination, the back-substitution of `_rref` and the
@@ -14,14 +14,17 @@ without fill-in blowup.
 A `Subspace` is stored in reduced row echelon form with unit pivots, which
 makes equality structural and makes `reduce` a single pass: tails only touch
 non-pivot columns, so reductions never cascade.
+
+`full_rank_mod_p` is the one pass outside `_combine`: it eliminates residues
+modulo a fixed prime and can only prove full column rank, never refute it.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -82,7 +85,7 @@ def _combine(row: dict[int, int], prow: dict[int, int], pcol: int) -> dict[int, 
     """row*(p/g) - prow*(q/g) with p = prow[pcol], q = row[pcol], g = gcd(p, q).
 
     The result is zero at pcol and has its content stripped.  This is the
-    only elimination arithmetic in the module.
+    only exact elimination arithmetic in the module.
     """
     p, q = prow[pcol], row[pcol]
     g = gcd(p, q)
@@ -262,6 +265,69 @@ class Subspace:
 def rank_of_vectors(vectors: Iterable, ambient_dim: int) -> int:
     rows = (_int_row(_as_dict(v, ambient_dim)) for v in vectors)
     return len(_forward_eliminate(rows))
+
+
+FULL_RANK_PRIME = 2_147_483_647   # 2^31 - 1
+
+
+def full_rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> bool:
+    """Whether the integer rows reach rank ncols modulo FULL_RANK_PRIME.
+
+    True proves rank ncols over Q, since rank mod p <= rank over Q for integer
+    rows: a maximal minor that is nonzero mod p is a nonzero integer.  False
+    proves nothing, and the caller falls back to an exact rank.  Coordinates
+    must lie in range(ncols).  The pass is the sparsity-first elimination of
+    `_forward_eliminate` over residues, and it stops once ncols pivots are
+    found or the rows left cannot reach them.
+    """
+    p = FULL_RANK_PRIME
+    live: dict[int, dict[int, int]] = {}
+    by_col: dict[int, set[int]] = {}
+    for row in rows:
+        res = {}
+        for c, val in row.items():
+            val %= p
+            if val:
+                res[c] = val
+        if res:
+            rid = len(live)
+            live[rid] = res
+            for c in res:
+                by_col.setdefault(c, set()).add(rid)
+    heap = [(len(row), rid) for rid, row in live.items()]
+    heapq.heapify(heap)
+    found = 0
+    while found < ncols <= found + len(live):
+        length, rid = heapq.heappop(heap)
+        row = live.get(rid)
+        if row is None or len(row) != length:
+            continue  # stale heap entry
+        pcol = min(row, key=lambda c: (len(by_col[c]), c))
+        del live[rid]
+        for c in row:
+            by_col[c].discard(rid)
+        inv = pow(row[pcol], -1, p)
+        for oid in list(by_col[pcol]):
+            other = live[oid]
+            m = other[pcol] * inv % p
+            for c, val in row.items():
+                old = other.get(c)
+                if old is None:
+                    other[c] = -m * val % p
+                    by_col[c].add(oid)
+                else:
+                    s = (old - m * val) % p
+                    if s:
+                        other[c] = s
+                    else:
+                        del other[c]
+                        by_col[c].discard(oid)
+            if other:
+                heapq.heappush(heap, (len(other), oid))
+            else:
+                del live[oid]
+        found += 1
+    return found >= ncols
 
 
 def echelon_rows(vectors: Iterable[Mapping[int, object]]) -> list[dict[int, int]]:

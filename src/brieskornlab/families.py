@@ -15,7 +15,7 @@ from .brieskorn import (StabilizationPolicy, class_vector, hbar_certificate,
                         pole_filtration_dims, relation_space)
 from .exactlinalg import ExactMatrix, InvariantError, QuotientMapError, SpanSolver
 from .gradedpoly import InputError, Poly
-from .jacobian import _ctx, global_tjurina, jacobian_dims
+from .jacobian import _ctx, global_tjurina
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
 
@@ -153,10 +153,18 @@ def _graded_quotient(f: Poly, n: int, d: int, k: int, power: int):
 
     Seeds the solver with the f-image classes (labelled None), then adds the
     classes of ambient monomials; the accepted ones label the quotient basis.
+    On a proved-smooth fiber the quotient is the Jacobian ring piece R_{k-n-1}
+    (Griffiths), of the dimension the Hilbert series gives (Prop. 16,
+    `brieskorn.coker_check_prop16`), at every power.  Past the socle degree
+    (n+1)(d-2) it is zero, as is the target k = (q+1)d of `grp_nabla_matrix`
+    for every q >= n, and the empty presentation is returned without
+    building the relation space.
     """
     if k < n + 1:
         return None, []
     ctx = _ctx(f)
+    if ctx.smooth and not ctx.dim_R(k - n - 1):
+        return None, []
     solver = SpanSolver(relation_space(f, k + power * d).ambient_dim)
     basis = []
     fimage_src = ctx.monomials(k - d - n - 1) if k - d >= n + 1 else []
@@ -189,9 +197,13 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     f^p is injective and keeps every linear relation among classes, so the
     chosen basis and coordinates are those of any higher power, and
     H-bar_k / f H-bar_{k-d} is the Jacobian ring piece R_{k-n-1} (Griffiths).
-    The certificates are still asked for, so a policy that cannot be met
-    raises as on a singular fiber.  `extra_stabilization` adds powers above
-    0 on smooth fibers, above the certified power otherwise.
+    For q >= n the target R_{(q+1)d-n-1} lies past the socle degree
+    (n+1)(d-2), so it is zero, its presentation is empty and the
+    0 x dim R_{qd-n-1} matrix is returned with no source presentation
+    built: a map into the zero space needs no check that it is well
+    defined.  The certificates are still asked for, so a policy that
+    cannot be met raises as on a singular fiber.  `extra_stabilization` adds
+    powers above 0 on smooth fibers, above the certified power otherwise.
     """
     if q < 0:
         raise InputError("q must be nonnegative")
@@ -219,6 +231,9 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
         p_tgt = p_src = extra_stabilization
 
     tgt_solver, tgt_basis = _graded_quotient(f, n, d, tgt_k, p_tgt)
+    if not tgt_basis and ctx.smooth:
+        # the source is R_{qd-n-1} too, and the zero map needs only its dim
+        return ExactMatrix.zeros(0, ctx.dim_R(src_k - n - 1))
     src_solver, src_basis = _graded_quotient(f, n, d, src_k, p_src)
     nrows, ncols = len(tgt_basis), len(src_basis)
     if q == 0 or g.is_zero() or ncols == 0:
@@ -292,7 +307,9 @@ class TjurinaScanResult:
 
 def tjurina_scan(fam: PencilFamily, samples=None) -> TjurinaScanResult:
     """global_tjurina at each sample; a sample is flagged as a jump when its
-    value exceeds the minimum over the scan (the generic value nearby)."""
+    value exceeds the minimum over the scan (the generic value nearby).  The
+    tail reads the dims the Tjurina scan evaluated and, from the degree its
+    certificate holds on, tau."""
     ss = tuple(Fraction(s) for s in (samples if samples is not None else DEFAULT_SAMPLES))
     if not ss:
         raise InputError("need at least one sample")
@@ -302,8 +319,8 @@ def tjurina_scan(fam: PencilFamily, samples=None) -> TjurinaScanResult:
         ctx = _ctx(f)
         start = max(ctx.probe, 0)
         tau = global_tjurina(f)
-        dims = jacobian_dims(f, start + ctx.n + 1)
-        rows.append(TjurinaScanRow(s, tau, tuple(dims[start:])))
+        tail = tuple(ctx.dim_R(k) for k in range(start, start + ctx.n + 2))
+        rows.append(TjurinaScanRow(s, tau, tail))
     low = min(r.tjurina for r in rows)
     jumps = tuple(r.sample for r in rows if r.tjurina > low)
     return TjurinaScanResult(tuple(rows), jumps)

@@ -5,8 +5,9 @@ as a fast path) and monomials are exponent tuples, one entry per variable.
 Everything downstream builds matrices out of these, so all enumeration here is
 deterministic: graded-lex order with the user's variable order throughout.
 The one algorithm beyond arithmetic, the gcd of homogeneous forms behind the
-reducedness test, is linear algebra too: the kernel of a Sylvester map solved
-by `exactlinalg`'s elimination (see "gcd tools" below).
+reducedness test, is linear algebra too: the kernel of a Sylvester map,
+proved zero by a full rank modulo a prime or solved by `exactlinalg`'s
+elimination (see "gcd tools" below).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
-from .exactlinalg import ExactMatrix, InputError
+from .exactlinalg import ExactMatrix, InputError, full_rank_mod_p
 
 Monomial = tuple[int, ...]
 Coeff = "Fraction | int"
@@ -580,10 +581,13 @@ def dehomogenize_shift(g: Poly, chart: int, point: Sequence) -> Poly:
 # and b have degrees alpha and beta and gcd g of degree gamma.  The map
 # phi_e(u, v) = u*a - v*b from S_{beta-e} + S_{alpha-e} to S_{alpha+beta-e}
 # has kernel {(b/g*t, a/g*t) : t in S_{gamma-e}}: it is zero exactly when
-# e > gamma, so a and b are coprime iff ker phi_1 = 0 (one elimination), and
-# at e = gamma it is a line whose v-part is a/g up to a scalar.  Since
-# dim ker phi_1 = dim S_{gamma-1}, that dimension names gamma.  Results are
-# normalized to have leading (graded-lex) coefficient 1.
+# e > gamma, so a and b are coprime iff ker phi_1 = 0, and at e = gamma it is
+# a line whose v-part is a/g up to a scalar.  Since dim ker phi_1 =
+# dim S_{gamma-1}, that dimension names gamma.  ker phi_1 = 0 says the matrix
+# of phi_1 has full column rank; over integer-scaled a and b a full rank
+# modulo a prime proves it without an exact elimination, and otherwise the
+# exact kernel decides.  Results are normalized to have leading (graded-lex)
+# coefficient 1.
 
 
 def _leading(p: Poly) -> tuple[Monomial, Fraction]:
@@ -598,9 +602,9 @@ def _normalize(p: Poly) -> Poly:
     return p.scale(Fraction(1, 1) / c)
 
 
-def _sylvester_kernel(a: Poly, b: Poly, alpha: int, beta: int, e: int):
-    """ker phi_e as a Subspace over the columns (v, u), and the monomial
-    basis of S_{alpha-e} that indexes the v-part (the leading columns)."""
+def _sylvester_matrix(a: Poly, b: Poly, alpha: int, beta: int, e: int):
+    """The matrix of phi_e over the columns (v, u), and the monomial basis
+    of S_{alpha-e} that indexes the v-part (the leading columns)."""
     vs, us = monomial_basis(a.nvars, alpha - e), monomial_basis(a.nvars, beta - e)
     target = {m: i for i, m in enumerate(monomial_basis(a.nvars, alpha + beta - e))}
     rows: list[dict] = [{} for _ in target]
@@ -608,7 +612,7 @@ def _sylvester_kernel(a: Poly, b: Poly, alpha: int, beta: int, e: int):
     for col, (factor, m) in enumerate([(neg_b, m) for m in vs] + [(a, m) for m in us]):
         for t, c in factor.terms.items():
             rows[target[mono_mul(t, m)]][col] = c
-    return ExactMatrix.from_rows(rows, len(vs) + len(us)).kernel_basis(), vs
+    return ExactMatrix.from_rows(rows, len(vs) + len(us)), vs
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -625,15 +629,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         return _normalize(a)
     alpha, beta = a.homogeneous_degree(), b.homogeneous_degree()
-    kernel, vs = _sylvester_kernel(a, b, alpha, beta, 1)
-    if not kernel.dim:   # also when a or b is a nonzero constant
+    # the gcd up to scalar is that of the integer-scaled forms
+    a, b = a.integer_scaled()[0], b.integer_scaled()[0]
+    phi, vs = _sylvester_matrix(a, b, alpha, beta, 1)
+    if full_rank_mod_p(phi.rows, phi.ncols):   # also when a or b is a nonzero constant
+        return Poly.constant(a.nvars, 1)
+    kernel = phi.kernel_basis()
+    if not kernel.dim:
         return Poly.constant(a.nvars, 1)
     # gamma is the largest e with dim S_{e-1} = dim ker phi_1; in one
     # variable every form is a monomial and gamma = min(alpha, beta)
     gamma = max(e for e in range(1, min(alpha, beta) + 1)
                 if comb(e + a.nvars - 2, a.nvars - 1) == kernel.dim)
     if gamma > 1:
-        kernel, vs = _sylvester_kernel(a, b, alpha, beta, gamma)
+        phi, vs = _sylvester_matrix(a, b, alpha, beta, gamma)
+        kernel = phi.kernel_basis()
     (line,) = kernel.basis()
     cofactor = Poly(a.nvars, {vs[c]: val for c, val in line.items() if c < len(vs)})
     return _normalize(try_divide(a, cofactor))

@@ -20,13 +20,17 @@ final when a coordinate hyperplane x_i = 0 has (S/(J + x_i))_k = 0 (the
 m-regularity criterion of Bayer and Stillman), and otherwise by Gotzmann in
 degrees h, h+1, where the scan jumps.
 
-Smoothness is decided by one exact elimination, at the probe degree
-(n+1)(d-2)+1 one past the smooth socle degree: f = 0 is smooth exactly when
-R vanishes there.  Once that is proved, the partials are a regular sequence
-of n+1 forms of degree d-1, R is their complete intersection, and every other
-dim R_k is read off the Hilbert series ((1-t^(d-1))/(1-t))^(n+1) (empty for
-d = 1, where R = 0); those numbers are theorems, not eliminations.  Before the
-verdict, and for singular f, dim R_k is an exact rank.
+Smoothness is decided at the probe degree (n+1)(d-2)+1, one past the smooth
+socle degree: f = 0 is smooth exactly when R vanishes there, that is when the
+Jacobian rows of that degree have full column rank.  Rows of full rank modulo
+a prime have full rank over Q (`exactlinalg.full_rank_mod_p`), which proves
+smoothness without an exact elimination; otherwise one exact elimination of
+the same rows decides.  Once smoothness is proved, the partials are a regular
+sequence of n+1 forms of degree d-1, R is their complete intersection, and
+every other dim R_k is read off the Hilbert series ((1-t^(d-1))/(1-t))^(n+1)
+(empty for d = 1, where R = 0); those numbers are theorems, not eliminations.
+Before the verdict, and for singular f, dim R_k is an exact rank, except past
+the degree where `global_tjurina` certified tau: every later dim R_k is tau.
 
 `_ctx(f)` is the one context of f per live polynomial: it validates, scales
 and differentiates f once, holds the Brieskorn state of f beside the ranks of
@@ -43,7 +47,7 @@ import weakref
 from functools import cached_property
 from math import comb
 
-from .exactlinalg import InvariantError, rank_of_vectors
+from .exactlinalg import InvariantError, full_rank_mod_p, rank_of_vectors
 from .gradedpoly import InputError, Poly, hilbert_ci_coeffs, is_squarefree, mono_mul, monomial_basis
 
 
@@ -100,6 +104,7 @@ class _JacContext:
         self._dims: dict[int, int] = {}
         self._recent_rows: tuple = ()   # ((k, image rows), ...) of dim_R's last two eliminations
         self._series: list | None = None   # Hilbert function of R, once smooth
+        self._stable: tuple | None = None  # (k, tau): dim R_j = tau for j >= k, once certified
 
     @cached_property
     def reduced(self) -> bool:
@@ -108,9 +113,12 @@ class _JacContext:
 
     @cached_property
     def smooth(self) -> bool:
-        """Whether f = 0 is smooth, by the exact dim R at the probe degree;
-        decided on first use.  A proof of smoothness switches `dim_R` to the
-        complete-intersection Hilbert series."""
+        """Whether f = 0 is smooth, by dim R at the probe degree; decided on
+        first use.  The probe rows are built once: a full rank modulo a prime
+        proves smoothness without an exact elimination, and rows that are
+        rank-deficient modulo it get one exact elimination.  A proof of
+        smoothness switches `dim_R` to the complete-intersection Hilbert
+        series."""
         if self.dim_R(self.probe):
             return False
         self._series = hilbert_ci_coeffs(self.nvars, self.d - 1) if self.d > 1 else []
@@ -153,17 +161,25 @@ class _JacContext:
 
     def dim_R(self, k: int) -> int:
         """dim R_k: read off the Hilbert series once f is proved smooth (but
-        at the probe degree, which proved it), an exact rank otherwise."""
+        at the probe degree, which proved it), tau from the degree where
+        `global_tjurina` certified it on, an exact rank otherwise.  At the
+        probe degree a full rank modulo a prime proves R_k = 0 first."""
         if k < 0:
             return 0
         if self._series is not None and k != self.probe:
             return self._series[k] if k < len(self._series) else 0
+        if self._stable is not None and k >= self._stable[0]:
+            return self._stable[1]
         got = self._dims.get(k)
         if got is None:
             ambient = len(self.index(k))
             rows = self.image_rows(k)
             self._recent_rows = ((k, rows),) + self._recent_rows[:1]
-            got = self._dims[k] = ambient - rank_of_vectors(rows, ambient)
+            if k == self.probe and full_rank_mod_p(rows, ambient):
+                got = 0
+            else:
+                got = ambient - rank_of_vectors(rows, ambient)
+            self._dims[k] = got
         return got
 
 
@@ -252,6 +268,12 @@ def _coordinate_section_vanishes(ctx: _JacContext, k: int) -> bool:
     return False
 
 
+def _certified(ctx: _JacContext, k: int, tau: int) -> int:
+    """Record a proof that dim R_j = tau for every j >= k; returns tau."""
+    ctx._stable = (k, tau)
+    return tau
+
+
 def global_tjurina(f: Poly) -> int:
     """Sum of the local Tjurina numbers, certified by Gotzmann persistence or
     by a coordinate hyperplane (Bayer-Stillman).
@@ -279,7 +301,8 @@ def global_tjurina(f: Poly) -> int:
     ambients of the scan.  Without a certificate by degree
     start + _TJURINA_DEGREE_BUDGET * (n+2), or by h+1 after a jump, the scan
     gives up, raising NonIsolatedError that says tau is undecided up to that
-    degree.
+    degree.  Each certificate proves dim R_j = tau for every j >= k, and the
+    context keeps that, so `dim_R` eliminates no later degree.
     """
     ctx = _ctx(f)
     start = max(ctx.probe, ctx.d - 1)
@@ -296,14 +319,14 @@ def global_tjurina(f: Poly) -> int:
                 f"from dim R_{k} = {h}")
         if nxt == bound:
             if nxt == h:
-                return h
+                return _certified(ctx, k, h)
             raise NonIsolatedError(
                 f"dim R_k grows maximally from degree {k} to {k + 1} "
                 f"({h} -> {nxt}, Macaulay's bound), "
                 "so by Gotzmann persistence it grows in every later degree and "
                 "the singular locus is positive dimensional", dims)
         if nxt == h and _coordinate_section_vanishes(ctx, k):
-            return h
+            return _certified(ctx, k, h)
         if nxt == h and h > k + 1:
             # Gotzmann certifies a constant h from degree h on (h^<j> > h for
             # j < h), so the scan goes there at once and the budget reaches h+1
@@ -313,7 +336,7 @@ def global_tjurina(f: Poly) -> int:
         else:
             k, h = k + 1, nxt
     if not h:
-        return 0
+        return _certified(ctx, k, 0)
     raise NonIsolatedError(
         f"dim R_k gave no certificate from degree {start} on; "
         f"the Tjurina number is undecided up to degree {top}", dims)

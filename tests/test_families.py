@@ -1,6 +1,7 @@
 """Pencils of hypersurfaces: specialization, pole constancy, graded connection."""
 
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,23 @@ def test_grp_nabla_smooth_fiber_presents_at_power_zero(monkeypatch):
         assert {p for _, p in built} == {extra}
 
 
+def test_grp_nabla_builds_no_presentation_of_a_zero_target(monkeypatch):
+    """On a smooth quartic curve the q = 2 target R_{3d-n-1} = R_9 lies past
+    the socle degree 6 (Griffiths), so the map is 0 x dim R_5 = 0 x 3 and no
+    relation subspace of degree 3d = 12 is built for it."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    fam = PencilFamily.pencil(parse_poly("x^4 + 2*y^4 + 3*z^4 - x*y^3", XYZ),
+                              parse_poly("x*y*z^2 + y^2*z^2", XYZ))
+    degrees = []
+    real = brieskorn._BrieskornContext.relations
+    monkeypatch.setattr(brieskorn._BrieskornContext, "relations",
+                        lambda ctx, k: degrees.append(k) or real(ctx, k))
+    m = grp_nabla_matrix(fam, 0, 2)
+    assert (m.nrows, m.ncols) == (0, 3)
+    assert 12 not in degrees
+    assert 12 not in brieskorn._ctx(specialize(fam, 0))._rel
+
+
 def test_grp_nabla_singular_fiber_keeps_the_certified_power(monkeypatch):
     """The fiber at s = 0 of the Tjurina jump family is singular: its
     quotients are still built at the certified power, and the relation
@@ -237,6 +255,22 @@ def test_tjurina_scan_jump_family():
     assert by_s[Fraction(1)].tjurina == 11
     assert scan.jumps == (Fraction(0),)
     assert all(len(set(r.tail)) == 1 for r in scan.rows)  # tail already stable
+
+
+def test_tjurina_scan_eliminates_only_the_degrees_it_scans(monkeypatch):
+    """The tail, degrees 10..13 from the probe on, is read off the scan:
+    each fiber of the jump family eliminates its probe degree and the next,
+    where the hyperplane certificate holds, and no degree below the probe or
+    past the certificate."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    built = []
+    real = jacobian._JacContext.image_rows
+    monkeypatch.setattr(jacobian._JacContext, "image_rows",
+                        lambda ctx, k: built.append(k) or real(ctx, k))
+    fam = PencilFamily(JUMP_FAMILY.coeffs)
+    scan = tjurina_scan(fam, samples=(0, 1))
+    assert [r.tail for r in scan.rows] == [(12,) * 4, (11,) * 4]
+    assert built == [10, 11, 10, 11]
 
 
 def test_tjurina_scan_propagates_non_isolated():

@@ -146,15 +146,16 @@ def test_gcd_and_division():
     assert q == P("x + y")
 
 
-def test_gcd_costs_one_elimination_on_a_coprime_pair(monkeypatch):
-    """A coprime pair is decided by the one kernel of phi_1; a common factor
-    of degree 2 costs a second elimination at e = 2."""
+def test_gcd_costs_no_elimination_on_a_coprime_pair(monkeypatch):
+    """A coprime pair is decided by the full rank of phi_1 modulo a prime,
+    with no exact elimination; a common factor of degree 2 fails that test
+    and costs the exact kernels of phi_1 and phi_2."""
     real, calls = exactlinalg._forward_eliminate, []
     monkeypatch.setattr(exactlinalg, "_forward_eliminate",
                         lambda rows: calls.append(1) or real(rows))
     f = P("x^3 + y^3 + z^3 - 2*x*y*z")
     assert poly_gcd(f, f.partial(0)) == P("1")
-    assert len(calls) == 1
+    assert len(calls) == 0
     calls.clear()
     assert poly_gcd(P("(x^2 + y*z)*(x - z)"), P("(x^2 + y*z)*(y + 2*z)")) == P("x^2 + y*z")
     assert len(calls) == 2

@@ -61,6 +61,25 @@ def test_smoothness():
     assert not smoothness_test(NON_ISOLATED)
 
 
+def test_the_smoothness_probe_needs_an_exact_rank_only_on_singular_input(monkeypatch):
+    """The probe rows of degree (n+1)(d-2)+1 are built once.  On a smooth
+    form they reach full rank modulo a prime, which proves R = 0 there with
+    no exact rank; on a singular form they cannot, and the same rows get
+    one exact rank."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    ranks, built = [], []
+    real_rank, real_rows = jacobian.rank_of_vectors, jacobian._JacContext.image_rows
+    monkeypatch.setattr(jacobian, "rank_of_vectors",
+                        lambda rows, ambient: ranks.append(ambient) or real_rank(rows, ambient))
+    monkeypatch.setattr(jacobian._JacContext, "image_rows",
+                        lambda ctx, k: built.append(k) or real_rows(ctx, k))
+    assert smoothness_test(parse_poly("x^4 + 2*y^4 + 3*z^4 - x*y^3", XYZ))
+    assert (ranks, built) == ([], [7])
+    built.clear()
+    assert not smoothness_test(TWO_CUSP)
+    assert (ranks, built) == ([36], [7])
+
+
 def test_smooth_hodge_numbers():
     assert smooth_hodge_numbers(2, 3) == [1, 1]
     assert smooth_hodge_numbers(3, 4) == [1, 19, 1]
@@ -178,6 +197,21 @@ def test_tjurina_budget_exhausted_is_undecided(monkeypatch):
     assert exc.value.dims == [12]
     monkeypatch.setattr(jacobian, "_TJURINA_DEGREE_BUDGET", 1)   # degrees 10..15
     assert global_tjurina(f) == 12
+
+
+def test_the_certified_tjurina_tail_matches_exact_ranks(monkeypatch):
+    """From the degree its certificate holds on, the context answers
+    dim R_k = tau without eliminating; a context that never ran the scan
+    gets the same numbers by exact rank."""
+    jump_fiber = parse_poly("x^4*z + y^5", XYZ)
+    for f in (CUSP, TWO_CUSP, NODAL_CUBIC, jump_fiber):
+        monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+        tau = global_tjurina(f)
+        k0, stable = jacobian._ctx(f)._stable
+        certified = [jacobian_dim(f, k) for k in range(k0, k0 + 4)]
+        monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+        assert certified == [jacobian_dim(f, k) for k in range(k0, k0 + 4)] == [tau] * 4
+        assert stable == tau
 
 
 @pytest.mark.parametrize("h, k, expect", [

@@ -6,9 +6,16 @@ sparsity-first pivots.  On random small sparse rational matrices, including
 rows that are combinations of earlier ones, every exact path must agree with
 it: ranks, subspace dimensions and canonical reduction, kernels, and the
 greedy acceptance and coordinates of `SpanSolver`.
+
+The modular full-rank pass is held to a dense mod-p oracle and to the
+Fraction rank it certifies, and the exact fallbacks behind it must leave
+every report unchanged when the prime divides minors that Q does not.
 """
 
+import sys
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +24,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from brieskornlab import exactlinalg, jacobian  # noqa: E402
+from brieskornlab.cli import main  # noqa: E402
 from brieskornlab.exactlinalg import (ExactMatrix, SpanSolver, Subspace,  # noqa: E402
-                                      echelon_rows, rank_of_vectors)
+                                      echelon_rows, full_rank_mod_p, rank_of_vectors)
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def dense_rref(rows: list, ncols: int) -> tuple:
@@ -42,6 +53,23 @@ def dense_rref(rows: list, ncols: int) -> tuple:
 
 def dense_rank(rows: list, ncols: int) -> int:
     return len(dense_rref(rows, ncols)[0])
+
+
+def dense_rank_mod(rows: list, ncols: int, p: int) -> int:
+    """Rank of integer rows over GF(p), leftmost pivots, dense."""
+    m = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        k = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[rank], m[k] = m[k], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            a = m[i][c] * inv % p
+            m[i] = [(x - a * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def combination(coeffs, rows) -> dict:
@@ -148,3 +176,91 @@ def test_span_solver_matches_the_oracle(matrix, data):
     if inside:
         assert combination(list(combo.values()), [rows[i] for i in combo]) == \
             {c: x for c, x in v.items() if x}
+
+
+INTEGERS = st.integers(-6, 6)
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, ncols): small sparse integer rows, explicit zeros included.
+    Half of them are a product B*C through r < ncols dimensions, so their
+    rank is below ncols over Q and over every prime."""
+    ncols = draw(st.integers(1, 5))
+    if not draw(st.booleans()):
+        entries = st.dictionaries(st.integers(0, ncols - 1), INTEGERS, max_size=ncols)
+        return draw(st.lists(entries, max_size=7)), ncols
+    r = draw(st.integers(0, ncols - 1))
+    c = [draw(st.lists(INTEGERS, min_size=ncols, max_size=ncols)) for _ in range(r)]
+    b = draw(st.lists(st.lists(INTEGERS, min_size=r, max_size=r), max_size=7))
+    return [{j: sum(bi[t] * c[t][j] for t in range(r)) for j in range(ncols)}
+            for bi in b], ncols
+
+
+@SETTINGS
+@given(integer_matrices(), st.sampled_from((2, 3, 5, exactlinalg.FULL_RANK_PRIME)))
+def test_full_rank_mod_p_matches_the_oracle_and_proves_full_rank(matrix, prime):
+    rows, ncols = matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlinalg, "FULL_RANK_PRIME", prime)
+        full = full_rank_mod_p(rows, ncols)
+    assert full == (dense_rank_mod(rows, ncols, prime) == ncols)
+    if full:
+        assert dense_rank(rows, ncols) == ncols
+
+
+def test_full_rank_over_q_but_singular_mod_p_is_no_certificate():
+    """A pivot that is a multiple of p, alone or as a determinant, hides a
+    rank that Q has: the pass must say False, never True."""
+    p = exactlinalg.FULL_RANK_PRIME
+    for rows, ncols in (([{0: p}], 1),
+                        ([{0: 1, 1: 2}, {0: 3, 1: 6 + p}], 2),
+                        ([{0: 2 * p, 1: 1}, {1: 5}, {0: 3 * p, 2: 1}], 3)):
+        assert rank_of_vectors(rows, ncols) == ncols
+        assert not full_rank_mod_p(rows, ncols)
+
+
+def _verdicts(monkeypatch) -> dict:
+    """Record what full_rank_mod_p answers at each of its two call sites."""
+    seen = {}
+    for site in ("jacobian", "gradedpoly"):
+        log = seen[site] = []
+
+        def recorded(rows, ncols, log=log):
+            log.append(full_rank_mod_p(rows, ncols))
+            return log[-1]
+
+        monkeypatch.setattr(sys.modules["brieskornlab." + site], "full_rank_mod_p", recorded)
+    return seen
+
+
+def _corpus_reports(monkeypatch, capsys) -> list:
+    """analyze on every problem file and family --q-max 2 on each pencil,
+    from fresh contexts: (argv, exit code, stdout, stderr) per run."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    runs = []
+    for path in sorted(PROBLEMS.glob("*.txt")):
+        argvs = [["analyze"]]
+        if "[family]" in path.read_text():
+            argvs.append(["family", "--q-max", "2"])
+        for argv in argvs:
+            argv = argv + ["--input", str(path), "--json", "--no-timing"]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            runs.append((argv, code, out, err))
+    return runs
+
+
+def test_the_exact_fallbacks_leave_every_report_unchanged(monkeypatch, capsys):
+    """With the prime set to 3, which divides the coefficients of Fermat
+    partials and many small minors, both call sites fall back to exact
+    eliminations; every report is byte-identical to the one the fast path
+    gives."""
+    seen = _verdicts(monkeypatch)
+    fast = _corpus_reports(monkeypatch, capsys)
+    assert all(True in log for log in seen.values())
+    for log in seen.values():
+        log.clear()
+    monkeypatch.setattr(exactlinalg, "FULL_RANK_PRIME", 3)
+    assert _corpus_reports(monkeypatch, capsys) == fast
+    assert all(False in log for log in seen.values())
