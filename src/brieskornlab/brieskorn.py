@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from . import jacobian
 from .exactlinalg import InvariantError, Subspace, _strip_content, echelon_rows
-from .exterior import EulerField, Form, exterior_d, iota_euler, omega0, wedge
 from .gradedpoly import InputError, Poly, mono_mul
 
 
@@ -55,8 +54,12 @@ class StabilizationPolicy:
     powers and the landing degree k + N*d has reached `min_target_degree`.
     Fields left as None default to window = max(2, n) and
     min_target_degree = (n+1)*d, the first degree past the range where the
-    transition maps are known to become isomorphisms.  Rank 0 is accepted
-    immediately: once every image vanishes it stays zero at higher powers.
+    transition maps of the torsion-free quotient H-bar, which the scan
+    stabilizes, are known to become isomorphisms.  On H_f itself they need
+    not be: for the six lines x*y*z*(x+y)*(y+z)*(x+2*y+3*z) (d = 6),
+    dim H_18 = 25 but f has rank 8 out of degree 18, and the other
+    17 = tau dimensions are torsion.  Rank 0 is accepted immediately: once
+    every image vanishes it stays zero at higher powers.
 
     On proved-smooth f the ranks are not scanned: every value of the trace is
     dim H_{f,k} by Sebastiani's theorem (see `_stabilize`).  The policy still
@@ -107,22 +110,6 @@ class StabilizationCertificate:
     @property
     def value(self) -> int:
         return self.values[-1]
-
-
-class BrieskornSlice:
-    """Degree-k piece of H_f: ambient monomial basis of C[x]_{k-n-1}, in
-    coefficient order, plus relation subspace."""
-
-    __slots__ = ("k", "ambient", "relations")
-
-    def __init__(self, k: int, ambient: tuple, relations: Subspace):
-        self.k = k
-        self.ambient = ambient
-        self.relations = relations
-
-    @property
-    def dim(self) -> int:
-        return len(self.ambient) - self.relations.dim
 
 
 class _RankTrace:
@@ -321,20 +308,6 @@ def relation_space(f: Poly, k: int) -> Subspace:
     return _ctx(f).relations(k)
 
 
-def brieskorn_slice(f: Poly, k: int) -> BrieskornSlice:
-    ctx = _ctx(f)
-    ambient = tuple(ctx.monomials(k - ctx.n - 1)) if k >= ctx.n + 1 else ()
-    sl = BrieskornSlice(k, ambient, ctx.relations(k))
-    if sl.dim < 0:
-        raise InvariantError("negative Brieskorn dimension")
-    return sl
-
-
-def hf_dim(f: Poly, k: int) -> int:
-    """dim H_{f,k}; zero below degree n+1."""
-    return _ctx(f).hf_dim(k)
-
-
 def class_vector(f: Poly, p: Poly, k: int, power: int = 0) -> dict:
     """Reduced coordinates of the class of f^power * p in H_{f,k+power*d}.
 
@@ -350,13 +323,6 @@ def class_vector(f: Poly, p: Poly, k: int, power: int = 0) -> dict:
     if p.terms and not (p.is_homogeneous() and p.homogeneous_degree() == k - ctx.n - 1):
         raise InputError(f"p must be homogeneous of degree {k - ctx.n - 1}")
     return ctx.class_vector(p, k, power)
-
-
-def f_power_image_dim(f: Poly, k: int, N: int) -> int:
-    """Rank of the induced multiplication by f^N, H_{f,k} -> H_{f,k+Nd}."""
-    if N < 0:
-        raise InputError("power must be nonnegative")
-    return _ctx(f).power_rank(k, N)
 
 
 def _window(k: int, d: int, resolved: tuple, rank,
@@ -432,11 +398,6 @@ def _stabilize(ctx: _BrieskornContext, k: int, policy: StabilizationPolicy,
     return _window(k, ctx.d, resolved, lambda N: h, "Sebastiani")
 
 
-def hbar_dim(f: Poly, k: int, policy: StabilizationPolicy | None = None) -> int:
-    """dim of the degree-k piece of the torsion-free quotient of H_f."""
-    return hbar_certificate(f, k, policy).value
-
-
 def hbar_certificate(f: Poly, k: int, policy: StabilizationPolicy | None = None) -> StabilizationCertificate:
     return _stabilize(_ctx(f), k, policy or StabilizationPolicy())
 
@@ -502,7 +463,9 @@ def milnor_eigenspace_dim(f: Poly, i: int, policy: StabilizationPolicy | None = 
     for eigenvalue exp(2*pi*sqrt(-1)*i/d).
 
     Computed in degree (n+2)d - i and cross-checked against (n+1)d - i; the
-    two must agree since the transition maps are isomorphisms there.
+    two must agree since the transition maps of the torsion-free quotient
+    H-bar, whose stabilized dims these are, are isomorphisms there.  Those
+    of H_f need not be (see StabilizationPolicy).
     """
     ctx = _ctx(f)
     if not 0 <= i < ctx.d:
@@ -565,38 +528,3 @@ def briancon_skoda(f: Poly, policy: StabilizationPolicy | None = None) -> Brianc
         return BrianconSkodaResult(True, cert.power, cert)
     return BrianconSkodaResult(False, None, cert)
 
-
-def gauss_manin_identity_check(f: Poly, P: Poly) -> bool:
-    """Exterior-algebra identities behind the Gauss-Manin transition maps.
-
-    For omega = P*omega_0 graded of total degree k, checks exactly that
-    df ^ iota_xi(omega) = f*omega and d(iota_xi(omega)) = (k/d)*omega.
-    """
-    ctx = _ctx(f)
-    if not isinstance(P, Poly) or P.nvars != ctx.nvars:
-        raise InputError("P must be a Poly in the same variables as f")
-    if P.is_zero():
-        return True
-    if not P.is_homogeneous():
-        raise InputError("P must be homogeneous")
-    omega = omega0(ctx.nvars).scale(P)
-    xi = EulerField(ctx.nvars, ctx.d)
-    eta = iota_euler(omega, xi)
-    df = Form.from_terms(ctx.nvars, 1, {(i,): ctx.f.partial(i) for i in range(ctx.nvars)})
-    if wedge(df, eta) != omega.scale(ctx.f):
-        return False
-    k = P.homogeneous_degree() + ctx.nvars
-    return exterior_d(eta) == omega.scale(Fraction(k, ctx.d))
-
-
-def coker_check_prop16(f: Poly, k: int) -> bool:
-    """dim H_{f,k} - rank(f: H_{f,k-d} -> H_{f,k}) against dim R_{k-n-1}.
-
-    The cokernel of the transition map is the Jacobian ring shifted by n+1;
-    this verifies the two sides degree by degree.
-    """
-    ctx = _ctx(f)
-    if k < ctx.n + 1:
-        raise InputError(f"degree must be at least n+1 = {ctx.n + 1}")
-    lhs = ctx.hf_dim(k) - ctx.power_rank(k - ctx.d, 1)
-    return lhs == ctx.base.dim_R(k - ctx.n - 1)

@@ -66,20 +66,9 @@ class PencilFamily:
     def pencil(cls, base: Poly, direction: Poly) -> "PencilFamily":
         return cls((base, direction))
 
-    @classmethod
-    def constant(cls, base: Poly) -> "PencilFamily":
-        return cls((base,))
-
     @property
     def nvars(self) -> int:
         return self.coeffs[0].nvars
-
-    @property
-    def degree(self) -> int:
-        for c in self.coeffs:
-            if not c.is_zero():
-                return c.homogeneous_degree()
-        raise InvariantError("unreachable: empty family")
 
 
 def specialize(fam: PencilFamily, s0) -> Poly:
@@ -154,11 +143,11 @@ def _graded_quotient(f: Poly, n: int, d: int, k: int, power: int):
     Seeds the solver with the f-image classes (labelled None), then adds the
     classes of ambient monomials; the accepted ones label the quotient basis.
     On a proved-smooth fiber the quotient is the Jacobian ring piece R_{k-n-1}
-    (Griffiths), of the dimension the Hilbert series gives (Prop. 16,
-    `brieskorn.coker_check_prop16`), at every power.  Past the socle degree
-    (n+1)(d-2) it is zero, as is the target k = (q+1)d of `grp_nabla_matrix`
-    for every q >= n, and the empty presentation is returned without
-    building the relation space.
+    (Griffiths), of the dimension the Hilbert series gives (Prop. 16: the
+    cokernel of f on H_f is R shifted by n+1), at every power.  Past the
+    socle degree (n+1)(d-2) it is zero, as is the target k = (q+1)d of
+    `grp_nabla_matrix` for every q >= n, and the empty presentation is
+    returned without building the relation space.
     """
     if k < n + 1:
         return None, []

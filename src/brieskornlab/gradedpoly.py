@@ -198,12 +198,6 @@ class Poly:
             raise InputError("polynomial is zero or not homogeneous")
         return degs.pop()
 
-    def coefficient(self, m: Monomial):
-        return self.terms.get(tuple(m), 0)
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, 0)
-
     def partial(self, i: int) -> "Poly":
         """Partial derivative with respect to variable i."""
         out = {}
@@ -285,6 +279,26 @@ def _coeff(c):
 
 # ---------------------------------------------------------------------- bases
 
+# input budget: the most monomials one degree may have.  Every index, every
+# Jacobian and relation row, and the bases of the family quotients and the
+# global level-q sections are built through `jacobian._JacContext.monomials`,
+# which refuses a larger basis before building it, and `parse_poly` refuses
+# to expand a power or product into such a degree.  A basis and its index
+# take about 150 bytes a monomial (CPython 3.11), so this bounds one at about
+# 40 MB; the largest that the tests build has 4495 monomials (4 variables,
+# degree 28), the problem corpus and the benchmark workloads 680.
+_MAX_BASIS_SIZE = 250_000
+
+
+def _basis_overflow(nvars: int, m: int) -> str | None:
+    """The refusal of degree m in nvars variables when it has more than
+    _MAX_BASIS_SIZE monomials, else None."""
+    size = comb(m + nvars - 1, nvars - 1) if m >= 0 else 0
+    if size <= _MAX_BASIS_SIZE:
+        return None
+    return (f"degree {m} has {size} monomials in {nvars} variables, "
+            f"more than the limit of {_MAX_BASIS_SIZE}")
+
 
 def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
     """All monomials of the given total degree, in descending lex order.
@@ -309,9 +323,8 @@ def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
-def monomials_weighted_below(nvars: int, weights: Sequence[Fraction], bound: Fraction,
-                             strict: bool = True) -> list[Monomial]:
-    """Monomials with weighted degree < bound (or <= if strict=False).
+def monomials_weighted_below(nvars: int, weights: Sequence[Fraction], bound: Fraction) -> list[Monomial]:
+    """Monomials with weighted degree < bound.
 
     Finite because all weights are positive.  Sorted by (weighted degree,
     descending lex) so weighted jet spaces get a canonical coordinate order.
@@ -326,7 +339,7 @@ def monomials_weighted_below(nvars: int, weights: Sequence[Fraction], bound: Fra
         w = ws[i]
         top = budget / w
         emax = int(top)
-        if strict and emax == top:
+        if emax == top:
             emax -= 1
         for e in range(max(emax, -1) + 1):
             rec(prefix + (e,), budget - e * w, i + 1)
@@ -417,8 +430,11 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
     """Parse polynomial text over the named variables; exact, no floats.
 
     Raises ParseError (with position) on syntax errors, on names that are
-    not in `variables` and on more than _MAX_NESTING (100) nested
-    parentheses or unary minus signs.
+    not in `variables`, on more than _MAX_NESTING (100) nested
+    parentheses or unary minus signs, and at a '^' or '*' whose result has
+    a degree D with more than _MAX_BASIS_SIZE monomials of degree D, before
+    expanding it.  That bounds the degree of what is expanded, not the
+    time: a power or product within the budget can still take long.
     """
     names = list(variables)
     if len(set(names)) != len(names):
@@ -440,19 +456,32 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
             else:
                 return value
 
+    def refuse_over_budget(degree: int, pos: int) -> None:
+        if degree > 0:   # degree 0 has one monomial, even with no variables
+            refusal = _basis_overflow(nvars, degree)
+            if refusal:
+                raise ParseError(refusal, pos)
+
     def parse_term() -> Poly:
         value = parse_factor()
         while toks.peek() == "*":
+            pos = toks.pos
             toks.pos += 1
-            value = value * parse_factor()
+            factor = parse_factor()
+            if value and factor:
+                refuse_over_budget(value.degree() + factor.degree(), pos)
+            value = value * factor
         return value
 
     def parse_factor() -> Poly:
         value = parse_base()
         if toks.peek() == "^":
+            pos = toks.pos
             toks.pos += 1
             toks.skip_ws()
             e = toks.take_number()
+            if value:
+                refuse_over_budget(value.degree() * e, pos)
             value = value**e
         return value
 

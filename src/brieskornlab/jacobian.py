@@ -48,7 +48,8 @@ from functools import cached_property
 from math import comb
 
 from .exactlinalg import InvariantError, full_rank_mod_p, rank_of_vectors
-from .gradedpoly import InputError, Poly, hilbert_ci_coeffs, is_squarefree, mono_mul, monomial_basis
+from .gradedpoly import (InputError, Poly, _basis_overflow, hilbert_ci_coeffs, is_squarefree,
+                         mono_mul, monomial_basis)
 
 
 class NonIsolatedError(InvariantError):
@@ -65,16 +66,6 @@ class NonIsolatedError(InvariantError):
 # _TJURINA_DEGREE_BUDGET * (n+2) degrees past its start, then gives up undecided
 # (a jump to the degree h of a constant run h is let through up to h+1)
 _TJURINA_DEGREE_BUDGET = 6
-
-# input budget: the most monomials one degree of a context may have.  Every
-# index, every Jacobian and relation row, and the bases of the family quotients
-# and the global level-q sections are built through `_JacContext.monomials`,
-# which refuses a larger basis before building it.  A basis and its index
-# take about 150 bytes a monomial (CPython 3.11), so this bounds one at about
-# 40 MB; the largest that the tests build has 4495 monomials (4 variables,
-# degree 28), the problem corpus and the benchmark workloads 680.
-_MAX_BASIS_SIZE = 250_000
-
 
 class _JacContext:
     """Context of one hypersurface: the validated integer-scaled f, its scale,
@@ -127,11 +118,9 @@ class _JacContext:
     def monomials(self, m: int) -> list:
         got = self._monos.get(m)
         if got is None:
-            size = comb(m + self.n, self.n) if m >= 0 else 0
-            if size > _MAX_BASIS_SIZE:
-                raise InputError(
-                    f"degree {m} has {size} monomials in {self.nvars} variables, "
-                    f"more than the limit of {_MAX_BASIS_SIZE}")
+            refusal = _basis_overflow(self.nvars, m)
+            if refusal:
+                raise InputError(refusal)
             got = self._monos[m] = monomial_basis(self.nvars, m)
         return got
 
@@ -193,11 +182,6 @@ def _ctx(f: Poly) -> _JacContext:
     return got
 
 
-def jacobian_dim(f: Poly, k: int) -> int:
-    """dim R_k, exact."""
-    return _ctx(f).dim_R(k)
-
-
 def jacobian_dims(f: Poly, k_max: int) -> list:
     """[dim R_k for k = 0..k_max]."""
     ctx = _ctx(f)
@@ -217,19 +201,6 @@ def smoothness_test(f: Poly) -> bool:
     the context of f (`_JacContext.smooth`).
     """
     return _ctx(f).smooth
-
-
-def smooth_hodge_numbers(n: int, d: int) -> list:
-    """Primitive Hodge numbers [h^{n-1-q,q}_prim, q = 0..n-1] of a smooth
-    degree-d hypersurface in P^n, read off the Jacobian Hilbert series."""
-    if n < 2 or d < 2:
-        raise InputError("need n >= 2 and d >= 2")
-    coeffs = hilbert_ci_coeffs(n + 1, d - 1)
-    out = []
-    for q in range(n):
-        k = q * d + d - n - 1
-        out.append(coeffs[k] if 0 <= k < len(coeffs) else 0)
-    return out
 
 
 def _macaulay_bound(h: int, k: int) -> int:

@@ -61,10 +61,6 @@ class WeightedChart:
         """True when the local equation has terms above weighted degree 1."""
         return self.local_eq != self.h1
 
-    @property
-    def rational_singularity(self) -> bool:
-        return self.alpha > 1
-
     @cached_property
     def tjurina(self) -> int:
         """The local Tjurina number, computed on first use and kept on the
@@ -189,23 +185,6 @@ def alpha_Y(charts, f: Poly | None = None):
     return min(c.alpha for c in charts)
 
 
-def monomial_ideal_geq(chart: WeightedChart, beta) -> list:
-    """Minimal monomial generators of the ideal of weighted order >= beta-alpha."""
-    beta = Fraction(beta)
-    nloc = chart.nloc
-    t = beta - chart.alpha
-    if t <= 0:
-        return [(0,) * nloc]
-    wmax = max(chart.weights)
-    cand = [m for m in monomials_weighted_below(nloc, chart.weights, t + wmax, strict=False)
-            if weighted_degree(m, chart.weights) >= t]
-    gens = []
-    for m in cand:
-        if not any(g != m and all(ge <= me for ge, me in zip(g, m)) for g in cand):
-            gens.append(m)
-    return gens
-
-
 class LocalIdealJets:
     """Membership data for the level-q local ideal below its free threshold.
 
@@ -249,7 +228,7 @@ def local_jq_jets(chart: WeightedChart, q: int) -> LocalIdealJets:
         return LocalIdealJets(q, theta, (), Subspace.zero(0))
     ws = chart.weights
     wmax = max(ws)
-    basis = tuple(monomials_weighted_below(nloc, ws, theta, strict=True))
+    basis = tuple(monomials_weighted_below(nloc, ws, theta))
     idx = {m: i for i, m in enumerate(basis)}
     h = chart.local_eq
     dh = [h.partial(i) for i in range(nloc)]
@@ -259,7 +238,7 @@ def local_jq_jets(chart: WeightedChart, q: int) -> LocalIdealJets:
     for k in range(k0 + 1):
         jmax = q - k
         low = k + 1 - chart.alpha
-        cand = [m for m in monomials_weighted_below(nloc, ws, low + jmax * wmax, strict=True)
+        cand = [m for m in monomials_weighted_below(nloc, ws, low + jmax * wmax)
                 if weighted_degree(m, ws) >= low]
         hpows = [h ** e for e in range(jmax + 1)]
         for m0 in cand:

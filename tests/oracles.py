@@ -1,10 +1,23 @@
-"""Polynomial differential forms on affine space with the Euler contraction.
+"""Reference implementations that the tests compare the package against.
 
-A j-form is a sparse map from sorted index tuples (the dx factors) to
+None of these runs on a CLI path; each is an independent way to reach a
+number the package computes another way.
+
+Polynomial differential forms on affine space with the Euler contraction: a
+j-form is a sparse map from sorted index tuples (the dx factors) to
 polynomial coefficients.  The grading puts deg(x_i) = deg(dx_i) = 1, so the
 exterior derivative preserves total degree and the Lie derivative along the
 rescaled Euler field xi = (1/d) sum x_i d/dx_i acts on a graded form of total
-degree k as multiplication by k/d.
+degree k as multiplication by k/d.  The relation-row tests build
+(df ^ dOmega^{n-1})_k literally with these forms.
+
+Three checks of the paper's identities close the module: the Gauss-Manin
+identities behind the transition maps, the cokernel of multiplication by f
+(Prop. 16) and the primitive Hodge numbers of a smooth hypersurface
+(Griffiths).
+
+Test files import it as a plain module: pytest's default import mode puts
+the test directory on sys.path.
 """
 
 from __future__ import annotations
@@ -12,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .gradedpoly import InputError, Poly
+from brieskornlab import brieskorn
+from brieskornlab.gradedpoly import InputError, Poly, hilbert_ci_coeffs
 
 
 class EulerField:
@@ -247,3 +261,47 @@ def eta0(nvars: int, d: int) -> Form:
         c = Poly.variable(nvars, i).scale(scale if i % 2 == 0 else -scale)
         terms[idx] = c
     return Form.from_terms(nvars, nvars - 1, terms)
+
+
+def gauss_manin_identity_check(f: Poly, P: Poly) -> bool:
+    """Exterior-algebra identities behind the Gauss-Manin transition maps.
+
+    For f homogeneous of degree d and omega = P*omega_0 graded of total
+    degree k, checks exactly that df ^ iota_xi(omega) = f*omega and
+    d(iota_xi(omega)) = (k/d)*omega.
+    """
+    if P.is_zero():
+        return True
+    nvars, d = f.nvars, f.homogeneous_degree()
+    omega = omega0(nvars).scale(P)
+    eta = iota_euler(omega, EulerField(nvars, d))
+    if wedge(exterior_d(Form.from_poly(f)), eta) != omega.scale(f):
+        return False
+    k = P.homogeneous_degree() + nvars
+    return exterior_d(eta) == omega.scale(Fraction(k, d))
+
+
+def coker_check_prop16(f: Poly, k: int) -> bool:
+    """dim H_{f,k} - rank(f: H_{f,k-d} -> H_{f,k}) against dim R_{k-n-1}.
+
+    The cokernel of the transition map is the Jacobian ring shifted by n+1;
+    this verifies the two sides degree by degree.
+    """
+    ctx = brieskorn._ctx(f)
+    if k < ctx.n + 1:
+        raise InputError(f"degree must be at least n+1 = {ctx.n + 1}")
+    lhs = ctx.hf_dim(k) - ctx.power_rank(k - ctx.d, 1)
+    return lhs == ctx.base.dim_R(k - ctx.n - 1)
+
+
+def smooth_hodge_numbers(n: int, d: int) -> list:
+    """Primitive Hodge numbers [h^{n-1-q,q}_prim, q = 0..n-1] of a smooth
+    degree-d hypersurface in P^n, read off the Jacobian Hilbert series."""
+    if n < 2 or d < 2:
+        raise InputError("need n >= 2 and d >= 2")
+    coeffs = hilbert_ci_coeffs(n + 1, d - 1)
+    out = []
+    for q in range(n):
+        k = q * d + d - n - 1
+        out.append(coeffs[k] if 0 <= k < len(coeffs) else 0)
+    return out

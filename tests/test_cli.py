@@ -151,7 +151,10 @@ def test_exit_one_family_without_family_section(capsys):
     "-" * 3000 + "x",
     "x^" + "9" * 5000,
     "1" * 5000 + "*x^3",
-], ids=["deep-parentheses", "deep-minus", "long-exponent", "long-coefficient"])
+    "(x+y+z)^3000",
+    "x^700*y^701",
+], ids=["deep-parentheses", "deep-minus", "long-exponent", "long-coefficient", "huge-power",
+        "huge-product"])
 def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial):
     p = tmp_path / "p.txt"
     p.write_text(f"variables = x y z\npolynomial = {polynomial}\n")

@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from brieskornlab.exterior import (EulerField, Form, eta0, exterior_d,
-                                   iota_euler, lie_euler, omega0, wedge)
 from brieskornlab.gradedpoly import InputError, Poly, monomial_basis
+from oracles import EulerField, Form, eta0, exterior_d, iota_euler, lie_euler, omega0, wedge
 
 
 def rand_poly(rng, nvars, degree, homogeneous=True):

@@ -1,13 +1,17 @@
 """Source hygiene of the package: no module imports a name it never uses,
-no private helper outlives its callers, and no module starts a process-global
-cache.
+no function, class or method outlives its callers, and no module starts a
+process-global cache.
 
 The scans are syntactic.  Every name bound by an import statement in a module
 of src/brieskornlab (the package __init__, which re-exports, excepted) must
 appear as a name somewhere else in that module; `from __future__` imports
-are directives, not names, and are skipped.  Every module-level private
-function or class (one leading underscore) must be referenced, as a name or
-an attribute, by some module of the package outside its own definition.  No
+are directives, not names, and are skipped.  Every module-level function or
+class, public or private, and every method of such a class but the dunders
+must be referenced, as a name or an attribute, by some module of the package
+outside its own definition: a re-export from the package __init__ is no
+reference, so an export that nothing in the package calls fails the scan.
+Reference implementations that only tests call live under tests/ (the
+`oracles` module).  `_KEPT_UNREFERENCED` names the one exception.  No
 module binds an empty mutable container ({}, [], set(), dict(), list()) at
 module level: such a binding is a cache or registry that lives as long as
 the process, where per-polynomial state belongs on an object that dies with
@@ -73,38 +77,72 @@ def _references(tree, skip=None) -> set:
     return found
 
 
-def unreferenced_private_defs(sources: dict) -> list:
-    """(module, name) of each module-level private def or class that no
-    module in sources references outside the definition itself."""
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# cli.parse_report reads a rendered report back, the round trip README documents
+_KEPT_UNREFERENCED = frozenset({"parse_report"})
+
+
+def _defs(tree):
+    """Module-level defs and classes of tree and the methods of those
+    classes, but the dunders, which the language calls."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (m for m in node.body if isinstance(m, _DEFS))
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced_defs(sources: dict, kept=frozenset()) -> list:
+    """(module, name) of each def, class or method from `_defs`, except the
+    names in kept, that no module in sources references outside the
+    definition itself."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     elsewhere = {name: set().union(*(_references(t) for other, t in trees.items() if other != name))
                  for name in trees}
     out = []
     for name, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")
+        for node in _defs(tree):
+            if (not _is_dunder(node.name) and node.name not in kept
                     and node.name not in elsewhere[name] | _references(tree, skip=node)):
                 out.append((name, node.name))
     return sorted(out)
 
 
 def test_scanner_flags_only_unreferenced_private_defs():
+    """Private defs, and public defs and methods alike."""
     sources = {"a": ("def _used_here(): pass\n"
                      "def _recursive(n): return _recursive(n - 1)\n"
                      "class _Dead: pass\n"
                      "def _used_there(): pass\n"
                      "def __dunder__(): pass\n"
-                     "def public(): return _used_here()\n"),
+                     "def public(): return _used_here()\n"
+                     "def exported(): pass\n"
+                     "def documented(): pass\n"
+                     "class Shape:\n"
+                     "    def __init__(self): self.area()\n"
+                     "    def area(self): return self.side()\n"
+                     "    def side(self): return 1\n"
+                     "    def unused(self): return self.unused()\n"
+                     "    @property\n"
+                     "    def dead_property(self): return 0\n"),
                "b": ("from . import a\n"
-                     "def f(): return a._used_there()\n")}
-    assert unreferenced_private_defs(sources) == [("a", "_Dead"), ("a", "_recursive")]
+                     "def f(): return a._used_there(), a.public(), a.Shape()\n"),
+               "__init__": "from .a import exported\n__all__ = ['exported']\n"}
+    assert unreferenced_defs(sources, kept={"documented"}) == [
+        ("a", "_Dead"), ("a", "_recursive"), ("a", "dead_property"), ("a", "exported"),
+        ("a", "unused"), ("b", "f")]
 
 
 def test_no_private_def_is_left_unreferenced():
+    """Nor any public def or method (`_defs`), but `_KEPT_UNREFERENCED`."""
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 1
-    assert unreferenced_private_defs(sources) == []
+    assert unreferenced_defs(sources, _KEPT_UNREFERENCED) == []
 
 
 _EMPTY_CALLS = {"set", "dict", "list"}

@@ -13,14 +13,13 @@ from pathlib import Path
 import pytest
 
 from brieskornlab import brieskorn, gradedpoly, jacobian
-from brieskornlab.brieskorn import hf_dim
 from brieskornlab.cli import main
 from brieskornlab.exactlinalg import InvariantError
 from brieskornlab.families import PencilFamily, pole_constancy_check, specialize
 from brieskornlab.gradedpoly import InputError, hilbert_ci_coeffs, parse_poly
 from brieskornlab.jacobian import (NonIsolatedError, _macaulay_bound, global_tjurina,
-                                   jacobian_dim, jacobian_dims,
-                                   smooth_hodge_numbers, smoothness_test)
+                                   jacobian_dims, smoothness_test)
+from oracles import smooth_hodge_numbers
 
 XYZ = ("x", "y", "z")
 XYZT = ("x", "y", "z", "t")
@@ -44,12 +43,12 @@ def test_jacobian_dims_fermat_matches_hilbert_series():
 
 def test_jacobian_dims_cusp():
     assert jacobian_dims(CUSP, 6) == [1, 3, 3, 2, 2, 2, 2]
-    assert jacobian_dim(CUSP, 50) == 2  # stable value = global Tjurina
+    assert jacobian._ctx(CUSP).dim_R(50) == 2  # stable value = global Tjurina
 
 
 def test_jacobian_dims_two_cusp():
     assert jacobian_dims(TWO_CUSP, 8) == [1, 3, 6, 7, 6, 4, 4, 4, 4]
-    assert jacobian_dim(TWO_CUSP, -1) == 0  # R_k vanishes below degree zero
+    assert jacobian._ctx(TWO_CUSP).dim_R(-1) == 0  # R_k vanishes below degree zero
 
 
 def test_smoothness():
@@ -152,7 +151,7 @@ def test_tjurina_of_a_cone_above_the_old_cap(monkeypatch, src, variables, start,
     seen = _count_tjurina_degrees(monkeypatch, f)
     assert global_tjurina(f) == tau
     assert seen == [start, start + 1]
-    assert jacobian_dim(f, start + 4) == jacobian_dim(f, tau + 1) == tau
+    assert jacobian._ctx(f).dim_R(start + 4) == jacobian._ctx(f).dim_R(tau + 1) == tau
 
 
 def test_tjurina_jumps_to_degree_tau_when_every_coordinate_meets_the_locus(monkeypatch):
@@ -208,9 +207,9 @@ def test_the_certified_tjurina_tail_matches_exact_ranks(monkeypatch):
         monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
         tau = global_tjurina(f)
         k0, stable = jacobian._ctx(f)._stable
-        certified = [jacobian_dim(f, k) for k in range(k0, k0 + 4)]
+        certified = [jacobian._ctx(f).dim_R(k) for k in range(k0, k0 + 4)]
         monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
-        assert certified == [jacobian_dim(f, k) for k in range(k0, k0 + 4)] == [tau] * 4
+        assert certified == [jacobian._ctx(f).dim_R(k) for k in range(k0, k0 + 4)] == [tau] * 4
         assert stable == tau
 
 
@@ -255,20 +254,20 @@ def test_non_reduced_f_has_a_jacobian_ring_but_no_brieskorn_module(monkeypatch):
     assert jacobian_dims(f, 5) == [1, 3, 4, 5, 6, 7]
     for _ in range(2):
         with pytest.raises(InputError, match=r"f must be reduced \(squarefree\)"):
-            hf_dim(f, 4)
-    assert jacobian_dim(f, 6) == 8
+            brieskorn._ctx(f).hf_dim(4)
+    assert jacobian._ctx(f).dim_R(6) == 8
     assert len(calls) == 1   # the verdict is kept on the context
 
 
 def test_brieskorn_and_jacobian_share_one_context():
     f = parse_poly("x^3 + y^3 + z^3 + 2/3*x^2*y", XYZ)
-    hf_dim(f, 6)
+    brieskorn._ctx(f).hf_dim(6)
     jacobian_dims(f, 4)
     jac, bri = jacobian._ctx(f), brieskorn._ctx(f)
     assert bri.base is jac and jac.brieskorn is bri
     assert brieskorn._ctx(f) is bri and jacobian._ctx(f) is jac
     assert jac.scale == bri.scale == 3 and bri.f is jac.f
-    for m in (3, 4):   # filled by hf_dim (m = k-n-1) and by jacobian_dims
+    for m in (3, 4):   # filled by the Brieskorn context (m = k-n-1) and by jacobian_dims
         assert bri.index(m) is jac.index(m)
 
 
@@ -277,7 +276,7 @@ def test_a_context_lives_as_long_as_its_polynomial():
     process-global cache keeps it."""
     f = parse_poly("x^5 + y^5 + z^5 - 7*x^2*y^2*z", XYZ)   # used nowhere else
     assert smoothness_test(f)
-    assert hf_dim(f, 8) == 12 + 1   # dim R_5 + dim R_0
+    assert brieskorn._ctx(f).hf_dim(8) == 12 + 1   # dim R_5 + dim R_0
     ref = weakref.ref(jacobian._ctx(f))
     assert jacobian._ctx(f) is ref()
     del f

@@ -30,11 +30,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import coker_check_prop16  # noqa: E402
 from test_kernel_oracle import dense_rref  # noqa: E402
 
 from brieskornlab import brieskorn, jacobian  # noqa: E402
-from brieskornlab.brieskorn import (StabilizationError, StabilizationPolicy,  # noqa: E402
-                                    coker_check_prop16)
+from brieskornlab.brieskorn import StabilizationError, StabilizationPolicy  # noqa: E402
 from brieskornlab.exactlinalg import Subspace, rank_of_vectors  # noqa: E402
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,  # noqa: E402
                                    grp_nabla_matrix, specialize)
@@ -42,8 +42,7 @@ from brieskornlab.gradedpoly import (InputError, Poly, hilbert_ci_coeffs,  # noq
                                      is_squarefree, monomial_basis, poly_gcd,
                                      try_divide)
 from brieskornlab.jacobian import (NonIsolatedError, _macaulay_bound,  # noqa: E402
-                                   global_tjurina, jacobian_dim, jacobian_dims,
-                                   smoothness_test)
+                                   global_tjurina, jacobian_dims, smoothness_test)
 
 
 @st.composite
@@ -135,14 +134,14 @@ def test_jacobian_growth_obeys_macaulay_and_the_certificate(f):
     except NonIsolatedError as e:
         event("positive dimensional")
         k = int(re.search(r"grows maximally from degree (\d+) to", str(e)).group(1))
-        h = [jacobian_dim(f, j) for j in range(k, k + 4)]
+        h = [jacobian._ctx(f).dim_R(j) for j in range(k, k + 4)]
         assert h[1] > h[0]
         for j in (1, 2):
             assert h[j + 1] == _macaulay_bound(h[j], k + j), (k, h)
         return
     event("finite, tau > 0" if tau else "smooth")
     high = max(start, tau) + 2
-    assert tau == jacobian_dim(f, high) == jacobian_dim(f, high + 1)
+    assert tau == jacobian._ctx(f).dim_R(high) == jacobian._ctx(f).dim_R(high + 1)
 
 
 @st.composite

@@ -13,7 +13,7 @@ import pytest
 
 from brieskornlab import brieskorn, jacobian
 from brieskornlab.brieskorn import (StabilizationError, StabilizationPolicy,
-                                    briancon_skoda, hbar_certificate, hf_dim,
+                                    briancon_skoda, hbar_certificate,
                                     milnor_eigenspace_dim, pole_filtration_dims)
 from brieskornlab.exactlinalg import InvariantError, rank_of_vectors
 from brieskornlab.gradedpoly import hilbert_ci_coeffs, parse_poly
@@ -86,7 +86,7 @@ def test_linear_form_has_zero_module():
     assert [c.values for c in certs] == [(0,)] * 3
     assert {c.rule for c in certs} == {"Sebastiani"}
     assert briancon_skoda(f)
-    assert [hf_dim(f, k) for k in range(6)] == [0] * 6
+    assert [brieskorn._ctx(f).hf_dim(k) for k in range(6)] == [0] * 6
 
 
 def test_smooth_jacobian_ring_reads_the_series(monkeypatch):
@@ -147,7 +147,7 @@ def test_singular_input_is_scanned(text, variables):
     certs.append(briancon_skoda(f).certificate)
     certs += [hbar_certificate(f, k) for k in range(n + 1, 2 * d + 1)]
     assert certs and all(c.rule in ("early zero", "window") for c in certs)
-    assert any(hbar_certificate(f, k).value < hf_dim(f, k) for k in range(n + 1, 2 * d))
+    assert any(hbar_certificate(f, k).value < brieskorn._ctx(f).hf_dim(k) for k in range(n + 1, 2 * d))
     ctx = jacobian._ctx(f)
     assert jacobian_dims(f, ctx.probe + 1)[-2:] == \
         [elimination_dim_R(ctx, ctx.probe), elimination_dim_R(ctx, ctx.probe + 1)]

@@ -11,7 +11,6 @@ from brieskornlab.gradedpoly import InputError, Poly, parse_poly
 from brieskornlab.singularities import (WeightedChart, alpha_Y, build_chart,
                                         global_jq_dim, hodge_filtration_dims,
                                         local_jq_jets, local_tjurina,
-                                        monomial_ideal_geq,
                                         verify_chart_coverage)
 
 XYZ = ("x", "y", "z")
@@ -40,7 +39,6 @@ def test_build_chart_cusp():
     assert ch.nloc == 2
     assert ch.local_eq == parse_poly("x^3 + y^2", ("x", "y"))
     assert not ch.swh_tail  # genuinely weighted homogeneous
-    assert not ch.rational_singularity  # alpha < 1
 
 
 def test_build_chart_node():
@@ -136,23 +134,6 @@ HALF = Fraction(1, 2)
 def test_isolated_weighted(h1, weights, isolated):
     poly = parse_poly(h1, XYZ[:len(weights)])
     assert singularities._isolated_weighted(poly, weights) is isolated
-
-
-def test_monomial_ideal_geq():
-    ch = cusp_chart()
-    assert set(monomial_ideal_geq(ch, Fraction(1))) == {(1, 0), (0, 1)}
-    assert monomial_ideal_geq(ch, Fraction(1, 2)) == [(0, 0)]  # beta <= alpha
-    node = build_chart(NODAL_CUBIC, (0, 0, 1), 2, (Fraction(1, 2), Fraction(1, 2)))
-    assert set(monomial_ideal_geq(node, Fraction(2))) == {(2, 0), (1, 1), (0, 2)}
-
-
-def test_minimality_of_ideal_generators():
-    ch = cusp_chart()
-    gens = monomial_ideal_geq(ch, Fraction(2))
-    for g in gens:
-        for h in gens:
-            if g is not h:
-                assert not all(a <= b for a, b in zip(g, h))
 
 
 def test_local_jq_jets_cusp_q0():
