@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from . import jacobian
 from .exactlinalg import InvariantError, Subspace, _strip_content, echelon_rows
-from .gradedpoly import InputError, Poly, mono_mul
+from .gradedpoly import InputError, Poly, mono_mul, multiples
 
 
 class StabilizationError(InvariantError):
@@ -183,26 +183,22 @@ class _BrieskornContext:
         There are (n+1) C(e+n-1, n-1) of type (a) and n dim S_{e-1} of type
         (b), which is (n+1) dim S_e - dim S_{e-1}, the dimension of the
         kernel.  A field with g.grad(f) = 0 gives no row, so that count
-        bounds the number of rows.
+        bounds the number of rows.  Each row is one Jacobian row
+        jac[a][alpha] of x^alpha f_a (alpha in S_e), or for type (b)
+        (b_n+1) jac[a][b+e_a] - (b_a+1) jac[n][b+e_n].
         """
         e = k - self.n - self.d
         if e < 0:
             return []
-        n = self.n
-        idx = self.index(k - n - 1)
-        rows = []
-        for alpha in self.monomials(e):
-            for a, terms in enumerate(self.partials):
-                if not alpha[a]:
-                    rows.append({idx[mono_mul(mono, alpha)]: c for mono, c in terms})
-        # x_a * f_a: the e_a-term of a type (b) field adds (b_n+1) x^b x_a f_a
-        shifted = [[(mono[:a] + (mono[a] + 1,) + mono[a + 1:], c) for mono, c in terms]
-                   for a, terms in enumerate(self.partials)]
+        n, monos, at = self.n, self.monomials(e), self.index(e)
+        jac = [multiples([p], monos, self.index(k - n - 1)) for p in self.partials]
+        rows = [jac[a][i] for i, alpha in enumerate(monos) for a in range(n + 1) if not alpha[a]]
         for b in self.monomials(e - 1):
-            last = [(idx[mono_mul(mono, b)], c) for mono, c in shifted[n]]
+            up = [at[b[:a] + (b[a] + 1,) + b[a + 1:]] for a in range(n + 1)]
+            last = jac[n][up[n]]
             for a in range(n):
-                row = {idx[mono_mul(mono, b)]: (b[n] + 1) * c for mono, c in shifted[a]}
-                for col, c in last:
+                row = {col: (b[n] + 1) * c for col, c in jac[a][up[a]].items()}
+                for col, c in last.items():
                     v = row.get(col, 0) - (b[a] + 1) * c
                     if v:
                         row[col] = v

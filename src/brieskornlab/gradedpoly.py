@@ -13,7 +13,8 @@ elimination (see "gcd tools" below).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, floor, gcd
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .exactlinalg import ExactMatrix, InputError, full_rank_mod_p
@@ -31,7 +32,7 @@ class ParseError(InputError):
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_degree(m: Monomial) -> int:
@@ -323,6 +324,23 @@ def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
+def multiples(polys: Sequence[list], monos: Iterable[Monomial], index: Mapping) -> list[dict]:
+    """The rows of x^m * p over the columns of index, for each monomial m of
+    monos (outer loop) and each p of polys (inner loop, a list of (monomial,
+    coefficient) pairs).  A product outside index is left out, so the index
+    decides between full, cut and truncated rows."""
+    rows = []
+    for m in monos:
+        for terms in polys:
+            row = {}
+            for t, c in terms:
+                col = index.get(mono_mul(t, m))
+                if col is not None:
+                    row[col] = c
+            rows.append(row)
+    return rows
+
+
 def monomials_weighted_below(nvars: int, weights: Sequence[Fraction], bound: Fraction) -> list[Monomial]:
     """Monomials with weighted degree < bound.
 
@@ -338,7 +356,7 @@ def monomials_weighted_below(nvars: int, weights: Sequence[Fraction], bound: Fra
             return
         w = ws[i]
         top = budget / w
-        emax = int(top)
+        emax = floor(top)
         if emax == top:
             emax -= 1
         for e in range(max(emax, -1) + 1):

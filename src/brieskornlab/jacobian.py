@@ -30,12 +30,16 @@ sequence of n+1 forms of degree d-1, R is their complete intersection, and
 every other dim R_k is read off the Hilbert series ((1-t^(d-1))/(1-t))^(n+1)
 (empty for d = 1, where R = 0); those numbers are theorems, not eliminations.
 Before the verdict, and for singular f, dim R_k is an exact rank, except past
-the degree where `global_tjurina` certified tau: every later dim R_k is tau.
+the degree k where `global_tjurina` proved the tail: every later dim R_j is
+tau, or, once the growth from k is maximal, Macaulay's bound iterated from
+dim R_k (Gotzmann persistence).  Every row the module builds is a Macaulay
+row of the partials (`gradedpoly.multiples`).
 
 `_ctx(f)` is the one context of f per live polynomial: it validates, scales
 and differentiates f once, holds the Brieskorn state of f beside the ranks of
 R, and decides reducedness and smoothness on first use only, since R is
-defined for every f.  The context lives exactly as long as the Poly it was
+defined for every f; a smooth f is reduced, so the gcd runs on singular f
+only.  The context lives exactly as long as the Poly it was
 first asked for (a weak key): an equal Poly shares it while that one is
 alive, and builds a new one after.  A caller that asks about one polynomial
 again keeps that Poly alive, as `families.PencilFamily` keeps its fibers.
@@ -49,7 +53,7 @@ from math import comb
 
 from .exactlinalg import InvariantError, full_rank_mod_p, rank_of_vectors
 from .gradedpoly import (InputError, Poly, _basis_overflow, hilbert_ci_coeffs, is_squarefree,
-                         mono_mul, monomial_basis)
+                         monomial_basis, multiples)
 
 
 class NonIsolatedError(InvariantError):
@@ -71,9 +75,7 @@ class _JacContext:
     """Context of one hypersurface: the validated integer-scaled f, its scale,
     partials, monomial bases and indices by degree, the ranks dim R_k, the
     reducedness and smoothness verdicts and the Brieskorn state (set by
-    `brieskorn._ctx`).  Of the Jacobian rows it keeps only those of the last
-    two degrees `dim_R` eliminated: the Tjurina scan tests degree k after
-    eliminating degree k+1 (`_coordinate_section_vanishes`)."""
+    `brieskorn._ctx`)."""
 
     def __init__(self, f: Poly):
         if not isinstance(f, Poly):
@@ -93,14 +95,16 @@ class _JacContext:
         self._monos: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._dims: dict[int, int] = {}
-        self._recent_rows: tuple = ()   # ((k, image rows), ...) of dim_R's last two eliminations
         self._series: list | None = None   # Hilbert function of R, once smooth
-        self._stable: tuple | None = None  # (k, tau): dim R_j = tau for j >= k, once certified
+        self._tail: tuple | None = None    # (k, dim R_k, grows) from global_tjurina, see dim_R
 
     @cached_property
     def reduced(self) -> bool:
-        """Whether f is squarefree; decided on first use."""
-        return is_squarefree(self.f)
+        """Whether f is squarefree; decided on first use.  A smooth f is: a
+        repeated factor g makes f = 0 singular along g = 0.  So the smoothness
+        verdict, which every caller of this one reads next anyway, comes
+        first, and the gcd runs on singular f only."""
+        return self.smooth or is_squarefree(self.f)
 
     @cached_property
     def smooth(self) -> bool:
@@ -135,35 +139,28 @@ class _JacContext:
         mdeg = k - (self.d - 1)
         if mdeg < 0:
             return []
-        idx = self.index(k)
-        rows = []
-        for m in self.monomials(mdeg):
-            for terms in self.partials:
-                row = {}
-                for mono, c in terms:
-                    col = idx[mono_mul(mono, m)]
-                    row[col] = row.get(col, 0) + c
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
-        return rows
+        return [row for row in multiples(self.partials, self.monomials(mdeg), self.index(k)) if row]
 
     def dim_R(self, k: int) -> int:
         """dim R_k: read off the Hilbert series once f is proved smooth (but
-        at the probe degree, which proved it), tau from the degree where
-        `global_tjurina` certified it on, an exact rank otherwise.  At the
-        probe degree a full rank modulo a prime proves R_k = 0 first."""
+        at the probe degree, which proved it), read off the tail that
+        `global_tjurina` proved from its degree on, an exact rank otherwise.
+        The tail is constant (tau) or, past maximal growth, Macaulay's bound
+        iterated (Gotzmann persistence).  At the probe degree a full rank
+        modulo a prime proves R_k = 0 first."""
         if k < 0:
             return 0
         if self._series is not None and k != self.probe:
             return self._series[k] if k < len(self._series) else 0
-        if self._stable is not None and k >= self._stable[0]:
-            return self._stable[1]
+        if self._tail is not None and k >= self._tail[0]:
+            j, h, grows = self._tail
+            while grows and j < k:
+                h, j = _macaulay_bound(h, j), j + 1
+            return h
         got = self._dims.get(k)
         if got is None:
             ambient = len(self.index(k))
             rows = self.image_rows(k)
-            self._recent_rows = ((k, rows),) + self._recent_rows[:1]
             if k == self.probe and full_rank_mod_p(rows, ambient):
                 got = 0
             else:
@@ -224,24 +221,21 @@ def _macaulay_bound(h: int, k: int) -> int:
 
 def _coordinate_section_vanishes(ctx: _JacContext, k: int) -> bool:
     """Whether (S/(J + x_i))_k = 0 for some coordinate x_i: the degree-k rows
-    of J, read modulo x_i (on the monomials free of x_i), span that space.
-    The rows are the ones `dim_R` built for degree k when the context still
-    holds them."""
-    rows = next((rows for j, rows in ctx._recent_rows if j == k), None)
-    if rows is None:
-        rows = ctx.image_rows(k)
+    of J, read modulo x_i, span the monomials free of x_i.  Modulo x_i those
+    rows are the multiples of the partials with x_i = 0 by the monomials free
+    of x_i (a multiple by any other monomial vanishes)."""
+    mdeg = k - (ctx.d - 1)
     for i in reversed(range(ctx.nvars)):
-        cols = {c: j for j, c in enumerate(
-            c for c, mono in enumerate(ctx.monomials(k)) if not mono[i])}
-        cut = ({cols[c]: v for c, v in row.items() if c in cols} for row in rows)
-        if rank_of_vectors(cut, len(cols)) == len(cols):
+        cols = {mono: j for j, mono in enumerate(m for m in ctx.monomials(k) if not m[i])}
+        rows = multiples(ctx.partials, (m for m in ctx.monomials(mdeg) if not m[i]), cols)
+        if rank_of_vectors(rows, len(cols)) == len(cols):
             return True
     return False
 
 
 def _certified(ctx: _JacContext, k: int, tau: int) -> int:
     """Record a proof that dim R_j = tau for every j >= k; returns tau."""
-    ctx._stable = (k, tau)
+    ctx._tail = (k, tau, False)
     return tau
 
 
@@ -272,8 +266,10 @@ def global_tjurina(f: Poly) -> int:
     ambients of the scan.  Without a certificate by degree
     start + _TJURINA_DEGREE_BUDGET * (n+2), or by h+1 after a jump, the scan
     gives up, raising NonIsolatedError that says tau is undecided up to that
-    degree.  Each certificate proves dim R_j = tau for every j >= k, and the
-    context keeps that, so `dim_R` eliminates no later degree.
+    degree.  Each certificate proves dim R_j = tau for every j >= k, and
+    maximal growth from k proves every later dim R_j to be Macaulay's bound
+    iterated; the context keeps either tail, so `dim_R` eliminates no later
+    degree.
     """
     ctx = _ctx(f)
     start = max(ctx.probe, ctx.d - 1)
@@ -291,6 +287,7 @@ def global_tjurina(f: Poly) -> int:
         if nxt == bound:
             if nxt == h:
                 return _certified(ctx, k, h)
+            ctx._tail = (k, h, True)
             raise NonIsolatedError(
                 f"dim R_k grows maximally from degree {k} to {k + 1} "
                 f"({h} -> {nxt}, Macaulay's bound), "

@@ -29,7 +29,7 @@ from .brieskorn import (PoleFiltrationReport, StabilizationPolicy, pole_filtrati
                         stabilized_span_rank)
 from .exactlinalg import ExactMatrix, InvariantError, Subspace, rank_of_vectors
 from .gradedpoly import (InputError, Poly, dehomogenize_shift, monomials_weighted_below,
-                         weight_vector, weighted_degree)
+                         multiples, weight_vector, weighted_degree)
 from .jacobian import _ctx, global_tjurina, smoothness_test
 
 
@@ -82,7 +82,8 @@ class WeightedChart:
 
 def _jet_rows(gens, weights: tuple, threshold, idx: dict) -> list:
     """Truncations below weighted degree threshold of every monomial multiple
-    of each generator, as sparse rows over the columns idx (monomial -> index).
+    of each generator, as sparse rows over the columns idx, which index
+    exactly the monomials below the threshold (so truncation is membership).
 
     A multiple o*g reaches below the threshold only when wdeg(o) is below
     threshold minus the lowest weighted degree of g; multiples whose
@@ -90,14 +91,11 @@ def _jet_rows(gens, weights: tuple, threshold, idx: dict) -> list:
     """
     rows = []
     for g in gens:
-        gt = g.truncate_weighted(weights, threshold)
-        if gt.is_zero():
-            continue
-        glow = gt.min_weighted_degree(weights)
-        for o in monomials_weighted_below(gt.nvars, weights, threshold - glow):
-            prod = gt.shift(o).truncate_weighted(weights, threshold)
-            if not prod.is_zero():
-                rows.append({idx[m]: c for m, c in prod.terms.items()})
+        low = [(m, c) for m, c in g.terms.items() if m in idx]
+        if low:
+            glow = min(weighted_degree(m, weights) for m, _ in low)
+            multipliers = monomials_weighted_below(g.nvars, weights, threshold - glow)
+            rows.extend(row for row in multiples([low], multipliers, idx) if row)
     return rows
 
 
@@ -272,10 +270,10 @@ def _chart_conditions(f: Poly, chart: WeightedChart, q: int, globals_: list) -> 
     cond: dict = {}
     for j, mono in enumerate(globals_):
         loc = dehomogenize_shift(Poly.monomial(f.nvars, mono), chart.chart, chart.point)
-        trunc = loc.truncate_weighted(chart.weights, jets.threshold)
-        if trunc.is_zero():
+        trunc = {idx[m]: c for m, c in loc.terms.items() if m in idx}
+        if not trunc:
             continue
-        res = jets.jet_space.reduce({idx[m]: c for m, c in trunc.terms.items()})
+        res = jets.jet_space.reduce(trunc)
         for coord, val in res.items():
             cond.setdefault(coord, {})[j] = val
     return list(cond.values())

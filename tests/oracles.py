@@ -11,10 +11,12 @@ rescaled Euler field xi = (1/d) sum x_i d/dx_i acts on a graded form of total
 degree k as multiplication by k/d.  The relation-row tests build
 (df ^ dOmega^{n-1})_k literally with these forms.
 
-Three checks of the paper's identities close the module: the Gauss-Manin
+Three checks of the paper's identities follow: the Gauss-Manin
 identities behind the transition maps, the cokernel of multiplication by f
 (Prop. 16) and the primitive Hodge numbers of a smooth hypersurface
-(Griffiths).
+(Griffiths).  Last come the hand-written Macaulay row loops for the Jacobian,
+relation, coordinate-section and jet matrices, which the package now builds
+through `gradedpoly.multiples`.
 
 Test files import it as a plain module: pytest's default import mode puts
 the test directory on sys.path.
@@ -26,7 +28,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from brieskornlab import brieskorn
-from brieskornlab.gradedpoly import InputError, Poly, hilbert_ci_coeffs
+from brieskornlab.exactlinalg import _strip_content, rank_of_vectors
+from brieskornlab.gradedpoly import (InputError, Poly, hilbert_ci_coeffs, mono_mul,
+                                     monomial_basis, monomials_weighted_below)
 
 
 class EulerField:
@@ -305,3 +309,91 @@ def smooth_hodge_numbers(n: int, d: int) -> list:
         k = q * d + d - n - 1
         out.append(coeffs[k] if 0 <= k < len(coeffs) else 0)
     return out
+
+
+# The hand-written Macaulay loops that `gradedpoly.multiples` replaced, kept
+# as oracles: each maps every product monomial to its column itself and
+# truncates or cuts explicitly, where the package leaves out the products
+# outside its column index.
+
+
+def image_rows_by_loop(ctx, k: int) -> list:
+    """The nonzero rows x^m * f_j of the degree-k piece of the Jacobian
+    ideal, m outer and j inner, entries accumulated per column."""
+    mdeg = k - (ctx.d - 1)
+    if mdeg < 0:
+        return []
+    idx = ctx.index(k)
+    rows = []
+    for m in monomial_basis(ctx.nvars, mdeg):
+        for terms in ctx.partials:
+            row = {}
+            for mono, c in terms:
+                col = idx[mono_mul(mono, m)]
+                row[col] = row.get(col, 0) + c
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def relation_rows_by_loop(ctx, k: int) -> list:
+    """`_BrieskornContext.relation_rows` with each product mapped by hand:
+    type (a) rows x^alpha f_a, then type (b) rows built from the partials
+    shifted by x_a."""
+    e = k - ctx.n - ctx.d
+    if e < 0:
+        return []
+    n = ctx.n
+    idx = ctx.index(k - n - 1)
+    rows = []
+    for alpha in monomial_basis(ctx.nvars, e):
+        for a, terms in enumerate(ctx.partials):
+            if not alpha[a]:
+                rows.append({idx[mono_mul(mono, alpha)]: c for mono, c in terms})
+    # x_a * f_a: the e_a-term of a type (b) field adds (b_n+1) x^b x_a f_a
+    shifted = [[(mono[:a] + (mono[a] + 1,) + mono[a + 1:], c) for mono, c in terms]
+               for a, terms in enumerate(ctx.partials)]
+    for b in monomial_basis(ctx.nvars, e - 1):
+        last = [(idx[mono_mul(mono, b)], c) for mono, c in shifted[n]]
+        for a in range(n):
+            row = {idx[mono_mul(mono, b)]: (b[n] + 1) * c for mono, c in shifted[a]}
+            for col, c in last:
+                v = row.get(col, 0) - (b[a] + 1) * c
+                if v:
+                    row[col] = v
+                else:
+                    del row[col]
+            rows.append(row)
+    for row in rows:
+        _strip_content(row)
+    return [row for row in rows if row]
+
+
+def jet_rows_by_truncation(gens, weights, threshold, idx: dict) -> list:
+    """`singularities._jet_rows` by explicit weighted truncation of each
+    generator and of each of its monomial multiples."""
+    rows = []
+    for g in gens:
+        gt = g.truncate_weighted(weights, threshold)
+        if gt.is_zero():
+            continue
+        glow = gt.min_weighted_degree(weights)
+        for o in monomials_weighted_below(gt.nvars, weights, threshold - glow):
+            prod = gt.shift(o).truncate_weighted(weights, threshold)
+            if not prod.is_zero():
+                rows.append({idx[m]: c for m, c in prod.terms.items()})
+    return rows
+
+
+def coordinate_section_vanishes_by_cut(ctx, k: int) -> bool:
+    """`jacobian._coordinate_section_vanishes` from every degree-k Jacobian
+    row, cut to the columns of the monomials free of x_i."""
+    rows = image_rows_by_loop(ctx, k)
+    for i in reversed(range(ctx.nvars)):
+        cols = {c: j for j, c in enumerate(
+            c for c, mono in enumerate(ctx.monomials(k)) if not mono[i])}
+        cut = ({cols[c]: v for c, v in row.items() if c in cols} for row in rows)
+        if rank_of_vectors(cut, len(cols)) == len(cols):
+            return True
+    return False

@@ -96,6 +96,8 @@ def test_monomials_weighted_below():
     # sorted by weighted degree first
     degs = [weighted_degree(m, w) for m in ms]
     assert degs == sorted(degs)
+    # no monomial has negative weighted degree, not even the constant one
+    assert monomials_weighted_below(2, w, Fraction(-1, 4)) == []
 
 
 def test_monomial_basis_counts():

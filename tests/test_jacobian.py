@@ -206,11 +206,35 @@ def test_the_certified_tjurina_tail_matches_exact_ranks(monkeypatch):
     for f in (CUSP, TWO_CUSP, NODAL_CUBIC, jump_fiber):
         monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
         tau = global_tjurina(f)
-        k0, stable = jacobian._ctx(f)._stable
+        k0, stable, grows = jacobian._ctx(f)._tail
         certified = [jacobian._ctx(f).dim_R(k) for k in range(k0, k0 + 4)]
         monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
         assert certified == [jacobian._ctx(f).dim_R(k) for k in range(k0, k0 + 4)] == [tau] * 4
-        assert stable == tau
+        assert stable == tau and not grows
+
+
+@pytest.mark.parametrize("src", ["x^2*z + y^3 + x*y*t", "x^2*z + y^2*t"])
+def test_the_growth_tail_matches_exact_ranks(monkeypatch, src):
+    """Past maximal growth from degree k0, dim R_j of a surface singular along
+    a line is Macaulay's bound iterated from dim R_k0 (Gotzmann persistence),
+    with no Jacobian row built; a context that never ran the scan gets the
+    same numbers by exact rank.  The first form is problems/cubic_surface_bs."""
+    f = parse_poly(src, XYZT)
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    built = []
+    real_rows = jacobian._JacContext.image_rows
+    monkeypatch.setattr(jacobian._JacContext, "image_rows",
+                        lambda ctx, k: built.append(k) or real_rows(ctx, k))
+    with pytest.raises(NonIsolatedError) as exc:
+        global_tjurina(f)
+    k0, h0, grows = jacobian._ctx(f)._tail
+    assert grows and exc.value.dims[-2:] == [h0, _macaulay_bound(h0, k0)]
+    scanned = list(built)
+    tail = [jacobian._ctx(f).dim_R(k) for k in range(k0, 13)]
+    assert built == scanned
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    assert tail == [jacobian._ctx(f).dim_R(k) for k in range(k0, 13)]
+    assert len(built) > len(scanned) + 2
 
 
 @pytest.mark.parametrize("h, k, expect", [
@@ -308,19 +332,26 @@ def _run_family(capsys, path) -> None:
     capsys.readouterr()
 
 
-def test_the_tjurina_scan_reads_the_rows_dim_R_built(monkeypatch, capsys):
-    """The coordinate-hyperplane test of degree k runs after dim R_{k+1}; it
-    reads the rows that dim R_k was taken of instead of building them again.
+def test_the_tjurina_scan_builds_each_degree_of_rows_once(monkeypatch, capsys):
+    """dim R_k builds the Jacobian rows of degree k once per context, and the
+    coordinate-hyperplane test builds its own cut rows and none of those.
     On the jump family both fibers reach that test at their probe degree 10,
     whose dim the smoothness test took."""
     monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
     built, tested = [], []
     real_rows = jacobian._JacContext.image_rows
     real_test = jacobian._coordinate_section_vanishes
+
+    def test(ctx, k):
+        tested.append(k)
+        before = len(built)
+        verdict = real_test(ctx, k)
+        assert len(built) == before, "the coordinate test built Jacobian rows"
+        return verdict
+
     monkeypatch.setattr(jacobian._JacContext, "image_rows",
                         lambda ctx, k: built.append((ctx, k)) or real_rows(ctx, k))
-    monkeypatch.setattr(jacobian, "_coordinate_section_vanishes",
-                        lambda ctx, k: tested.append(k) or real_test(ctx, k))
+    monkeypatch.setattr(jacobian, "_coordinate_section_vanishes", test)
     _run_family(capsys, PROBLEMS / "tjurina_jump_family.txt")
     assert tested == [10, 10]
     assert built and max(Counter(built).values()) == 1
