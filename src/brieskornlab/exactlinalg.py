@@ -15,8 +15,9 @@ A `Subspace` is stored in reduced row echelon form with unit pivots, which
 makes equality structural and makes `reduce` a single pass: tails only touch
 non-pivot columns, so reductions never cascade.
 
-`full_rank_mod_p` is the one pass outside `_combine`: it eliminates residues
-modulo a fixed prime and can only prove full column rank, never refute it.
+There is one pivot loop, `_forward_eliminate`, with two row steps: `_combine`
+and `_combine_mod_p`, the same cross-multiplication modulo a fixed prime, with
+which `full_rank_mod_p` can prove full column rank but never refute it.
 """
 
 from __future__ import annotations
@@ -101,10 +102,32 @@ def _combine(row: dict[int, int], prow: dict[int, int], pcol: int) -> dict[int, 
     return new
 
 
-def _forward_eliminate(int_rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Sparse fraction-free elimination; returns (pivot_col, row) in pivot time order.
+FULL_RANK_PRIME = 2_147_483_647   # 2^31 - 1
 
-    Each returned row is zero on the pivot columns of all earlier ones.
+
+def _combine_mod_p(row: dict[int, int], prow: dict[int, int], pcol: int) -> dict[int, int]:
+    """row*p - prow*q with p = prow[pcol], q = row[pcol], each entry reduced
+    modulo FULL_RANK_PRIME: `_combine` over residues."""
+    prime = FULL_RANK_PRIME
+    p, q = prow[pcol], row[pcol]
+    new = {c: val * p % prime for c, val in row.items()}
+    for c, val in prow.items():
+        s = (new.get(c, 0) - val * q) % prime
+        if s:
+            new[c] = s
+        else:
+            new.pop(c, None)
+    return new
+
+
+def _forward_eliminate(int_rows: Iterable[dict[int, int]],
+                       step=_combine) -> list[tuple[int, dict[int, int]]]:
+    """Sparse elimination; returns (pivot_col, row) in pivot time order.
+
+    `step(other, prow, pcol)` clears other at the pivot column pcol of the
+    pivot row prow and changes its support only on the columns of prow:
+    `_combine` over Q by default, `_combine_mod_p` over residues.  Each
+    returned row is zero on the pivot columns of all earlier ones.
     """
     rows: dict[int, dict[int, int]] = {}
     by_col: dict[int, set[int]] = {}
@@ -129,16 +152,16 @@ def _forward_eliminate(int_rows: Iterable[dict[int, int]]) -> list[tuple[int, di
         del rows[rid]
         for c in row:
             by_col[c].discard(rid)
-        for oid in sorted(by_col[pcol]):
+        for oid in list(by_col[pcol]):
             other = rows[oid]
-            new = _combine(other, row, pcol)
-            for c in other:
-                if c not in new:
-                    by_col[c].discard(oid)
+            new = step(other, row, pcol)
+            for c in row:   # the only columns other can gain or lose
+                if c in other:
+                    if c not in new:
+                        by_col[c].discard(oid)
+                elif c in new:
+                    by_col[c].add(oid)
             if new:
-                for c in new:
-                    if c not in other:
-                        by_col.setdefault(c, set()).add(oid)
                 rows[oid] = new
                 heapq.heappush(heap, (len(new), oid))
             else:
@@ -267,67 +290,17 @@ def rank_of_vectors(vectors: Iterable, ambient_dim: int) -> int:
     return len(_forward_eliminate(rows))
 
 
-FULL_RANK_PRIME = 2_147_483_647   # 2^31 - 1
-
-
 def full_rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> bool:
     """Whether the integer rows reach rank ncols modulo FULL_RANK_PRIME.
 
     True proves rank ncols over Q, since rank mod p <= rank over Q for integer
     rows: a maximal minor that is nonzero mod p is a nonzero integer.  False
     proves nothing, and the caller falls back to an exact rank.  Coordinates
-    must lie in range(ncols).  The pass is the sparsity-first elimination of
-    `_forward_eliminate` over residues, and it stops once ncols pivots are
-    found or the rows left cannot reach them.
+    must lie in range(ncols).  The pass is `_forward_eliminate` over residues.
     """
     p = FULL_RANK_PRIME
-    live: dict[int, dict[int, int]] = {}
-    by_col: dict[int, set[int]] = {}
-    for row in rows:
-        res = {}
-        for c, val in row.items():
-            val %= p
-            if val:
-                res[c] = val
-        if res:
-            rid = len(live)
-            live[rid] = res
-            for c in res:
-                by_col.setdefault(c, set()).add(rid)
-    heap = [(len(row), rid) for rid, row in live.items()]
-    heapq.heapify(heap)
-    found = 0
-    while found < ncols <= found + len(live):
-        length, rid = heapq.heappop(heap)
-        row = live.get(rid)
-        if row is None or len(row) != length:
-            continue  # stale heap entry
-        pcol = min(row, key=lambda c: (len(by_col[c]), c))
-        del live[rid]
-        for c in row:
-            by_col[c].discard(rid)
-        inv = pow(row[pcol], -1, p)
-        for oid in list(by_col[pcol]):
-            other = live[oid]
-            m = other[pcol] * inv % p
-            for c, val in row.items():
-                old = other.get(c)
-                if old is None:
-                    other[c] = -m * val % p
-                    by_col[c].add(oid)
-                else:
-                    s = (old - m * val) % p
-                    if s:
-                        other[c] = s
-                    else:
-                        del other[c]
-                        by_col[c].discard(oid)
-            if other:
-                heapq.heappush(heap, (len(other), oid))
-            else:
-                del live[oid]
-        found += 1
-    return found >= ncols
+    residues = ({c: r for c, val in row.items() if (r := val % p)} for row in rows)
+    return len(_forward_eliminate(residues, _combine_mod_p)) >= ncols
 
 
 def echelon_rows(vectors: Iterable[Mapping[int, object]]) -> list[dict[int, int]]:

@@ -38,8 +38,7 @@ row of the partials (`gradedpoly.multiples`).
 `_ctx(f)` is the one context of f per live polynomial: it validates, scales
 and differentiates f once, holds the Brieskorn state of f beside the ranks of
 R, and decides reducedness and smoothness on first use only, since R is
-defined for every f; a smooth f is reduced, so the gcd runs on singular f
-only.  The context lives exactly as long as the Poly it was
+defined for every f.  The context lives exactly as long as the Poly it was
 first asked for (a weak key): an equal Poly shares it while that one is
 alive, and builds a new one after.  A caller that asks about one polynomial
 again keeps that Poly alive, as `families.PencilFamily` keeps its fibers.
@@ -100,11 +99,9 @@ class _JacContext:
 
     @cached_property
     def reduced(self) -> bool:
-        """Whether f is squarefree; decided on first use.  A smooth f is: a
-        repeated factor g makes f = 0 singular along g = 0.  So the smoothness
-        verdict, which every caller of this one reads next anyway, comes
-        first, and the gcd runs on singular f only."""
-        return self.smooth or is_squarefree(self.f)
+        """Whether f is squarefree, by the gcd of f and its partials; decided
+        on first use, before and apart from the smoothness probe."""
+        return is_squarefree(self.f)
 
     @cached_property
     def smooth(self) -> bool:

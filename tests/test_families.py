@@ -222,9 +222,9 @@ def test_grp_nabla_rechecks_constancy_from_cached_fiber_traces(monkeypatch):
 
 def test_each_fiber_is_checked_for_reducedness_once(monkeypatch):
     """The fiber's context holds the verdict: specializing a fiber again, or
-    asking for its Brieskorn state, does not rerun the squarefree test.  A
-    smooth fiber never runs it, since smooth implies reduced: the Fermat
-    pencil's fibers are smooth at these samples, the jump family's are not."""
+    asking for its Brieskorn state, does not rerun the squarefree test.
+    Every fiber runs it once, smooth (the Fermat pencil's at these samples)
+    or singular (the jump family's)."""
     calls = []
     real = gradedpoly.is_squarefree
 
@@ -246,7 +246,7 @@ def test_each_fiber_is_checked_for_reducedness_once(monkeypatch):
             grp_nabla_matrix(fam, samples[0], q, samples=samples)
         fibers = {specialize(fam, s) for s in samples}
         assert len(fibers) == len(samples)
-        assert len(set(calls)) == len(calls) == (len(fibers) if fam is JUMP_FAMILY else 0)
+        assert len(set(calls)) == len(calls) == len(fibers)
 
 
 def test_tjurina_scan_jump_family():

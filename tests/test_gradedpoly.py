@@ -151,10 +151,17 @@ def test_gcd_and_division():
 def test_gcd_costs_no_elimination_on_a_coprime_pair(monkeypatch):
     """A coprime pair is decided by the full rank of phi_1 modulo a prime,
     with no exact elimination; a common factor of degree 2 fails that test
-    and costs the exact kernels of phi_1 and phi_2."""
+    and costs the exact kernels of phi_1 and phi_2.  The modular pass runs
+    the same pivot loop with its own row step, so only the calls with the
+    exact step `_combine` are counted."""
     real, calls = exactlinalg._forward_eliminate, []
-    monkeypatch.setattr(exactlinalg, "_forward_eliminate",
-                        lambda rows: calls.append(1) or real(rows))
+
+    def counted(rows, step=exactlinalg._combine):
+        if step is exactlinalg._combine:
+            calls.append(1)
+        return real(rows, step)
+
+    monkeypatch.setattr(exactlinalg, "_forward_eliminate", counted)
     f = P("x^3 + y^3 + z^3 - 2*x*y*z")
     assert poly_gcd(f, f.partial(0)) == P("1")
     assert len(calls) == 0

@@ -16,6 +16,9 @@ module binds an empty mutable container ({}, [], set(), dict(), list()) at
 module level: such a binding is a cache or registry that lives as long as
 the process, where per-polynomial state belongs on an object that dies with
 the polynomial.  Non-empty tables (cli._COMMANDS, cli._SECTIONS) are data.
+One function uses `heapq`, the pivot loop `exactlinalg._forward_eliminate`:
+every elimination, exact or modulo a prime, runs through it with its own row
+step, and a second heap-driven loop would be a second copy of it.
 
 One check is not syntactic: a cold `import brieskornlab.cli`, which every
 CLI job pays, loads no `dataclasses` and none of the source-introspection
@@ -201,6 +204,51 @@ def test_no_module_binds_an_empty_container_at_module_level():
              for p in sorted(PACKAGE.glob("*.py"))}
     assert len(found) > 1
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def functions_using(source: str, module: str) -> list:
+    """Functions (innermost def, qualified by its enclosing classes and defs)
+    that use a name bound by an import of module; "<module>" for uses
+    outside any def."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name == module}
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            bound |= {alias.asname or alias.name for alias in node.names}
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, _DEFS):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Name) and node.id in bound:
+            found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_scanner_finds_the_functions_using_a_module():
+    source = ("import heapq as hq\n"
+              "import bisect\n"
+              "from heapq import heappush\n"
+              "def a(h): return hq.heapify(h)\n"
+              "def b(h): return bisect.bisect(h, 1)\n"
+              "class C:\n"
+              "    def m(self, h):\n"
+              "        return lambda: heappush(h, 1)\n"
+              "TOP = hq.nlargest\n")
+    assert functions_using(source, "heapq") == ["<module>", "C.m", "a"]
+    assert functions_using(source, "bisect") == ["b"]
+
+
+def test_one_function_holds_the_pivot_heap():
+    found = {(p.name, fn) for p in sorted(PACKAGE.glob("*.py"))
+             for fn in functions_using(p.read_text(), "heapq")}
+    assert found == {("exactlinalg.py", "_forward_eliminate")}
 
 
 # `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`

@@ -283,6 +283,22 @@ def test_non_reduced_f_has_a_jacobian_ring_but_no_brieskorn_module(monkeypatch):
     assert len(calls) == 1   # the verdict is kept on the context
 
 
+def test_a_non_reduced_input_is_refused_before_any_elimination(monkeypatch, capsys, tmp_path):
+    """`pole` refuses (x+y)^2 (x^6 + y^6 + z^6 + t^6) by the gcd alone: the
+    smoothness probe, whose rows are rank-deficient and would get an exact
+    rank, never runs."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    ranks = []
+    real = jacobian.rank_of_vectors
+    monkeypatch.setattr(jacobian, "rank_of_vectors",
+                        lambda rows, ambient: ranks.append(ambient) or real(rows, ambient))
+    p = tmp_path / "p.txt"
+    p.write_text("variables = x y z t\npolynomial = (x+y)^2*(x^6 + y^6 + z^6 + t^6)\n")
+    assert main(["pole", "--input", str(p)]) == 1
+    assert capsys.readouterr() == ("", "error: f must be reduced (squarefree)\n")
+    assert ranks == []
+
+
 def test_brieskorn_and_jacobian_share_one_context():
     f = parse_poly("x^3 + y^3 + z^3 + 2/3*x^2*y", XYZ)
     brieskorn._ctx(f).hf_dim(6)

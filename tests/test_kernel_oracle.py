@@ -183,16 +183,18 @@ INTEGERS = st.integers(-6, 6)
 
 @st.composite
 def integer_matrices(draw):
-    """(rows, ncols): small sparse integer rows, explicit zeros included.
-    Half of them are a product B*C through r < ncols dimensions, so their
+    """(rows, ncols): up to 16 integer rows over up to 12 columns, explicit
+    zeros included.  Half of them are sparse, at most 6 entries a row, wide
+    enough for the pivot loop to fill in and to leave stale heap entries;
+    the other half are a product B*C through r < ncols dimensions, so their
     rank is below ncols over Q and over every prime."""
-    ncols = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 12))
     if not draw(st.booleans()):
-        entries = st.dictionaries(st.integers(0, ncols - 1), INTEGERS, max_size=ncols)
-        return draw(st.lists(entries, max_size=7)), ncols
+        entries = st.dictionaries(st.integers(0, ncols - 1), INTEGERS, max_size=min(ncols, 6))
+        return draw(st.lists(entries, max_size=16)), ncols
     r = draw(st.integers(0, ncols - 1))
     c = [draw(st.lists(INTEGERS, min_size=ncols, max_size=ncols)) for _ in range(r)]
-    b = draw(st.lists(st.lists(INTEGERS, min_size=r, max_size=r), max_size=7))
+    b = draw(st.lists(st.lists(INTEGERS, min_size=r, max_size=r), max_size=16))
     return [{j: sum(bi[t] * c[t][j] for t in range(r)) for j in range(ncols)}
             for bi in b], ncols
 
