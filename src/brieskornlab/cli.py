@@ -2,9 +2,11 @@
 
 A problem file is plain key/value text (schema in the README): variables and
 the defining polynomial at top level, then optional repeated [singular_point]
-sections, an optional [family] section, and an optional [policy] section.
-Reports render as aligned text or as versioned JSON ("brieskorn-lab/1");
-every rational in the JSON is a "p/q" string, dimensions stay integers.
+sections, an optional [family] section, and optional [policy] sections; a key
+its section does not list in `_KEYS` is refused at its line.  A report is the
+JSON object itself, a plain dict; it renders as aligned text or as versioned
+JSON ("brieskorn-lab/1"), which `parse_report` reads back.  Every rational in
+it is a "p/q" string, dimensions stay integers.
 
 Exit codes: 0 success, 1 bad input, 2 a failed internal cross-check.
 """
@@ -94,14 +96,21 @@ def _fraction_list(text: str, where: str) -> tuple:
     return tuple(_fraction(p, where) for p in parts)
 
 
-_POLICY_KEYS = ("window", "max_power", "min_target_degree")
+# section -> the keys it may carry; None is the top level
+_KEYS = {None: ("variables", "polynomial"),
+         "singular_point": ("point", "chart", "weights"),
+         "family": ("direction", "samples"),
+         "policy": ("window", "max_power", "min_target_degree")}
 
 
 def parse_problem(text: str, source: str = "<input>") -> ProblemSpec:
-    """Parse a problem file; errors carry the source name and line number."""
+    """Parse a problem file; errors carry the source name and line number.
+
+    Each section is read into {key: (value, line)}; a [singular_point] or
+    [family] section keeps its header's line, where a missing key is reported."""
     top: dict = {}
     points: list = []
-    family: dict | None = None
+    family: tuple | None = None
     policy: dict = {}
     section: str | None = None
     current: dict = top
@@ -115,94 +124,75 @@ def parse_problem(text: str, source: str = "<input>") -> ProblemSpec:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
+            if section not in _KEYS:
+                fail(lineno, f"unknown section [{section}]")
+            current = policy if section == "policy" else {}
             if section == "singular_point":
-                current = {"_line": lineno}
-                points.append(current)
+                points.append((lineno, current))
             elif section == "family":
                 if family is not None:
                     fail(lineno, "only one [family] section is allowed")
-                family = {"_line": lineno}
-                current = family
-            elif section == "policy":
-                current = policy
-            else:
-                fail(lineno, f"unknown section [{section}]")
+                family = (lineno, current)
             continue
         if "=" not in line:
             fail(lineno, "expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not key or key.startswith("_"):
-            fail(lineno, f"bad key {key!r}")
+        if key not in _KEYS[section]:
+            fail(lineno, f"unknown key {key!r}" + (f" in [{section}]" if section else ""))
         if not value:
             fail(lineno, f"empty value for {key!r}")
         if key in current:
             fail(lineno, f"duplicate key {key!r}")
-        current[key] = value
-        current.setdefault("_line_" + key, lineno)
+        current[key] = (value, lineno)
 
-    def take(table: dict, key: str, where: str, required: bool = True):
+    def take(entry: tuple, key: str, where: str) -> str:
+        header, table = entry
         if key not in table:
-            if required:
-                fail(table.get("_line", 0), f"missing {key!r} in {where}")
-            return None
-        return table[key]
+            fail(header, f"missing {key!r} in {where}")
+        return table[key][0]
 
-    variables = tuple((top.get("variables") or "").split())
-    if not variables:
+    if "variables" not in top:
         raise InputError(f"{source}: missing 'variables' line")
+    names, lineno = top["variables"]
+    variables = tuple(names.split())
     if len(set(variables)) != len(variables):
-        fail(top["_line_variables"], "variable names must be distinct")
+        fail(lineno, "variable names must be distinct")
     if len(variables) < 3:
-        fail(top["_line_variables"],
-             "need at least three variables (ambient projective dimension >= 2)")
-    polynomial = top.get("polynomial")
-    if not polynomial:
+        fail(lineno, "need at least three variables (ambient projective dimension >= 2)")
+    if "polynomial" not in top:
         raise InputError(f"{source}: missing 'polynomial' line")
-    for key in top:
-        if not key.startswith("_line") and key not in ("variables", "polynomial"):
-            fail(top["_line_" + key], f"unknown key {key!r}")
+    polynomial = top["polynomial"][0]
 
     charts = []
     for p in points:
-        where = "[singular_point]"
+        where, header = "[singular_point]", p[0]
         point = _fraction_list(take(p, "point", where), where + " point")
         chart = take(p, "chart", where)
         weights = _fraction_list(take(p, "weights", where), where + " weights")
         if len(point) != len(variables):
-            fail(p["_line"], f"point needs {len(variables)} coordinates")
+            fail(header, f"point needs {len(variables)} coordinates")
         if chart not in variables:
-            fail(p["_line"], f"chart {chart!r} is not a variable")
+            fail(header, f"chart {chart!r} is not a variable")
         if len(weights) != len(variables) - 1:
-            fail(p["_line"], f"weights: one per non-chart variable "
-                             f"({len(variables) - 1} expected)")
-        for key in p:
-            if not key.startswith("_line") and key not in ("point", "chart", "weights"):
-                fail(p["_line_" + key], f"unknown key {key!r} in {where}")
+            fail(header, f"weights: one per non-chart variable "
+                         f"({len(variables) - 1} expected)")
         charts.append(ChartData(point, chart, weights))
 
     fam = None
     if family is not None:
-        direction = take(family, "direction", "[family]")
-        samples = family.get("samples")
-        samples = _fraction_list(samples, "[family] samples") if samples else None
-        for key in family:
-            if not key.startswith("_line") and key not in ("direction", "samples"):
-                fail(family["_line_" + key], f"unknown key {key!r} in [family]")
-        fam = FamilyData(direction, samples)
+        samples = family[1].get("samples")
+        fam = FamilyData(take(family, "direction", "[family]"), None if samples is None
+                         else _fraction_list(samples[0], "[family] samples"))
 
-    for key, value in list(policy.items()):
-        if key.startswith("_line"):
-            continue
-        if key not in _POLICY_KEYS:
-            fail(policy["_line_" + key], f"unknown key {key!r} in [policy]")
+    ints = {}
+    for key, (value, lineno) in policy.items():
         try:
-            policy[key] = int(value)
+            ints[key] = int(value)
         except ValueError:
-            fail(policy["_line_" + key], f"{key} must be an integer")
-    policy = {k: v for k, v in policy.items() if not k.startswith("_line")}
+            fail(lineno, f"{key} must be an integer")
 
-    return ProblemSpec(variables, polynomial, tuple(charts), fam, policy)
+    return ProblemSpec(variables, polynomial, tuple(charts), fam, ints)
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -217,56 +207,14 @@ def load_problem(path: str) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # report assembly
 
-# the Report attributes with their JSON keys, in the order of the JSON object
-_REPORT_KEYS = (("command", "command"), ("input_echo", "input"), ("smoothness", "smoothness"),
-                ("pole", "pole"), ("hodge", "hodge"), ("alpha", "alpha"),
-                ("briancon_skoda", "briancon_skoda"), ("milnor", "milnor"),
-                ("jacobian", "jacobian"), ("family", "family"), ("checks", "checks"),
-                ("timing", "timing"))
-
-
-class Report:
-    """Everything a command computed, in JSON-native values only.
-
-    Sections are None when the command did not touch them, so text and json
-    renderings draw from one source.  Rationals are "p/q" strings.  The JSON
-    object has the attributes in the order of `_REPORT_KEYS`, each under its
-    key there.
-    """
-
-    __slots__ = tuple(attr for attr, _ in _REPORT_KEYS)
-
-    def __init__(self, command: str, input_echo: dict, smoothness: bool | None = None,
-                 pole: dict | None = None, hodge: dict | None = None, alpha: str | None = None,
-                 briancon_skoda: dict | None = None, milnor: dict | None = None,
-                 jacobian: dict | None = None, family: dict | None = None,
-                 checks: list | None = None, timing: dict | None = None):
-        self.command = command
-        self.input_echo = input_echo
-        self.smoothness = smoothness
-        self.pole = pole
-        self.hodge = hodge
-        self.alpha = alpha
-        self.briancon_skoda = briancon_skoda
-        self.milnor = milnor
-        self.jacobian = jacobian
-        self.family = family
-        self.checks = [] if checks is None else checks
-        self.timing = timing
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Report):
-            return NotImplemented
-        return all(getattr(self, attr) == getattr(other, attr) for attr in self.__slots__)
-
-    def to_json(self) -> dict:
-        return {"schema": SCHEMA, **{key: getattr(self, attr) for attr, key in _REPORT_KEYS}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Report":
-        if data.get("schema") != SCHEMA:
-            raise InputError(f"unsupported report schema {data.get('schema')!r}")
-        return cls(**{attr: data[key] for attr, key in _REPORT_KEYS})
+def _new_report(command: str, echo: dict) -> dict:
+    """The report before any section ran; its keys, in this order, are the JSON
+    object's.  A section the command does not touch stays None, so text and
+    JSON draw from one source.  Values are JSON-native, rationals "p/q"."""
+    return {"schema": SCHEMA, "command": command, "input": echo,
+            "smoothness": None, "pole": None, "hodge": None, "alpha": None,
+            "briancon_skoda": None, "milnor": None, "jacobian": None, "family": None,
+            "checks": [], "timing": None}
 
 
 def _rat(x) -> str:
@@ -298,7 +246,7 @@ def _echo(spec: ProblemSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# section builders: each fills its Report field(s) and lists the checks it ran
+# section builders: each fills its report section(s) and lists the checks it ran
 
 class _Job:
     """The parsed input every builder reads and the report it fills."""
@@ -306,7 +254,7 @@ class _Job:
     __slots__ = ("spec", "args", "f", "policy", "report")
 
     def __init__(self, spec: ProblemSpec, args: argparse.Namespace, f: Poly,
-                 policy: StabilizationPolicy, report: Report):
+                 policy: StabilizationPolicy, report: dict):
         self.spec = spec
         self.args = args
         self.f = f
@@ -319,20 +267,20 @@ class _NoData(InputError):
 
 
 def _smoothness(job: _Job) -> None:
-    job.report.smoothness = smoothness_test(job.f)
+    job.report["smoothness"] = smoothness_test(job.f)
 
 
 def _pole(job: _Job) -> None:
     rep = pole_filtration_dims(job.f, job.policy)
-    job.report.pole = {"dims": list(rep.dims), "total_dim": rep.total_dim,
-                       "certificates": [_cert_json(c) for c in rep.certificates]}
-    job.report.checks.append({"name": "pole dims nondecreasing in q", "passed": True})
+    job.report["pole"] = {"dims": list(rep.dims), "total_dim": rep.total_dim,
+                          "certificates": [_cert_json(c) for c in rep.certificates]}
+    job.report["checks"].append({"name": "pole dims nondecreasing in q", "passed": True})
 
 
 def _briancon_skoda(job: _Job) -> None:
     res = briancon_skoda(job.f, job.policy)
-    job.report.briancon_skoda = {"holds": res.holds, "witness_power": res.witness_power,
-                                 "certificate": _cert_json(res.certificate)}
+    job.report["briancon_skoda"] = {"holds": res.holds, "witness_power": res.witness_power,
+                                    "certificate": _cert_json(res.certificate)}
 
 
 def _milnor(job: _Job) -> None:
@@ -343,8 +291,8 @@ def _milnor(job: _Job) -> None:
         dim = milnor_eigenspace_dim(f, i, job.policy)
         cert = hbar_certificate(f, (n + 2) * d - i, job.policy)
         rows.append({"i": i, "dim": dim, "certificate": _cert_json(cert)})
-    job.report.milnor = {"eigenspaces": rows, "total": sum(r["dim"] for r in rows)}
-    job.report.checks.append(
+    job.report["milnor"] = {"eigenspaces": rows, "total": sum(r["dim"] for r in rows)}
+    job.report["checks"].append(
         {"name": "milnor eigenspace dims agree at both landing degrees", "passed": True})
 
 
@@ -361,7 +309,7 @@ def _jacobian(job: _Job) -> None:
         out["note"] = ("tjurina unavailable: " + str(e))
     # after the scan, so the dims past its certificate cost no elimination
     out["dims"] = jacobian_dims(f, k_max)
-    job.report.jacobian = out
+    job.report["jacobian"] = out
 
 
 def _chart_json(chart, variables) -> dict:
@@ -376,24 +324,24 @@ def _chart_json(chart, variables) -> dict:
 def _hodge(job: _Job) -> None:
     """Runs after _smoothness: a singular hypersurface needs its charts in the file."""
     spec, report = job.spec, job.report
-    if not report.smoothness and not spec.singular_points:
+    if not report["smoothness"] and not spec.singular_points:
         raise _NoData("hodge on a singular hypersurface needs [singular_point] "
                       "sections with weighted-homogeneous local data")
     charts = tuple(build_chart(job.f, p.point, spec.variables.index(p.chart), p.weights)
                    for p in spec.singular_points)
     rep = hodge_filtration_dims(job.f, charts, job.policy)
-    report.hodge = {"alpha": _rat(rep.alpha),
-                    "hodge_dims": list(rep.hodge_dims),
-                    "pole_dims": list(rep.pole_dims),
-                    "equal_range": list(rep.equal_range),
-                    "strict_drop": list(rep.strict_drop),
-                    "charts": [_chart_json(c, spec.variables) for c in rep.charts],
-                    "certificates": [_cert_json(c) for c in rep.certificates]}
-    report.alpha = report.hodge["alpha"]
+    report["hodge"] = {"alpha": _rat(rep.alpha),
+                       "hodge_dims": list(rep.hodge_dims),
+                       "pole_dims": list(rep.pole_dims),
+                       "equal_range": list(rep.equal_range),
+                       "strict_drop": list(rep.strict_drop),
+                       "charts": [_chart_json(c, spec.variables) for c in rep.charts],
+                       "certificates": [_cert_json(c) for c in rep.certificates]}
+    report["alpha"] = report["hodge"]["alpha"]
     if charts:
-        report.checks.append(
+        report["checks"].append(
             {"name": "local tjurina numbers sum to the global one", "passed": True})
-    report.checks.append(
+    report["checks"].append(
         {"name": "hodge dims within pole dims, equal where alpha forces it",
          "passed": True})
 
@@ -422,7 +370,7 @@ def _family(job: _Job) -> None:
         "grp_nabla": None,
         "note": None,
     }
-    job.report.family = out
+    job.report["family"] = out
     notes = []
     try:
         scan = tjurina_scan(fam, ss)
@@ -445,7 +393,7 @@ def _family(job: _Job) -> None:
         mats.append({"q": q, "s0": _rat(s0), "source_dim": m.ncols,
                      "target_dim": m.nrows, "entries": _matrix_json(m)})
     out["grp_nabla"] = mats
-    job.report.checks.append(
+    job.report["checks"].append(
         {"name": "graded connection well defined on the chosen presentations",
          "passed": True})
 
@@ -496,25 +444,25 @@ def _table(headers, rows) -> list:
     return out
 
 
-def _render_text(report: Report) -> str:
+def _render_text(report: dict) -> str:
     lines = []
-    echo = report.input_echo
-    lines.append(f"brieskorn-lab {report.command}")
+    echo = report["input"]
+    lines.append(f"brieskorn-lab {report['command']}")
     lines.append(f"  f = {echo['polynomial']}  in  Q[{', '.join(echo['variables'])}]")
-    if report.smoothness is not None:
-        lines.append(f"  smooth: {'yes' if report.smoothness else 'no'}")
-    if report.pole is not None:
+    if report["smoothness"] is not None:
+        lines.append(f"  smooth: {'yes' if report['smoothness'] else 'no'}")
+    if report["pole"] is not None:
         lines.append("")
         lines.append("pole filtration  dim P^(n-q), q = 0..n:")
-        lines.append("  " + "  ".join(str(v) for v in report.pole["dims"])
-                     + f"   (total {report.pole['total_dim']})")
+        lines.append("  " + "  ".join(str(v) for v in report["pole"]["dims"])
+                     + f"   (total {report['pole']['total_dim']})")
         rows = [(c["degree"], c["values"][-1], c["power"], c["landing_degree"],
                  " ".join(str(v) for v in c["values"]))
-                for c in report.pole["certificates"]]
+                for c in report["pole"]["certificates"]]
         for line in _table(("degree", "dim", "power", "landing", "rank trace"), rows):
             lines.append("  " + line)
-    if report.hodge is not None:
-        h = report.hodge
+    if report["hodge"] is not None:
+        h = report["hodge"]
         lines.append("")
         lines.append(f"hodge filtration  (alpha = {h['alpha']}):")
         rows = [(q, h["hodge_dims"][q], h["pole_dims"][q],
@@ -530,10 +478,10 @@ def _render_text(report: Report) -> str:
             lines.append(f"  singular point ({':'.join(c['point'])}), chart {c['chart']}: "
                          f"weights ({', '.join(c['weights'])}), alpha = {c['alpha']}, "
                          f"local tjurina {c['local_tjurina']}")
-    if report.alpha is not None and report.hodge is None:
-        lines.append(f"  alpha: {report.alpha}")
-    if report.briancon_skoda is not None:
-        b = report.briancon_skoda
+    if report["alpha"] is not None and report["hodge"] is None:
+        lines.append(f"  alpha: {report['alpha']}")
+    if report["briancon_skoda"] is not None:
+        b = report["briancon_skoda"]
         lines.append("")
         if b["holds"]:
             lines.append(f"briancon-skoda: holds, f^{b['witness_power']} omega_0 "
@@ -541,15 +489,15 @@ def _render_text(report: Report) -> str:
         else:
             lines.append("briancon-skoda: fails (the class of omega_0 is nonzero "
                          "in the torsion-free quotient)")
-    if report.milnor is not None:
+    if report["milnor"] is not None:
         lines.append("")
         lines.append("milnor fiber monodromy eigenspaces  dim H^n(F)_(i/d):")
-        rows = [(r["i"], r["dim"]) for r in report.milnor["eigenspaces"]]
+        rows = [(r["i"], r["dim"]) for r in report["milnor"]["eigenspaces"]]
         for line in _table(("i", "dim"), rows):
             lines.append("  " + line)
-        lines.append(f"  total {report.milnor['total']}")
-    if report.jacobian is not None:
-        j = report.jacobian
+        lines.append(f"  total {report['milnor']['total']}")
+    if report["jacobian"] is not None:
+        j = report["jacobian"]
         lines.append("")
         lines.append(f"jacobian ring dims, degrees 0..{j['max_degree']} "
                      f"(socle degree {j['socle_degree']}):")
@@ -558,8 +506,8 @@ def _render_text(report: Report) -> str:
             lines.append(f"  global tjurina: {j['tjurina']}")
         if j["note"]:
             lines.append(f"  note: {j['note']}")
-    if report.family is not None:
-        fam = report.family
+    if report["family"] is not None:
+        fam = report["family"]
         lines.append("")
         lines.append("family f + s * direction:")
         rows = [(row["s"], " ".join(str(v) for v in row["dims"])) for row in fam["pole_table"]]
@@ -586,32 +534,43 @@ def _render_text(report: Report) -> str:
                 width = max(len(e) for row in m["entries"] for e in row)
                 for row in m["entries"]:
                     lines.append("    [ " + "  ".join(e.rjust(width) for e in row) + " ]")
-    if report.checks:
+    if report["checks"]:
         lines.append("")
         lines.append("cross-checks:")
-        for c in report.checks:
+        for c in report["checks"]:
             lines.append(f"  [{'pass' if c['passed'] else 'FAIL'}] {c['name']}")
-    if report.timing is not None:
+    if report["timing"] is not None:
         lines.append("")
-        total = report.timing.get("total_seconds")
+        total = report["timing"].get("total_seconds")
         lines.append(f"time: {total:.2f}s" if total is not None else "time: n/a")
     return "\n".join(lines) + "\n"
 
 
-def render_report(report: Report, as_json: bool) -> str:
+def render_report(report: dict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(report.to_json(), indent=2, sort_keys=False) + "\n"
+        return json.dumps(report, indent=2, sort_keys=False) + "\n"
     return _render_text(report)
 
 
-def parse_report(text: str) -> Report:
-    return Report.from_json(json.loads(text))
+def parse_report(text: str) -> dict:
+    """Read back a JSON report; refuses one `render_report` could not have written."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InputError("a report must be a JSON object")
+    if data.get("schema") != SCHEMA:
+        raise InputError(f"unsupported report schema {data.get('schema')!r}")
+    expected = _new_report("", {}).keys()
+    missing, unexpected = expected - data.keys(), data.keys() - expected
+    if missing or unexpected:
+        raise InputError(f"report keys differ from {SCHEMA}: missing {sorted(missing)}, "
+                         f"unexpected {sorted(unexpected)}")
+    return data
 
 
 # ---------------------------------------------------------------------------
 # the driver
 
-def _run(spec: ProblemSpec, args) -> Report:
+def _run(spec: ProblemSpec, args) -> dict:
     """Compute the command's sections into one timed report."""
     try:
         f = parse_poly(spec.polynomial, spec.variables)
@@ -627,7 +586,7 @@ def _run(spec: ProblemSpec, args) -> Report:
     if args.stab_max is not None:
         overrides["max_power"] = args.stab_max
     policy = StabilizationPolicy(**overrides)
-    job = _Job(spec, args, f, policy, Report(args.command, _echo(spec)))
+    job = _Job(spec, args, f, policy, _new_report(args.command, _echo(spec)))
     t0 = time.perf_counter()
     for name in _COMMANDS[args.command][1]:
         try:
@@ -636,7 +595,7 @@ def _run(spec: ProblemSpec, args) -> Report:
             if name == args.command:
                 raise
     if not args.no_timing:
-        job.report.timing = {"total_seconds": round(time.perf_counter() - t0, 3)}
+        job.report["timing"] = {"total_seconds": round(time.perf_counter() - t0, 3)}
     return job.report
 
 

@@ -20,6 +20,11 @@ from .jacobian import _ctx, global_tjurina
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
 
 
+def _samples(samples) -> tuple:
+    """The samples as Fractions; None stands for DEFAULT_SAMPLES."""
+    return tuple(Fraction(s) for s in (DEFAULT_SAMPLES if samples is None else samples))
+
+
 class PencilFamily:
     """f_s = sum coeffs[j] * s^j, every nonzero coefficient homogeneous of the
     same degree.  A pencil is the two-coefficient case f0 + s*g.  Immutable
@@ -130,7 +135,7 @@ def pole_constancy_check(fam: PencilFamily, samples=None,
     Samples default to 0, 1, -1, 2.  Non-reduced fibers abort with an input
     error naming the sample.
     """
-    ss = tuple(Fraction(s) for s in (samples if samples is not None else DEFAULT_SAMPLES))
+    ss = _samples(samples)
     if not ss:
         raise InputError("need at least one sample")
     table = tuple((s, pole_filtration_dims(specialize(fam, s), policy).dims) for s in ss)
@@ -197,7 +202,7 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     if q < 0:
         raise InputError("q must be nonnegative")
     s0 = Fraction(s0)
-    ss = tuple(Fraction(s) for s in (samples if samples is not None else DEFAULT_SAMPLES))
+    ss = _samples(samples)
     if s0 not in ss:
         ss = ss + (s0,)
     policy = policy or StabilizationPolicy()
@@ -299,7 +304,7 @@ def tjurina_scan(fam: PencilFamily, samples=None) -> TjurinaScanResult:
     value exceeds the minimum over the scan (the generic value nearby).  The
     tail reads the dims the Tjurina scan evaluated and, from the degree its
     certificate holds on, tau."""
-    ss = tuple(Fraction(s) for s in (samples if samples is not None else DEFAULT_SAMPLES))
+    ss = _samples(samples)
     if not ss:
         raise InputError("need at least one sample")
     rows = []

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 from .exactlinalg import ExactMatrix, InputError, full_rank_mod_p
 
 Monomial = tuple[int, ...]
-Coeff = "Fraction | int"
 
 
 class ParseError(InputError):

@@ -25,8 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import floor, inf
 
-from .brieskorn import (PoleFiltrationReport, StabilizationPolicy, pole_filtration_dims,
-                        stabilized_span_rank)
+from .brieskorn import StabilizationPolicy, pole_filtration_dims, stabilized_span_rank
 from .exactlinalg import ExactMatrix, InvariantError, Subspace, rank_of_vectors
 from .gradedpoly import (InputError, Poly, dehomogenize_shift, monomials_weighted_below,
                          multiples, weight_vector, weighted_degree)
@@ -351,11 +350,10 @@ class HodgeReport:
     """
 
     __slots__ = ("n", "d", "alpha", "hodge_dims", "pole_dims", "equal_range",
-                 "certificates", "pole_report", "charts")
+                 "certificates", "charts")
 
     def __init__(self, n: int, d: int, alpha, hodge_dims: tuple, pole_dims: tuple,
-                 equal_range: tuple, certificates: tuple, pole_report: PoleFiltrationReport,
-                 charts: tuple):
+                 equal_range: tuple, certificates: tuple, charts: tuple):
         self.n = n
         self.d = d
         self.alpha = alpha
@@ -363,7 +361,6 @@ class HodgeReport:
         self.pole_dims = pole_dims
         self.equal_range = equal_range
         self.certificates = certificates
-        self.pole_report = pole_report
         self.charts = charts
 
     @property
@@ -408,4 +405,4 @@ def hodge_filtration_dims(f: Poly, charts, policy: StabilizationPolicy | None = 
                 f"F = P forced for q <= alpha-1 but fails at q={q}: "
                 f"{dims[q]} != {pole.dims[q]} (alpha = {alpha})")
     return HodgeReport(n, d, alpha, tuple(dims), tuple(pole.dims), equal_range,
-                       tuple(certs), pole, charts)
+                       tuple(certs), charts)

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from brieskornlab.cli import (ChartData, FamilyData, ProblemSpec, Report, main,
-                              parse_problem, parse_report, render_report)
+from brieskornlab.cli import (ChartData, FamilyData, ProblemSpec, main, parse_problem,
+                              parse_report, render_report)
 from brieskornlab.gradedpoly import InputError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +78,14 @@ def test_parse_problem_full():
     ("variables = x y z\npolynomial = x^3\nnonsense line\n", "key = value"),
     ("variables = x y z\npolynomial = x^3\n[singular_point]\npoint = 0 0 q\n"
      "chart = z\nweights = 1/2 1/2\n", "not a rational"),
+    # a key its section does not list is refused at its own line, before
+    # the section's missing keys are looked for
+    ("variables = x y z\npolynomial = x^3\n[singular_point]\npoint = 0 0 1\n"
+     "colour = red\n", "bad:5: unknown key 'colour' in [singular_point]"),
+    ("variables = x y z\npolynomial = x^3\n\n[family]\nsamples = 0 1\n"
+     "speed = 2\n", "bad:6: unknown key 'speed' in [family]"),
+    ("variables = x y z\npolynomial = x^3\n[policy]\nwindow = 2\n[policy]\n"
+     "patience = 9\n", "bad:6: unknown key 'patience' in [policy]"),
 ])
 def test_parse_problem_errors(text, needle):
     with pytest.raises(InputError) as exc:
@@ -218,9 +226,9 @@ def test_command_sections_and_checks(capsys, command, sections, checks):
     report = parse_report(out)
     filled = {name for name in ("smoothness", "pole", "hodge", "alpha",
                                 "briancon_skoda", "milnor", "jacobian", "family")
-              if getattr(report, name) is not None}
+              if report[name] is not None}
     assert filled == sections
-    assert [c["name"] for c in report.checks] == checks
+    assert [c["name"] for c in report["checks"]] == checks
 
 
 def test_exit_two_on_stabilization_failure(tmp_path, capsys):
@@ -305,8 +313,56 @@ def test_schema_version_pinned(capsys):
     data = json.loads(out)
     assert data["schema"] == "brieskorn-lab/1"
     assert data["milnor"]["total"] == 8
-    with pytest.raises(InputError):
-        Report.from_json({"schema": "brieskorn-lab/999"})
+
+
+WITH_EXTRA_KEY = json.dumps({**json.loads((GOLDEN / "two_cusp_quartic.json").read_text()),
+                             "extra": 1})
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", "a report must be a JSON object"),
+    ('{"schema": "brieskorn-lab/999"}', "unsupported report schema 'brieskorn-lab/999'"),
+    ('{"schema": "brieskorn-lab/1"}', "report keys differ from brieskorn-lab/1: missing "
+     "['alpha', 'briancon_skoda', 'checks', 'command', 'family', 'hodge', 'input', "
+     "'jacobian', 'milnor', 'pole', 'smoothness', 'timing'], unexpected []"),
+    (WITH_EXTRA_KEY, "report keys differ from brieskorn-lab/1: missing [], unexpected ['extra']"),
+], ids=["not-an-object", "wrong-schema", "missing-keys", "extra-key"])
+def test_parse_report_refuses_malformed_reports(text, message):
+    with pytest.raises(InputError) as exc:
+        parse_report(text)
+    assert str(exc.value) == message
+
+
+def pole_trace_lengths(out: str) -> list:
+    return [len(c["values"]) for c in json.loads(out)["pole"]["certificates"]]
+
+
+def test_stab_window_flag_lengthens_every_certificate(capsys):
+    path = str(PROBLEMS / "fermat_cubic_curve.txt")
+    code, out, err = run_cli(capsys, "pole", "--input", path, "--json", "--no-timing")
+    assert code == 0, err
+    assert pole_trace_lengths(out) == [3, 2, 2]
+    code, out, err = run_cli(capsys, "pole", "--input", path, "--json", "--no-timing",
+                             "--stab-window", "4")
+    assert code == 0, err
+    assert pole_trace_lengths(out) == [4, 4, 4]
+
+
+def test_stab_window_flag_overrides_the_problem_file(tmp_path, capsys):
+    p = tmp_path / "p.txt"
+    p.write_text((PROBLEMS / "fermat_cubic_curve.txt").read_text() + "\n[policy]\nwindow = 2\n")
+    code, out, err = run_cli(capsys, "pole", "--input", str(p), "--json", "--no-timing",
+                             "--stab-window", "4")
+    assert code == 0, err
+    assert json.loads(out)["input"]["policy"] == {"window": 2}
+    assert pole_trace_lengths(out) == [4, 4, 4]
+
+
+def test_stab_max_below_the_window_exits_one(capsys):
+    code, out, err = run_cli(capsys, "pole", "--input", str(PROBLEMS / "fermat_cubic_curve.txt"),
+                             "--stab-max", "1")
+    assert code == 1 and out == ""
+    assert err == "error: stabilization max_power must be at least the window\n"
 
 
 def test_all_problem_files_analyze(capsys):
