@@ -23,8 +23,7 @@ from fractions import Fraction
 from .brieskorn import (StabilizationPolicy, briancon_skoda, hbar_certificate,
                         milnor_eigenspace_dim, pole_filtration_dims)
 from .exactlinalg import InvariantError
-from .families import (DEFAULT_SAMPLES, PencilFamily, grp_nabla_matrix,
-                       pole_constancy_check, tjurina_scan)
+from .families import PencilFamily, grp_nabla_matrix, pole_constancy_check, tjurina_scan
 from .gradedpoly import InputError, ParseError, Poly, parse_poly
 from .jacobian import (NonIsolatedError, global_tjurina, jacobian_dims,
                        smoothness_test)
@@ -354,13 +353,13 @@ def _family(job: _Job) -> None:
     spec, args, policy = job.spec, job.args, job.policy
     if spec.family is None:
         raise _NoData("the problem file has no [family] section")
+    samples = spec.family.samples
     if args.samples is not None:
-        ss = tuple(_fraction(s, "--samples") for s in args.samples.replace(",", " ").split())
-    else:
-        ss = tuple(Fraction(s) for s in spec.family.samples or DEFAULT_SAMPLES)
+        samples = tuple(_fraction(s, "--samples") for s in args.samples.replace(",", " ").split())
     direction = parse_poly(spec.family.direction, spec.variables)
     fam = PencilFamily.pencil(job.f, direction)
-    constancy = pole_constancy_check(fam, ss, policy)
+    constancy = pole_constancy_check(fam, samples, policy)
+    ss = tuple(s for s, _ in constancy.table)
     out = {
         "samples": [_rat(s) for s in ss],
         "pole_table": [{"s": _rat(s), "dims": list(dims)} for s, dims in constancy.table],
@@ -552,18 +551,36 @@ def render_report(report: dict, as_json: bool) -> str:
     return _render_text(report)
 
 
+# the JSON type of each report value as the section builders write it; a
+# value `_new_report` starts at None may also stay null
+_VALUE_TYPES = {"schema": str, "command": str, "input": dict, "smoothness": bool,
+                "pole": dict, "hodge": dict, "alpha": str, "briancon_skoda": dict,
+                "milnor": dict, "jacobian": dict, "family": dict, "checks": list,
+                "timing": dict}
+_JSON_NAMES = {str: "a string", bool: "a boolean", dict: "an object", list: "an array"}
+
+
 def parse_report(text: str) -> dict:
-    """Read back a JSON report; refuses one `render_report` could not have written."""
-    data = json.loads(text)
+    """Read back a JSON report; refuses one `render_report` could not have
+    written, down to the JSON type of each top-level value."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise InputError(f"a report must be JSON text: {e}") from None
     if not isinstance(data, dict):
         raise InputError("a report must be a JSON object")
     if data.get("schema") != SCHEMA:
         raise InputError(f"unsupported report schema {data.get('schema')!r}")
-    expected = _new_report("", {}).keys()
-    missing, unexpected = expected - data.keys(), data.keys() - expected
+    fresh = _new_report("", {})
+    missing, unexpected = fresh.keys() - data.keys(), data.keys() - fresh.keys()
     if missing or unexpected:
         raise InputError(f"report keys differ from {SCHEMA}: missing {sorted(missing)}, "
                          f"unexpected {sorted(unexpected)}")
+    for key, value in data.items():
+        kind = _VALUE_TYPES[key]
+        if not (isinstance(value, kind) or value is None and fresh[key] is None):
+            raise InputError(f"report value {key!r} is not {_JSON_NAMES[kind]}"
+                             + (" or null" if fresh[key] is None else ""))
     return data
 
 

@@ -17,7 +17,7 @@ non-pivot columns, so reductions never cascade.
 
 There is one pivot loop, `_forward_eliminate`, with two row steps: `_combine`
 and `_combine_mod_p`, the same cross-multiplication modulo a fixed prime, with
-which `full_rank_mod_p` can prove full column rank but never refute it.
+which `full_rank_mod_p` can prove full rank but never refute it.
 """
 
 from __future__ import annotations
@@ -294,9 +294,12 @@ def full_rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> bool:
     """Whether the integer rows reach rank ncols modulo FULL_RANK_PRIME.
 
     True proves rank ncols over Q, since rank mod p <= rank over Q for integer
-    rows: a maximal minor that is nonzero mod p is a nonzero integer.  False
-    proves nothing, and the caller falls back to an exact rank.  Coordinates
-    must lie in range(ncols).  The pass is `_forward_eliminate` over residues.
+    rows: a minor that is nonzero mod p is a nonzero integer.  False proves
+    nothing, and the caller falls back to an exact rank.  With ncols the
+    number of columns it proves full column rank (the smoothness probe);
+    with ncols = len(rows) it proves the rows independent, a zero row
+    counting as a dependency (the squarefree test).  The pass is
+    `_forward_eliminate` over residues.
     """
     p = FULL_RANK_PRIME
     residues = ({c: r for c, val in row.items() if (r := val % p)} for row in rows)

@@ -170,9 +170,26 @@ def _graded_quotient(f: Poly, n: int, d: int, k: int, power: int):
     return solver, basis
 
 
+def _presentation_powers(f: Poly, q: int, policy: StabilizationPolicy) -> tuple:
+    """(p_src, p_tgt), the powers of f that present the source and target
+    quotients of `grp_nabla_matrix` at q: 0 on a proved-smooth fiber, else
+    the certified power of the target degree, and for the source the larger
+    of the certified power of its degree and that of one degree d lower,
+    less one.  The certificates are asked for in either case."""
+    n, d = f.nvars - 1, f.homogeneous_degree()
+    src_k, tgt_k = q * d, (q + 1) * d
+    p_tgt = hbar_certificate(f, tgt_k, policy).power
+    p_src = hbar_certificate(f, src_k, policy).power if src_k >= n + 1 else 0
+    if src_k - d >= n + 1:
+        p_src = max(p_src, hbar_certificate(f, src_k - d, policy).power - 1)
+    if _ctx(f).smooth:
+        return 0, 0
+    return p_src, p_tgt
+
+
 def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
                      policy: StabilizationPolicy | None = None,
-                     samples=None, extra_stabilization: int = 0) -> ExactMatrix:
+                     samples=None) -> ExactMatrix:
     """Matrix of the graded Gauss-Manin action on the pole filtration.
 
     Multiplication by -q * xi_f(fam, s0) from H-bar_{qd}/f H-bar_{(q-1)d} to
@@ -196,8 +213,7 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     0 x dim R_{qd-n-1} matrix is returned with no source presentation
     built: a map into the zero space needs no check that it is well
     defined.  The certificates are still asked for, so a policy that
-    cannot be met raises as on a singular fiber.  `extra_stabilization` adds
-    powers above 0 on smooth fibers, above the certified power otherwise.
+    cannot be met raises as on a singular fiber.
     """
     if q < 0:
         raise InputError("q must be nonnegative")
@@ -216,13 +232,8 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     g = xi_f(fam, s0)
 
     src_k, tgt_k = q * d, (q + 1) * d
-    p_tgt = hbar_certificate(f, tgt_k, policy).power + extra_stabilization
-    p_src = hbar_certificate(f, src_k, policy).power + extra_stabilization if src_k >= n + 1 else 0
-    if src_k - d >= n + 1:
-        p_src = max(p_src, hbar_certificate(f, src_k - d, policy).power - 1 + extra_stabilization)
+    p_src, p_tgt = _presentation_powers(f, q, policy)
     ctx = _ctx(f)
-    if ctx.smooth:
-        p_tgt = p_src = extra_stabilization
 
     tgt_solver, tgt_basis = _graded_quotient(f, n, d, tgt_k, p_tgt)
     if not tgt_basis and ctx.smooth:

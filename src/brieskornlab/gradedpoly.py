@@ -4,10 +4,11 @@ Coefficients are exact rationals (`fractions.Fraction`, with plain ints allowed
 as a fast path) and monomials are exponent tuples, one entry per variable.
 Everything downstream builds matrices out of these, so all enumeration here is
 deterministic: graded-lex order with the user's variable order throughout.
-The one algorithm beyond arithmetic, the gcd of homogeneous forms behind the
-reducedness test, is linear algebra too: the kernel of a Sylvester map,
-proved zero by a full rank modulo a prime or solved by `exactlinalg`'s
-elimination (see "gcd tools" below).
+The one algorithm beyond arithmetic, the reducedness test, is linear
+algebra too: f is squarefree exactly when one Macaulay matrix of its
+partials, built by `multiples` like every other, has independent rows,
+proved by a full rank modulo a prime or decided by `exactlinalg`'s exact
+rank (`is_squarefree`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb, floor, gcd
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .exactlinalg import ExactMatrix, InputError, full_rank_mod_p
+from .exactlinalg import InputError, full_rank_mod_p, rank_of_vectors
 
 Monomial = tuple[int, ...]
 
@@ -282,11 +283,13 @@ def _coeff(c):
 # input budget: the most monomials one degree may have.  Every index, every
 # Jacobian and relation row, and the bases of the family quotients and the
 # global level-q sections are built through `jacobian._JacContext.monomials`,
-# which refuses a larger basis before building it, and `parse_poly` refuses
-# to expand a power or product into such a degree.  A basis and its index
-# take about 150 bytes a monomial (CPython 3.11), so this bounds one at about
-# 40 MB; the largest that the tests build has 4495 monomials (4 variables,
-# degree 28), the problem corpus and the benchmark workloads 680.
+# which refuses a larger basis before building it, as `is_squarefree` refuses
+# its degree 2d-3 (every function that calls `monomial_basis` calls
+# `_basis_overflow`), and `parse_poly` refuses to expand a power or product
+# into such a degree.  A basis and its index take about 150 bytes a monomial
+# (CPython 3.11), so this bounds one at about 40 MB; the largest that the
+# tests build has 4495 monomials (4 variables, degree 28), the problem corpus
+# and the benchmark workloads 680.
 _MAX_BASIS_SIZE = 250_000
 
 
@@ -621,115 +624,58 @@ def dehomogenize_shift(g: Poly, chart: int, point: Sequence) -> Poly:
     return total
 
 
-# ------------------------------------------------------------------ gcd tools
-#
-# The gcd of homogeneous forms is linear algebra, like everything else.  Let a
-# and b have degrees alpha and beta and gcd g of degree gamma.  The map
-# phi_e(u, v) = u*a - v*b from S_{beta-e} + S_{alpha-e} to S_{alpha+beta-e}
-# has kernel {(b/g*t, a/g*t) : t in S_{gamma-e}}: it is zero exactly when
-# e > gamma, so a and b are coprime iff ker phi_1 = 0, and at e = gamma it is
-# a line whose v-part is a/g up to a scalar.  Since dim ker phi_1 =
-# dim S_{gamma-1}, that dimension names gamma.  ker phi_1 = 0 says the matrix
-# of phi_1 has full column rank; over integer-scaled a and b a full rank
-# modulo a prime proves it without an exact elimination, and otherwise the
-# exact kernel decides.  Results are normalized to have leading (graded-lex)
-# coefficient 1.
-
-
-def _leading(p: Poly) -> tuple[Monomial, Fraction]:
-    m = max(p.terms, key=lambda t: (mono_degree(t), t))
-    return m, p.terms[m]
-
-
-def _normalize(p: Poly) -> Poly:
-    if p.is_zero():
-        return p
-    _, c = _leading(p)
-    return p.scale(Fraction(1, 1) / c)
-
-
-def _sylvester_matrix(a: Poly, b: Poly, alpha: int, beta: int, e: int):
-    """The matrix of phi_e over the columns (v, u), and the monomial basis
-    of S_{alpha-e} that indexes the v-part (the leading columns)."""
-    vs, us = monomial_basis(a.nvars, alpha - e), monomial_basis(a.nvars, beta - e)
-    target = {m: i for i, m in enumerate(monomial_basis(a.nvars, alpha + beta - e))}
-    rows: list[dict] = [{} for _ in target]
-    neg_b = -b
-    for col, (factor, m) in enumerate([(neg_b, m) for m in vs] + [(a, m) for m in us]):
-        for t, c in factor.terms.items():
-            rows[target[mono_mul(t, m)]][col] = c
-    return ExactMatrix.from_rows(rows, len(vs) + len(us)), vs
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """gcd of homogeneous a and b up to scalar, normalized to leading
-    coefficient 1 (1 for coprime), read off the kernel of phi_e above.
-
-    Raises InputError when a nonzero argument is not homogeneous.
-    """
-    a._same_ring(b)
-    if not (a.is_homogeneous() and b.is_homogeneous()):
-        raise InputError("poly_gcd needs homogeneous polynomials")
-    if a.is_zero():
-        return _normalize(b)
-    if b.is_zero():
-        return _normalize(a)
-    alpha, beta = a.homogeneous_degree(), b.homogeneous_degree()
-    # the gcd up to scalar is that of the integer-scaled forms
-    a, b = a.integer_scaled()[0], b.integer_scaled()[0]
-    phi, vs = _sylvester_matrix(a, b, alpha, beta, 1)
-    if full_rank_mod_p(phi.rows, phi.ncols):   # also when a or b is a nonzero constant
-        return Poly.constant(a.nvars, 1)
-    kernel = phi.kernel_basis()
-    if not kernel.dim:
-        return Poly.constant(a.nvars, 1)
-    # gamma is the largest e with dim S_{e-1} = dim ker phi_1; in one
-    # variable every form is a monomial and gamma = min(alpha, beta)
-    gamma = max(e for e in range(1, min(alpha, beta) + 1)
-                if comb(e + a.nvars - 2, a.nvars - 1) == kernel.dim)
-    if gamma > 1:
-        phi, vs = _sylvester_matrix(a, b, alpha, beta, gamma)
-        kernel = phi.kernel_basis()
-    (line,) = kernel.basis()
-    cofactor = Poly(a.nvars, {vs[c]: val for c, val in line.items() if c < len(vs)})
-    return _normalize(try_divide(a, cofactor))
-
-
-def try_divide(p: Poly, q: Poly):
-    """Return p/q when q divides p exactly, else None (graded-lex long division)."""
-    p._same_ring(q)
-    if q.is_zero():
-        raise InputError("division by the zero polynomial")
-    if p.is_zero():
-        return Poly.zero(p.nvars)
-    qm, qc = _leading(q)
-    quot: dict = {}
-    rem = p
-    while not rem.is_zero():
-        rm, rc = _leading(rem)
-        diff = tuple(a - b for a, b in zip(rm, qm))
-        if any(e < 0 for e in diff):
-            return None
-        c = Fraction(rc) / Fraction(qc)
-        if c.denominator == 1:
-            c = int(c)
-        quot[diff] = c
-        rem = rem - q.shift(diff).scale(c)
-    return Poly(p.nvars, quot)
+# ------------------------------------------------------------- squarefree test
 
 
 def is_squarefree(f: Poly) -> bool:
     """True iff the homogeneous f has no repeated factor (characteristic zero).
 
-    Uses gcd(f, df/dx_0, ..., df/dx_n): the gcd is a constant exactly when f is
-    squarefree, and needs no genericity assumption.  Raises InputError when f
-    is nonzero and not homogeneous.
+    Decided by the rank of one Macaulay matrix of the partials.  Let d =
+    deg f >= 2, a the first nonzero partial and a_1..a_n the other n.  Then
+    f is squarefree iff these rows of S_{2d-3}^n are linearly independent:
+    x^m * (a_1, ..., a_n) for each m in S_{d-2}, and x^m * a in block i for
+    each m in S_{d-2} and i = 1..n.  A zero row counts, as a dependency.  A
+    dependency is a tuple (u, v_1, ..., v_n) of forms in S_{d-2}, not all
+    zero, with u * a_i = v_i * a for every i (the sign taken into v_i).
+
+    - If f = g^2 h with deg g = c >= 1, g divides every partial, and
+      u = (a/g) * l^(c-1), v_i = (a_i/g) * l^(c-1), for any linear form l,
+      is one.
+    - Conversely u != 0, since u = 0 leaves v_i * a = 0 with a != 0.  Then
+      a | u * a_i with deg u < deg a gives a prime p dividing a more often
+      than u, so p divides a and every a_i.  By Euler's formula
+      d*f = sum x_j * df/dx_j, p divides f; writing f = p*h, p divides
+      df/dx_j = p * dh/dx_j + h * dp/dx_j for every j, and does not divide
+      every dp/dx_j, so p divides h and p^2 divides f.
+
+    A full rank modulo a prime proves the rows independent without an exact
+    elimination (`exactlinalg.full_rank_mod_p`); otherwise their exact rank
+    decides.  The basis of degree 2d-3 is refused, before it is built, when
+    it has more than _MAX_BASIS_SIZE monomials.  Forms of degree 0 and 1 are
+    squarefree, 0 is not.  Raises InputError when f is nonzero and not
+    homogeneous.
     """
     if f.is_zero():
         return False
-    g = f
-    for i in range(f.nvars):
-        g = poly_gcd(g, f.partial(i))
-        if g.degree() == 0:
-            return True
-    return g.degree() == 0
+    d = f.homogeneous_degree()
+    if d < 2:
+        return True
+    refusal = _basis_overflow(f.nvars, 2 * d - 3)
+    if refusal:
+        raise InputError(refusal)
+    f = f.integer_scaled()[0]
+    others = [list(f.partial(i).terms.items()) for i in range(f.nvars)]
+    a = others.pop(next(i for i, p in enumerate(others) if p))
+    # every block of S_{2d-3}^n reads the one budgeted index of S_{2d-3},
+    # block i offset by i*width
+    index = {m: j for j, m in enumerate(monomial_basis(f.nvars, 2 * d - 3))}
+    width, monos = len(index), monomial_basis(f.nvars, d - 2)
+    rows = [{} for _ in monos]   # x^m * (a_1, ..., a_n)
+    for i, p in enumerate(others):
+        for row, part in zip(rows, multiples([p], monos, index)):
+            row.update((c + i * width, v) for c, v in part.items())
+    a_rows = multiples([a], monos, index)   # x^m * a, put in each block
+    for i in range(len(others)):
+        rows += [{c + i * width: v for c, v in row.items()} for row in a_rows]
+    return (full_rank_mod_p(rows, len(rows))
+            or rank_of_vectors(rows, len(others) * width) == len(rows))

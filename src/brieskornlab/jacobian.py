@@ -33,7 +33,12 @@ Before the verdict, and for singular f, dim R_k is an exact rank, except past
 the degree k where `global_tjurina` proved the tail: every later dim R_j is
 tau, or, once the growth from k is maximal, Macaulay's bound iterated from
 dim R_k (Gotzmann persistence).  Every row the module builds is a Macaulay
-row of the partials (`gradedpoly.multiples`).
+row of the partials (`gradedpoly.multiples`), and so is every row of the
+reducedness test (`gradedpoly.is_squarefree`): with a the first nonzero
+partial and a_1..a_n the others, f is squarefree exactly when the rows
+x^m * (a_1, ..., a_n) and x^m * a in each block i, m of degree d-2, are
+linearly independent, which a full rank modulo the prime proves as at the
+probe.
 
 `_ctx(f)` is the one context of f per live polynomial: it validates, scales
 and differentiates f once, holds the Brieskorn state of f beside the ranks of
@@ -99,8 +104,9 @@ class _JacContext:
 
     @cached_property
     def reduced(self) -> bool:
-        """Whether f is squarefree, by the gcd of f and its partials; decided
-        on first use, before and apart from the smoothness probe."""
+        """Whether f is squarefree, by the rank of one Macaulay matrix of its
+        partials (`gradedpoly.is_squarefree`); decided on first use, before
+        and apart from the smoothness probe."""
         return is_squarefree(self.f)
 
     @cached_property

@@ -14,9 +14,11 @@ degree k as multiplication by k/d.  The relation-row tests build
 Three checks of the paper's identities follow: the Gauss-Manin
 identities behind the transition maps, the cokernel of multiplication by f
 (Prop. 16) and the primitive Hodge numbers of a smooth hypersurface
-(Griffiths).  Last come the hand-written Macaulay row loops for the Jacobian,
+(Griffiths).  Then come the hand-written Macaulay row loops for the Jacobian,
 relation, coordinate-section and jet matrices, which the package now builds
-through `gradedpoly.multiples`.
+through `gradedpoly.multiples`.  Last comes the gcd of forms, read off the
+exact kernels of Sylvester maps, and the chain of gcds of f and its partials
+that decides reducedness without `gradedpoly.is_squarefree`'s theorem.
 
 Test files import it as a plain module: pytest's default import mode puts
 the test directory on sys.path.
@@ -25,10 +27,11 @@ the test directory on sys.path.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from brieskornlab import brieskorn
-from brieskornlab.exactlinalg import _strip_content, rank_of_vectors
+from brieskornlab.exactlinalg import ExactMatrix, _strip_content, rank_of_vectors
 from brieskornlab.gradedpoly import (InputError, Poly, hilbert_ci_coeffs, mono_mul,
                                      monomial_basis, monomials_weighted_below)
 
@@ -397,3 +400,106 @@ def coordinate_section_vanishes_by_cut(ctx, k: int) -> bool:
         if rank_of_vectors(cut, len(cols)) == len(cols):
             return True
     return False
+
+
+# The gcd chain that decided reducedness before `gradedpoly.is_squarefree`
+# read it off one Macaulay matrix of the partials, kept as its oracle.  The
+# gcd of homogeneous forms is linear algebra too.  Let a and b have degrees
+# alpha and beta and gcd g of degree gamma.  The map phi_e(u, v) = u*a - v*b
+# from S_{beta-e} + S_{alpha-e} to S_{alpha+beta-e} has kernel
+# {(b/g*t, a/g*t) : t in S_{gamma-e}}: it is zero exactly when e > gamma, so a
+# and b are coprime iff ker phi_1 = 0, and at e = gamma it is a line whose
+# v-part is a/g up to a scalar.  Since dim ker phi_1 = dim S_{gamma-1}, that
+# dimension names gamma.  Results are normalized to have leading (graded-lex)
+# coefficient 1.
+
+
+def _leading(p: Poly) -> tuple:
+    m = max(p.terms, key=lambda t: (sum(t), t))
+    return m, p.terms[m]
+
+
+def _normalize(p: Poly) -> Poly:
+    if p.is_zero():
+        return p
+    _, c = _leading(p)
+    return p.scale(Fraction(1, 1) / c)
+
+
+def _sylvester_matrix(a: Poly, b: Poly, alpha: int, beta: int, e: int):
+    """The matrix of phi_e over the columns (v, u), and the monomial basis
+    of S_{alpha-e} that indexes the v-part (the leading columns)."""
+    vs, us = monomial_basis(a.nvars, alpha - e), monomial_basis(a.nvars, beta - e)
+    target = {m: i for i, m in enumerate(monomial_basis(a.nvars, alpha + beta - e))}
+    rows: list = [{} for _ in target]
+    neg_b = -b
+    for col, (factor, m) in enumerate([(neg_b, m) for m in vs] + [(a, m) for m in us]):
+        for t, c in factor.terms.items():
+            rows[target[mono_mul(t, m)]][col] = c
+    return ExactMatrix.from_rows(rows, len(vs) + len(us)), vs
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """gcd of homogeneous a and b up to scalar, normalized to leading
+    coefficient 1 (1 for coprime), read off the exact kernel of phi_e above.
+
+    Raises InputError when a nonzero argument is not homogeneous.
+    """
+    a._same_ring(b)
+    if not (a.is_homogeneous() and b.is_homogeneous()):
+        raise InputError("poly_gcd needs homogeneous polynomials")
+    if a.is_zero():
+        return _normalize(b)
+    if b.is_zero():
+        return _normalize(a)
+    alpha, beta = a.homogeneous_degree(), b.homogeneous_degree()
+    phi, vs = _sylvester_matrix(a, b, alpha, beta, 1)
+    kernel = phi.kernel_basis()
+    if not kernel.dim:
+        return Poly.constant(a.nvars, 1)
+    # gamma is the largest e with dim S_{e-1} = dim ker phi_1; in one
+    # variable every form is a monomial and gamma = min(alpha, beta)
+    gamma = max(e for e in range(1, min(alpha, beta) + 1)
+                if comb(e + a.nvars - 2, a.nvars - 1) == kernel.dim)
+    if gamma > 1:
+        phi, vs = _sylvester_matrix(a, b, alpha, beta, gamma)
+        kernel = phi.kernel_basis()
+    (line,) = kernel.basis()
+    cofactor = Poly(a.nvars, {vs[c]: val for c, val in line.items() if c < len(vs)})
+    return _normalize(try_divide(a, cofactor))
+
+
+def try_divide(p: Poly, q: Poly):
+    """Return p/q when q divides p exactly, else None (graded-lex long division)."""
+    p._same_ring(q)
+    if q.is_zero():
+        raise InputError("division by the zero polynomial")
+    if p.is_zero():
+        return Poly.zero(p.nvars)
+    qm, qc = _leading(q)
+    quot: dict = {}
+    rem = p
+    while not rem.is_zero():
+        rm, rc = _leading(rem)
+        diff = tuple(a - b for a, b in zip(rm, qm))
+        if any(e < 0 for e in diff):
+            return None
+        c = Fraction(rc) / Fraction(qc)
+        if c.denominator == 1:
+            c = int(c)
+        quot[diff] = c
+        rem = rem - q.shift(diff).scale(c)
+    return Poly(p.nvars, quot)
+
+
+def squarefree_by_gcd(f: Poly) -> bool:
+    """Whether the homogeneous f is squarefree, by gcd(f, df/dx_0, ...,
+    df/dx_n): the gcd is a constant exactly when f is squarefree."""
+    if f.is_zero():
+        return False
+    g = f
+    for i in range(f.nvars):
+        g = poly_gcd(g, f.partial(i))
+        if g.degree() == 0:
+            return True
+    return g.degree() == 0

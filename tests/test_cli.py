@@ -5,11 +5,14 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from brieskornlab import gradedpoly, jacobian
 from brieskornlab.cli import (ChartData, FamilyData, ProblemSpec, main, parse_problem,
                               parse_report, render_report)
 from brieskornlab.gradedpoly import InputError
@@ -193,6 +196,34 @@ def test_exit_one_when_a_degree_exceeds_the_basis_budget(tmp_path):
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
+def test_exit_one_before_the_reducedness_basis_outgrows_the_budget(monkeypatch, capsys, tmp_path):
+    """x^700 + y^700 + z^700 parses (degree 700 has C(702, 2) = 245351
+    monomials), but its squarefree test lies in degree 2d-3 = 1397, with
+    C(1399, 2) = 977901.  `pole` refuses that basis before building it: exit
+    1 with one line, and no monomial basis past the budget is asked for."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    sizes = []
+    real = gradedpoly.monomial_basis
+
+    def recorded(nvars, degree):
+        sizes.append(comb(degree + nvars - 1, nvars - 1) if degree >= 0 else 0)
+        if sizes[-1] > gradedpoly._MAX_BASIS_SIZE:
+            raise AssertionError(f"a basis of {sizes[-1]} monomials was asked for")
+        return real(nvars, degree)
+
+    for name, module in list(sys.modules.items()):
+        if name == "brieskornlab" or name.startswith("brieskornlab."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, recorded)
+    p = tmp_path / "p.txt"
+    p.write_text("variables = x y z\npolynomial = x^700 + y^700 + z^700\n")
+    assert main(["pole", "--input", str(p)]) == 1
+    assert capsys.readouterr() == ("", "error: degree 1397 has 977901 monomials in 3 variables, "
+                                       "more than the limit of 250000\n")
+    assert max(sizes, default=0) <= gradedpoly._MAX_BASIS_SIZE
+
+
 def test_exit_one_on_negative_q_max(capsys):
     code, out, err = run_cli(capsys, "family", "--input",
                              str(PROBLEMS / "fermat_pencil.txt"), "--q-max", "-3")
@@ -315,8 +346,8 @@ def test_schema_version_pinned(capsys):
     assert data["milnor"]["total"] == 8
 
 
-WITH_EXTRA_KEY = json.dumps({**json.loads((GOLDEN / "two_cusp_quartic.json").read_text()),
-                             "extra": 1})
+def golden_report_with(**values) -> str:
+    return json.dumps({**json.loads((GOLDEN / "two_cusp_quartic.json").read_text()), **values})
 
 
 @pytest.mark.parametrize("text,message", [
@@ -325,8 +356,14 @@ WITH_EXTRA_KEY = json.dumps({**json.loads((GOLDEN / "two_cusp_quartic.json").rea
     ('{"schema": "brieskorn-lab/1"}', "report keys differ from brieskorn-lab/1: missing "
      "['alpha', 'briancon_skoda', 'checks', 'command', 'family', 'hodge', 'input', "
      "'jacobian', 'milnor', 'pole', 'smoothness', 'timing'], unexpected []"),
-    (WITH_EXTRA_KEY, "report keys differ from brieskorn-lab/1: missing [], unexpected ['extra']"),
-], ids=["not-an-object", "wrong-schema", "missing-keys", "extra-key"])
+    (golden_report_with(extra=1),
+     "report keys differ from brieskorn-lab/1: missing [], unexpected ['extra']"),
+    ("brieskorn-lab nodal cubic", "a report must be JSON text: Expecting value: "
+     "line 1 column 1 (char 0)"),
+    (golden_report_with(pole=5), "report value 'pole' is not an object or null"),
+    (golden_report_with(checks=None), "report value 'checks' is not an array"),
+], ids=["not-an-object", "wrong-schema", "missing-keys", "extra-key", "not-json",
+        "pole-not-an-object", "checks-null"])
 def test_parse_report_refuses_malformed_reports(text, message):
     with pytest.raises(InputError) as exc:
         parse_report(text)

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import poly_gcd, try_divide
+
 from brieskornlab import exactlinalg
 from brieskornlab.gradedpoly import (InputError, ParseError, Poly,
                                      dehomogenize_shift, hilbert_ci_coeffs,
                                      is_squarefree, monomial_basis,
                                      monomials_weighted_below, parse_poly,
-                                     poly_gcd, render, try_divide,
-                                     weight_vector, weighted_degree)
+                                     render, weight_vector, weighted_degree)
 
 XYZ = ("x", "y", "z")
 
@@ -137,6 +138,9 @@ def test_is_squarefree():
     assert is_squarefree(P("x^2*y^2 + x*z^3 + y*z^3"))
     assert not is_squarefree(P("x^2*y"))
     assert not is_squarefree(P("(x + y)^2*(x - y)"))
+    assert is_squarefree(P("3")) and is_squarefree(P("x - 2*y"))
+    assert not is_squarefree(P("0")) and not is_squarefree(P("x^2"))
+    assert is_squarefree(P("x^2 - y^2", ("x", "y"))) and not is_squarefree(P("x^3", ("x",)))
 
 
 def test_gcd_and_division():
@@ -148,12 +152,12 @@ def test_gcd_and_division():
     assert q == P("x + y")
 
 
-def test_gcd_costs_no_elimination_on_a_coprime_pair(monkeypatch):
-    """A coprime pair is decided by the full rank of phi_1 modulo a prime,
-    with no exact elimination; a common factor of degree 2 fails that test
-    and costs the exact kernels of phi_1 and phi_2.  The modular pass runs
-    the same pivot loop with its own row step, so only the calls with the
-    exact step `_combine` are counted."""
+def test_only_a_non_reduced_form_costs_an_exact_elimination(monkeypatch):
+    """The Fermat cubic and six lines are proved reduced by the full rank of
+    their rows modulo a prime, with no exact elimination; the rows of
+    (x + y)^2*(x - y) are dependent, fail that test and cost one exact rank.
+    The modular pass runs the same pivot loop with its own row step, so only
+    the calls with the exact step `_combine` are counted."""
     real, calls = exactlinalg._forward_eliminate, []
 
     def counted(rows, step=exactlinalg._combine):
@@ -162,12 +166,11 @@ def test_gcd_costs_no_elimination_on_a_coprime_pair(monkeypatch):
         return real(rows, step)
 
     monkeypatch.setattr(exactlinalg, "_forward_eliminate", counted)
-    f = P("x^3 + y^3 + z^3 - 2*x*y*z")
-    assert poly_gcd(f, f.partial(0)) == P("1")
+    assert is_squarefree(P("x^3 + y^3 + z^3"))
+    assert is_squarefree(P("x*y*z*(x + y)*(y + z)*(x + 2*y + 3*z)"))
     assert len(calls) == 0
-    calls.clear()
-    assert poly_gcd(P("(x^2 + y*z)*(x - z)"), P("(x^2 + y*z)*(y + 2*z)")) == P("x^2 + y*z")
-    assert len(calls) == 2
+    assert not is_squarefree(P("(x + y)^2*(x - y)"))
+    assert len(calls) == 1
 
 
 def test_gcd_needs_homogeneous_input():

@@ -18,7 +18,9 @@ the process, where per-polynomial state belongs on an object that dies with
 the polynomial.  Non-empty tables (cli._COMMANDS, cli._SECTIONS) are data.
 One function uses `heapq`, the pivot loop `exactlinalg._forward_eliminate`:
 every elimination, exact or modulo a prime, runs through it with its own row
-step, and a second heap-driven loop would be a second copy of it.
+step, and a second heap-driven loop would be a second copy of it.  Every
+function that calls `monomial_basis` also calls `_basis_overflow`, so no
+basis past the input budget of `gradedpoly` is built before it is refused.
 
 One check is not syntactic: a cold `import brieskornlab.cli`, which every
 CLI job pays, loads no `dataclasses` and none of the source-introspection
@@ -249,6 +251,62 @@ def test_one_function_holds_the_pivot_heap():
     found = {(p.name, fn) for p in sorted(PACKAGE.glob("*.py"))
              for fn in functions_using(p.read_text(), "heapq")}
     assert found == {("exactlinalg.py", "_forward_eliminate")}
+
+
+def calls_by_function(source: str) -> dict:
+    """{function: names it calls}, per innermost def qualified by its
+    enclosing classes and defs ("<module>" outside any def); a call of an
+    attribute counts by the attribute's name."""
+    found: dict = {}
+
+    def visit(node, scope):
+        if isinstance(node, _DEFS):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            found.setdefault(scope or "<module>", set()).add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def unbudgeted_basis_builders(source: str) -> list:
+    """Functions that call `monomial_basis` but not `_basis_overflow`."""
+    return sorted(fn for fn, names in calls_by_function(source).items()
+                  if "monomial_basis" in names and "_basis_overflow" not in names)
+
+
+def test_scanner_flags_only_unbudgeted_basis_builders():
+    source = ("from .gradedpoly import _basis_overflow, monomial_basis\n"
+              "from . import gradedpoly\n"
+              "def guarded(n, m):\n"
+              "    if _basis_overflow(n, m):\n"
+              "        raise ValueError\n"
+              "    return monomial_basis(n, m)\n"
+              "def bare(n, m):\n"
+              "    return gradedpoly.monomial_basis(n, m)\n"
+              "def outer(n, m):\n"
+              "    _basis_overflow(n, m)\n"
+              "    def inner():\n"
+              "        return monomial_basis(n, m)\n"
+              "    return inner()\n"
+              "class C:\n"
+              "    def method(self, n):\n"
+              "        return [monomial_basis(n, k) for k in range(3)]\n"
+              "def mentions(n):\n"
+              "    return monomial_basis\n"
+              "TABLE = monomial_basis(3, 2)\n")
+    assert unbudgeted_basis_builders(source) == ["<module>", "C.method", "bare", "outer.inner"]
+
+
+def test_every_basis_builder_checks_the_budget():
+    found = {p.name: unbudgeted_basis_builders(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 1
+    assert {name: fns for name, fns in found.items() if fns} == {}
 
 
 # `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`

@@ -9,9 +9,10 @@ proved smooth; and every certificate the Sebastiani fast path issues equals
 the one the f-power scan by elimination gives under the same policy.  For
 any f, singular or not, the Hilbert function of R obeys Macaulay's bound, and
 a Tjurina number certified by Gotzmann persistence stays the dim of R after
-the certified degree.  The Sylvester-kernel gcd of forms in 2-4 variables
-returns a monic common divisor that a planted common factor divides, and
-the squarefree test it drives rejects f*h^2 and accepts smooth forms.  On
+the certified degree.  The oracle's Sylvester-kernel gcd of forms in 2-4
+variables returns a monic common divisor that a planted common factor
+divides; the squarefree test decides as the chain of those gcds over the
+partials does, rejects f*h^2 and accepts smooth forms.  On
 pencils whose sampled fibers are smooth, the graded connection matrix at
 s = 0 is multiplication by -q*g in the Jacobian ring of the fiber, computed
 by the dense Fraction Gauss-Jordan of `test_kernel_oracle`.  On reduced
@@ -22,6 +23,7 @@ f_a d_b(g) - f_b d_a(g).
 
 import itertools
 import re
+from unittest import mock
 
 import pytest
 
@@ -30,17 +32,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import coker_check_prop16  # noqa: E402
+from oracles import coker_check_prop16, poly_gcd, squarefree_by_gcd, try_divide  # noqa: E402
 from test_kernel_oracle import dense_rref  # noqa: E402
 
-from brieskornlab import brieskorn, jacobian  # noqa: E402
+from brieskornlab import brieskorn, exactlinalg, jacobian  # noqa: E402
 from brieskornlab.brieskorn import StabilizationError, StabilizationPolicy  # noqa: E402
 from brieskornlab.exactlinalg import Subspace, rank_of_vectors  # noqa: E402
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,  # noqa: E402
                                    grp_nabla_matrix, specialize)
 from brieskornlab.gradedpoly import (InputError, Poly, hilbert_ci_coeffs,  # noqa: E402
-                                     is_squarefree, monomial_basis, poly_gcd,
-                                     try_divide)
+                                     is_squarefree, monomial_basis)
 from brieskornlab.jacobian import (NonIsolatedError, _macaulay_bound,  # noqa: E402
                                    global_tjurina, jacobian_dims, smoothness_test)
 
@@ -184,6 +185,43 @@ def test_gcd_is_a_monic_common_divisor_that_the_planted_factor_divides(pair):
 def test_a_squared_factor_is_never_squarefree(pair):
     f, h = pair
     assert not is_squarefree(f * h * h)
+
+
+@st.composite
+def squarefree_candidates(draw):
+    """A form in 2-4 variables of degree 0..5 with coefficients in -3..3:
+    dense, sparse, free of one variable, or with a planted square g^2 h."""
+    nvars, d = draw(st.integers(2, 4)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(("dense", "sparse", "missing", "square")))
+    if kind == "square" and d >= 2:
+        c = draw(st.integers(1, d // 2))
+        g, h = draw(forms(nvars, c)), draw(forms(nvars, d - 2 * c))
+        event(kind)
+        return g * g * h
+    monos = monomial_basis(nvars, d)
+    coeff = st.sampled_from((0, 0, 0, 1, -1, 2)) if kind == "sparse" else st.integers(-3, 3)
+    f = Poly.from_terms(nvars, dict(zip(monos, draw(st.lists(
+        coeff, min_size=len(monos), max_size=len(monos))))))
+    if kind == "missing":
+        i = draw(st.integers(0, nvars - 1))
+        f = Poly.from_terms(nvars, {m: c for m, c in f.terms.items() if not m[i]})
+    assume(not f.is_zero())
+    event(kind)
+    return f
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(squarefree_candidates())
+def test_squarefree_test_agrees_with_the_gcd_chain(f):
+    """The rank of one Macaulay matrix of the partials decides as the gcd
+    of f and its partials does, at the default prime and at the prime 3,
+    where many modular ranks fall short and the exact rank decides."""
+    expected = squarefree_by_gcd(f)
+    event(f"squarefree: {expected}")
+    assert is_squarefree(f) == expected
+    with mock.patch.object(exactlinalg, "FULL_RANK_PRIME", 3):
+        assert is_squarefree(f) == expected
 
 
 @settings(max_examples=20, deadline=None, database=None,
