@@ -13,7 +13,7 @@ from .exactlinalg import (ExactMatrix, InvariantError, QuotientMapError, SpanSol
                           Subspace, rank_of_vectors)
 from .families import (DEFAULT_SAMPLES, PencilFamily, PoleConstancyResult,
                        TjurinaScanResult, grp_nabla_matrix, pole_constancy_check,
-                       specialize, tjurina_scan, xi_f)
+                       specialize, tjurina_scan)
 from .gradedpoly import (InputError, ParseError, Poly, dehomogenize_shift,
                          hilbert_ci_coeffs, is_squarefree, monomial_basis,
                          parse_poly, render, weight_vector, weighted_degree)
@@ -38,5 +38,5 @@ __all__ = [
     "pole_constancy_check", "pole_filtration_dims", "rank_of_vectors",
     "relation_space", "render", "smoothness_test", "specialize",
     "stabilized_span_rank", "tjurina_scan", "verify_chart_coverage",
-    "weight_vector", "weighted_degree", "xi_f",
+    "weight_vector", "weighted_degree",
 ]

@@ -357,7 +357,7 @@ def _family(job: _Job) -> None:
     if args.samples is not None:
         samples = tuple(_fraction(s, "--samples") for s in args.samples.replace(",", " ").split())
     direction = parse_poly(spec.family.direction, spec.variables)
-    fam = PencilFamily.pencil(job.f, direction)
+    fam = PencilFamily(job.f, direction)
     constancy = pole_constancy_check(fam, samples, policy)
     ss = tuple(s for s, _ in constancy.table)
     out = {
@@ -551,18 +551,25 @@ def render_report(report: dict, as_json: bool) -> str:
     return _render_text(report)
 
 
-# the JSON type of each report value as the section builders write it; a
-# value `_new_report` starts at None may also stay null
-_VALUE_TYPES = {"schema": str, "command": str, "input": dict, "smoothness": bool,
-                "pole": dict, "hodge": dict, "alpha": str, "briancon_skoda": dict,
-                "milnor": dict, "jacobian": dict, "family": dict, "checks": list,
-                "timing": dict}
+# each report value as the builders write it: its JSON type, or an object's keys,
+# which the text renderer reads; a value `_new_report` starts at None may be null
+_SHAPES = {
+    "schema": str, "command": str, "smoothness": bool, "alpha": str, "checks": list,
+    "input": ("variables", "polynomial", "singular_points", "family", "policy"),
+    "pole": ("dims", "total_dim", "certificates"), "milnor": ("eigenspaces", "total"),
+    "hodge": ("alpha", "hodge_dims", "pole_dims", "equal_range", "strict_drop", "charts",
+              "certificates"),
+    "briancon_skoda": ("holds", "witness_power", "certificate"), "timing": ("total_seconds",),
+    "jacobian": ("dims", "max_degree", "socle_degree", "tjurina", "note"),
+    "family": ("samples", "pole_table", "pole_constant", "tjurina_table", "tjurina_jumps",
+               "grp_nabla", "note")}
 _JSON_NAMES = {str: "a string", bool: "a boolean", dict: "an object", list: "an array"}
 
 
 def parse_report(text: str) -> dict:
     """Read back a JSON report; refuses one `render_report` could not have
-    written, down to the JSON type of each top-level value."""
+    written, down to the JSON type of each top-level value, the keys of each
+    section and the shape of each check."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -577,10 +584,17 @@ def parse_report(text: str) -> dict:
         raise InputError(f"report keys differ from {SCHEMA}: missing {sorted(missing)}, "
                          f"unexpected {sorted(unexpected)}")
     for key, value in data.items():
-        kind = _VALUE_TYPES[key]
+        shape = _SHAPES[key]
+        kind = dict if isinstance(shape, tuple) else shape
         if not (isinstance(value, kind) or value is None and fresh[key] is None):
             raise InputError(f"report value {key!r} is not {_JSON_NAMES[kind]}"
                              + (" or null" if fresh[key] is None else ""))
+        lacking = [k for k in shape if k not in value] if isinstance(value, dict) else []
+        if lacking:
+            raise InputError(f"report section {key!r} lacks {lacking}")
+    for i, check in enumerate(data["checks"]):
+        if not (isinstance(check, dict) and "name" in check and "passed" in check):
+            raise InputError(f"report check {i} is not an object with 'name' and 'passed'")
     return data
 
 
@@ -619,30 +633,33 @@ def _run(spec: ProblemSpec, args) -> dict:
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="brieskorn-lab",
-        description="Exact pole-order and Hodge filtration computations for "
-                    "complements of projective hypersurfaces.")
-    sub = ap.add_subparsers(dest="command", metavar="command")
-    for name, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", metavar="PATH", help="problem file")
-        p.add_argument("--q-max", type=int, default=None, metavar="INT",
-                       help="largest q for the family connection matrices")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--samples", metavar="LIST", default=None,
-                       help="comma-separated rational parameter values")
-        p.add_argument("--stab-window", type=int, default=None, metavar="INT",
-                       help="constant-run length accepted as stabilized")
-        p.add_argument("--stab-max", type=int, default=None, metavar="INT",
-                       help="largest power of f tried before giving up")
-        p.add_argument("--no-timing", action="store_true",
-                       help="omit wall-clock times (reproducible output)")
+        description="Exact pole-order and Hodge filtration computations for\n"
+                    "complements of projective hypersurfaces.",
+        epilog="commands:\n" + "\n".join(f"  {name:<10}{help_text}"
+                                         for name, (help_text, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("command", nargs="?", choices=_COMMANDS, metavar="command",
+                    help="what to compute (see the list below)")
+    ap.add_argument("--input", metavar="PATH", help="problem file")
+    ap.add_argument("--q-max", type=int, default=None, metavar="INT",
+                    help="largest q for the family connection matrices")
+    ap.add_argument("--json", action="store_true", help="machine-readable report")
+    ap.add_argument("--samples", metavar="LIST", default=None,
+                    help="comma-separated rational parameter values")
+    ap.add_argument("--stab-window", type=int, default=None, metavar="INT",
+                    help="constant-run length accepted as stabilized")
+    ap.add_argument("--stab-max", type=int, default=None, metavar="INT",
+                    help="largest power of f tried before giving up")
+    ap.add_argument("--no-timing", action="store_true",
+                    help="omit wall-clock times (reproducible output)")
     return ap
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    ap = _parser()
+    args = ap.parse_args(argv)
     if not args.command:
-        _parser().print_help()
+        ap.print_help()
         return 1
     try:
         if not args.input:

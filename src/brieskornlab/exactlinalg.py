@@ -16,7 +16,7 @@ makes equality structural and makes `reduce` a single pass: tails only touch
 non-pivot columns, so reductions never cascade.
 
 There is one pivot loop, `_forward_eliminate`, with two row steps: `_combine`
-and `_combine_mod_p`, the same cross-multiplication modulo a fixed prime, with
+and `_combine_mod_p`, its analogue modulo a fixed prime over unit pivots, with
 which `full_rank_mod_p` can prove full rank but never refute it.
 """
 
@@ -106,11 +106,16 @@ FULL_RANK_PRIME = 2_147_483_647   # 2^31 - 1
 
 
 def _combine_mod_p(row: dict[int, int], prow: dict[int, int], pcol: int) -> dict[int, int]:
-    """row*p - prow*q with p = prow[pcol], q = row[pcol], each entry reduced
-    modulo FULL_RANK_PRIME: `_combine` over residues."""
+    """row - prow*q with q = row[pcol], modulo FULL_RANK_PRIME, after the
+    first call on a pivot row scales it in place to prow[pcol] = 1 (the
+    loop owns these residue rows, see `full_rank_mod_p`)."""
     prime = FULL_RANK_PRIME
-    p, q = prow[pcol], row[pcol]
-    new = {c: val * p % prime for c, val in row.items()}
+    if prow[pcol] != 1:
+        inv = pow(prow[pcol], -1, prime)
+        for c, val in prow.items():
+            prow[c] = val * inv % prime
+    q = row[pcol]
+    new = row.copy()
     for c, val in prow.items():
         s = (new.get(c, 0) - val * q) % prime
         if s:
@@ -299,7 +304,7 @@ def full_rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> bool:
     number of columns it proves full column rank (the smoothness probe);
     with ncols = len(rows) it proves the rows independent, a zero row
     counting as a dependency (the squarefree test).  The pass is
-    `_forward_eliminate` over residues.
+    `_forward_eliminate` over residue copies of the rows.
     """
     p = FULL_RANK_PRIME
     residues = ({c: r for c, val in row.items() if (r := val % p)} for row in rows)

@@ -1,10 +1,10 @@
 """One-parameter families of hypersurfaces and their graded invariants.
 
-A family is a polynomial in one parameter s with homogeneous coefficients of
-a common degree, f_s = sum_j c_j(x) s^j.  The module samples exact rational
-parameter values to test constancy of the pole-order filtration, computes the
-multiplication map that realizes the Kodaira-Spencer action on the graded
-pole pieces, and scans for Tjurina-number jumps.
+A family is a pencil f_s = f + s*g of two forms of one degree.  The module
+samples exact rational parameter values to test constancy of the pole-order
+filtration, computes multiplication by the direction g, which realizes the
+Kodaira-Spencer action on the graded pole pieces, and scans for
+Tjurina-number jumps.
 """
 
 from __future__ import annotations
@@ -26,58 +26,46 @@ def _samples(samples) -> tuple:
 
 
 class PencilFamily:
-    """f_s = sum coeffs[j] * s^j, every nonzero coefficient homogeneous of the
-    same degree.  A pencil is the two-coefficient case f0 + s*g.  Immutable
-    by convention; equality, hash and repr read the coefficients only.
+    """The pencil f_s = base + s * direction: two forms of one degree in one
+    ring, not both zero (a zero direction is the constant family).  Immutable
+    by convention; equality, hash and repr read the two forms only.
 
     The family keeps every fiber `specialize` returns, by sample, so the
     fiber's context (`jacobian._ctx`), which lives as long as the fiber, is
     reused by every later call on the family."""
 
-    __slots__ = ("coeffs", "_fibers")
+    __slots__ = ("base", "direction", "_fibers")
 
-    def __init__(self, coeffs: tuple):
-        cs = tuple(coeffs)
-        if not cs or all(c.is_zero() for c in cs):
-            raise InputError("family needs at least one nonzero coefficient")
-        nvars = cs[0].nvars
-        deg = None
-        for c in cs:
-            if not isinstance(c, Poly) or c.nvars != nvars:
-                raise InputError("family coefficients must share one polynomial ring")
-            if c.is_zero():
-                continue
-            if not c.is_homogeneous():
-                raise InputError("family coefficients must be homogeneous")
-            if deg is None:
-                deg = c.homogeneous_degree()
-            elif c.homogeneous_degree() != deg:
-                raise InputError("family coefficients must share one degree")
-        self.coeffs = cs
+    def __init__(self, base: Poly, direction: Poly):
+        if not (isinstance(base, Poly) and isinstance(direction, Poly)
+                and base.nvars == direction.nvars):
+            raise InputError("base and direction must share one polynomial ring")
+        forms = [c for c in (base, direction) if not c.is_zero()]
+        if not (forms and all(c.is_homogeneous() for c in forms)
+                and len({c.homogeneous_degree() for c in forms}) == 1):
+            raise InputError("base and direction must be forms of one degree, not both zero")
+        self.base = base
+        self.direction = direction
         self._fibers = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PencilFamily):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.base, self.direction) == (other.base, other.direction)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.base, self.direction))
 
     def __repr__(self) -> str:
-        return f"PencilFamily(coeffs={self.coeffs!r})"
-
-    @classmethod
-    def pencil(cls, base: Poly, direction: Poly) -> "PencilFamily":
-        return cls((base, direction))
+        return f"PencilFamily(base={self.base!r}, direction={self.direction!r})"
 
     @property
     def nvars(self) -> int:
-        return self.coeffs[0].nvars
+        return self.base.nvars
 
 
 def specialize(fam: PencilFamily, s0) -> Poly:
-    """Exact substitution s = s0; refuses non-reduced fibers.
+    """base + s0 * direction; refuses a zero or non-reduced fiber.
 
     The family keeps the fiber, so a repeat returns the same Poly and the
     context of the first call."""
@@ -85,30 +73,12 @@ def specialize(fam: PencilFamily, s0) -> Poly:
     got = fam._fibers.get(s0)
     if got is not None:
         return got
-    total = Poly.zero(fam.nvars)
-    power = Fraction(1)
-    for c in fam.coeffs:
-        if not c.is_zero():
-            total = total + c.scale(power)
-        power = power * s0
+    total = fam.base + fam.direction.scale(s0)
     if total.is_zero():
         raise InputError(f"fiber at s = {s0} is identically zero")
     if not _ctx(total).reduced:
         raise InputError(f"fiber at s = {s0} is not reduced")
     fam._fibers[s0] = total
-    return total
-
-
-def xi_f(fam: PencilFamily, s0) -> Poly:
-    """d f_s / d s at s = s0 (the direction of the deformation there)."""
-    s0 = Fraction(s0)
-    total = Poly.zero(fam.nvars)
-    power = Fraction(1)
-    for j, c in enumerate(fam.coeffs):
-        if j >= 1 and not c.is_zero():
-            total = total + c.scale(j * power)
-        if j >= 1:
-            power = power * s0
     return total
 
 
@@ -192,7 +162,7 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
                      samples=None) -> ExactMatrix:
     """Matrix of the graded Gauss-Manin action on the pole filtration.
 
-    Multiplication by -q * xi_f(fam, s0) from H-bar_{qd}/f H-bar_{(q-1)d} to
+    Multiplication by -q * fam.direction from H-bar_{qd}/f H-bar_{(q-1)d} to
     H-bar_{(q+1)d}/f H-bar_{qd}, in bases chosen by the stabilized class maps.
     Refused unless the pole dims are constant across the sample set (the
     hypothesis the underlying comparison needs).  The check runs on every
@@ -229,7 +199,6 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
             f"table: {constancy.table}")
     f = specialize(fam, s0)
     n, d = f.nvars - 1, f.homogeneous_degree()
-    g = xi_f(fam, s0)
 
     src_k, tgt_k = q * d, (q + 1) * d
     p_src, p_tgt = _presentation_powers(f, q, policy)
@@ -241,7 +210,7 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
         return ExactMatrix.zeros(0, ctx.dim_R(src_k - n - 1))
     src_solver, src_basis = _graded_quotient(f, n, d, src_k, p_src)
     nrows, ncols = len(tgt_basis), len(src_basis)
-    if q == 0 or g.is_zero() or ncols == 0:
+    if q == 0 or fam.direction.is_zero() or ncols == 0:
         return ExactMatrix.zeros(nrows, ncols)
 
     def target_coords(p: Poly) -> dict:
@@ -250,7 +219,7 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
             raise InvariantError("image class escaped the target presentation")
         return {lab: val for lab, val in combo.items() if lab is not None}
 
-    scaled = g.scale(-q)
+    scaled = fam.direction.scale(-q)
     columns = [target_coords(scaled * Poly.monomial(f.nvars, mono)) for mono in src_basis]
 
     # well-definedness: every ambient monomial must map consistently with its
@@ -264,24 +233,16 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
             raise InvariantError("source class escaped its own presentation")
         expected: dict = {}
         for lab, val in combo.items():
-            if lab is None:
-                continue
-            for r, e in columns[lab].items():
-                acc = expected.get(r, 0) + val * e
-                if acc:
-                    expected[r] = acc
-                else:
-                    expected.pop(r, None)
+            for r, e in columns[lab].items() if lab is not None else ():
+                expected[r] = expected.get(r, 0) + val * e
         got = target_coords(scaled * Poly.monomial(f.nvars, mono))
-        if got != expected:
+        if got != {r: v for r, v in expected.items() if v}:
             raise QuotientMapError(
                 "graded action is not well defined: representative choice leaks "
                 f"through monomial {mono}")
 
-    rows = [dict() for _ in range(nrows)]
-    for col, coords in enumerate(columns):
-        for r, val in coords.items():
-            rows[r][col] = val
+    rows = [{col: coords[r] for col, coords in enumerate(columns) if r in coords}
+            for r in range(nrows)]
     return ExactMatrix.from_rows(rows, ncols)
 
 

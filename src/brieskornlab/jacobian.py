@@ -38,7 +38,9 @@ reducedness test (`gradedpoly.is_squarefree`): with a the first nonzero
 partial and a_1..a_n the others, f is squarefree exactly when the rows
 x^m * (a_1, ..., a_n) and x^m * a in each block i, m of degree d-2, are
 linearly independent, which a full rank modulo the prime proves as at the
-probe.
+probe.  A probe no wider than that matrix goes first: a full rank there
+proves f = 0 smooth, and a smooth f is reduced (if g^2 divides f, every
+partial vanishes on g = 0), so the test runs only when the probe falls short.
 
 `_ctx(f)` is the one context of f per live polynomial: it validates, scales
 and differentiates f once, holds the Brieskorn state of f beside the ranks of
@@ -56,8 +58,8 @@ from functools import cached_property
 from math import comb
 
 from .exactlinalg import InvariantError, full_rank_mod_p, rank_of_vectors
-from .gradedpoly import (InputError, Poly, _basis_overflow, hilbert_ci_coeffs, is_squarefree,
-                         monomial_basis, multiples)
+from .gradedpoly import (_MAX_BASIS_SIZE, InputError, Poly, _basis_overflow, hilbert_ci_coeffs,
+                         is_squarefree, monomial_basis, multiples)
 
 
 class NonIsolatedError(InvariantError):
@@ -101,13 +103,27 @@ class _JacContext:
         self._dims: dict[int, int] = {}
         self._series: list | None = None   # Hilbert function of R, once smooth
         self._tail: tuple | None = None    # (k, dim R_k, grows) from global_tjurina, see dim_R
+        self._probe_rows: list | None = None   # probe rows short of full rank modulo p
 
     @cached_property
     def reduced(self) -> bool:
-        """Whether f is squarefree, by the rank of one Macaulay matrix of its
-        partials (`gradedpoly.is_squarefree`); decided on first use, before
-        and apart from the smoothness probe."""
+        """Whether f is squarefree, by `gradedpoly.is_squarefree` unless a
+        full-rank probe proves f = 0 smooth, hence reduced.  The probe goes
+        first only when its basis is within the budget and no wider than that
+        test's matrix, so a non-reduced f pays no more for it than a smooth f saves."""
+        width = min(_MAX_BASIS_SIZE, self.n * comb(2 * self.d - 3 + self.n, self.n))
+        if comb(self.probe + self.n, self.n) <= width and self._probe_full_rank:
+            return True
         return is_squarefree(self.f)
+
+    @cached_property
+    def _probe_full_rank(self) -> bool:
+        """Whether the probe rows have full rank modulo a prime (R = 0 there);
+        rows that fall short are kept for the one exact rank `dim_R` takes."""
+        rows = self.image_rows(self.probe)
+        full = full_rank_mod_p(rows, len(self.index(self.probe)))
+        self._probe_rows = None if full else rows
+        return full
 
     @cached_property
     def smooth(self) -> bool:
@@ -163,10 +179,10 @@ class _JacContext:
         got = self._dims.get(k)
         if got is None:
             ambient = len(self.index(k))
-            rows = self.image_rows(k)
-            if k == self.probe and full_rank_mod_p(rows, ambient):
+            if k == self.probe and self._probe_full_rank:
                 got = 0
             else:
+                rows = self._probe_rows if k == self.probe else self.image_rows(k)
                 got = ambient - rank_of_vectors(rows, ambient)
             self._dims[k] = got
         return got

@@ -16,9 +16,11 @@ identities behind the transition maps, the cokernel of multiplication by f
 (Prop. 16) and the primitive Hodge numbers of a smooth hypersurface
 (Griffiths).  Then come the hand-written Macaulay row loops for the Jacobian,
 relation, coordinate-section and jet matrices, which the package now builds
-through `gradedpoly.multiples`.  Last comes the gcd of forms, read off the
+through `gradedpoly.multiples`.  Then comes the gcd of forms, read off the
 exact kernels of Sylvester maps, and the chain of gcds of f and its partials
-that decides reducedness without `gradedpoly.is_squarefree`'s theorem.
+that decides reducedness without `gradedpoly.is_squarefree`'s theorem.  Last
+is a dense Gaussian elimination over GF(p), the rank that
+`exactlinalg.full_rank_mod_p` compares with its column count.
 
 Test files import it as a plain module: pytest's default import mode puts
 the test directory on sys.path.
@@ -503,3 +505,20 @@ def squarefree_by_gcd(f: Poly) -> bool:
         if g.degree() == 0:
             return True
     return g.degree() == 0
+
+
+def dense_rank_mod(rows: list, ncols: int, p: int) -> int:
+    """Rank of integer rows over GF(p), leftmost pivots, dense."""
+    m = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        k = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[rank], m[k] = m[k], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            a = m[i][c] * inv % p
+            m[i] = [(x - a * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank

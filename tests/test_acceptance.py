@@ -278,12 +278,12 @@ def test_graded_connection_matrices_and_tjurina_scan(monkeypatch):
     vars3 = ("x", "y", "z")
     fermat = parse_poly("x^3 + y^3 + z^3", vars3)
 
-    const = PencilFamily((fermat,))
+    const = PencilFamily(fermat, Poly.zero(3))
     for q in (1, 2):
         m = grp_nabla_matrix(const, 0, q)
         assert m == ExactMatrix.zeros(m.nrows, m.ncols), q
 
-    pencil = PencilFamily.pencil(fermat, parse_poly("x*y*z", vars3))
+    pencil = PencilFamily(fermat, parse_poly("x*y*z", vars3))
     m0 = grp_nabla_matrix(pencil, 0, 0)
     assert m0 == ExactMatrix.zeros(m0.nrows, m0.ncols)
 
@@ -295,7 +295,7 @@ def test_graded_connection_matrices_and_tjurina_scan(monkeypatch):
     assert (m1.nrows, m1.ncols) == (1, 1) and m1.entry(0, 0) == -1
 
     base = parse_poly("x^4*z + y^5", vars3)
-    fam = PencilFamily.pencil(base, parse_poly("x^2*y^3", vars3))
+    fam = PencilFamily(base, parse_poly("x^2*y^3", vars3))
     scan = tjurina_scan(fam, samples=(0, 1))
     taus = {row.sample: row.tjurina for row in scan.rows}
     assert taus[0] > taus[1]

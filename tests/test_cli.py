@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from brieskornlab import gradedpoly, jacobian
-from brieskornlab.cli import (ChartData, FamilyData, ProblemSpec, main, parse_problem,
-                              parse_report, render_report)
+from brieskornlab.cli import (ChartData, FamilyData, ProblemSpec, _parser, main,
+                              parse_problem, parse_report, render_report)
 from brieskornlab.gradedpoly import InputError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,6 +141,40 @@ def test_exit_one_on_non_utf8_file(tmp_path, capsys):
 def test_exit_one_without_input_flag(capsys):
     code, _, err = run_cli(capsys, "pole")
     assert code == 1 and "--input" in err
+
+
+COMMANDS = ("analyze", "pole", "hodge", "jacobian", "milnor", "bs", "family")
+BARE = {"command": None, "input": None, "q_max": None, "json": False, "samples": None,
+        "stab_window": None, "stab_max": None, "no_timing": False}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_takes_every_option(command):
+    assert vars(_parser().parse_args([command])) == {**BARE, "command": command}
+    argv = [command, "--input", "p.txt", "--q-max", "-3", "--json", "--samples", "0, 1/2",
+            "--stab-window", "4", "--stab-max", "12", "--no-timing"]
+    assert vars(_parser().parse_args(argv)) == {
+        "command": command, "input": "p.txt", "q_max": -3, "json": True,
+        "samples": "0, 1/2", "stab_window": 4, "stab_max": 12, "no_timing": True}
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(f"\n  {name} " in out for name in COMMANDS)
+    assert main([]) == 1   # no command: the same help, exit 1
+    assert capsys.readouterr().out == out
+
+
+def test_exit_two_on_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["poles", "--input", str(PROBLEMS / "nodal_cubic.txt")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument command: invalid choice: 'poles' (choose from "
+        + ", ".join(repr(name) for name in COMMANDS) + ")\n")
 
 
 def test_exit_one_hodge_without_charts(capsys):
@@ -362,8 +396,14 @@ def golden_report_with(**values) -> str:
      "line 1 column 1 (char 0)"),
     (golden_report_with(pole=5), "report value 'pole' is not an object or null"),
     (golden_report_with(checks=None), "report value 'checks' is not an array"),
+    (golden_report_with(pole={}), "report section 'pole' lacks ['dims', 'total_dim', "
+     "'certificates']"),
+    (golden_report_with(checks=[1]), "report check 0 is not an object with 'name' and 'passed'"),
+    (golden_report_with(checks=[{"name": "x"}]),
+     "report check 0 is not an object with 'name' and 'passed'"),
 ], ids=["not-an-object", "wrong-schema", "missing-keys", "extra-key", "not-json",
-        "pole-not-an-object", "checks-null"])
+        "pole-not-an-object", "checks-null", "pole-empty", "check-not-an-object",
+        "check-without-passed"])
 def test_parse_report_refuses_malformed_reports(text, message):
     with pytest.raises(InputError) as exc:
         parse_report(text)

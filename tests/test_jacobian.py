@@ -299,6 +299,27 @@ def test_a_non_reduced_input_is_refused_before_any_elimination(monkeypatch, caps
     assert ranks == []
 
 
+def test_the_probe_decides_reducedness_first_only_when_no_wider(monkeypatch):
+    """A smooth plane quartic is proved reduced by its smoothness probe (36
+    columns, the squarefree matrix 42), so the squarefree test never runs;
+    the probe rows are built once and serve the smoothness verdict too.  A
+    non-reduced quartic surface, whose probe (220 columns) is wider than its
+    squarefree matrix (168), is refused by the squarefree test alone, with
+    no probe row built."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    tested, built = [], []
+    real_test, real_rows = jacobian.is_squarefree, jacobian._JacContext.image_rows
+    monkeypatch.setattr(jacobian, "is_squarefree", lambda f: tested.append(f) or real_test(f))
+    monkeypatch.setattr(jacobian._JacContext, "image_rows",
+                        lambda ctx, k: built.append(k) or real_rows(ctx, k))
+    quartic = parse_poly("x^4 + 2*y^4 + 3*z^4 - x*y^3", XYZ)
+    assert jacobian._ctx(quartic).reduced and smoothness_test(quartic)
+    assert (tested, built) == ([], [7])
+    surface = parse_poly("(x+y)^2*(x^2 + y^2 + z^2 + t^2)", XYZT)
+    assert not jacobian._ctx(surface).reduced
+    assert (len(tested), built) == (1, [7])
+
+
 def test_brieskorn_and_jacobian_share_one_context():
     f = parse_poly("x^3 + y^3 + z^3 + 2/3*x^2*y", XYZ)
     brieskorn._ctx(f).hf_dim(6)
@@ -327,8 +348,8 @@ def test_a_context_lives_as_long_as_its_polynomial():
 def test_a_family_keeps_its_fibers_and_their_contexts(monkeypatch):
     """Two pole constancy checks on one family share its fiber objects, so
     the second one runs no elimination."""
-    fam = PencilFamily.pencil(parse_poly("x^3 + y^3 + z^3 - 5*x*y*z", XYZ),
-                              parse_poly("x^2*y + 3*y^2*z", XYZ))
+    fam = PencilFamily(parse_poly("x^3 + y^3 + z^3 - 5*x*y*z", XYZ),
+                       parse_poly("x^2*y + 3*y^2*z", XYZ))
     samples = (0, 1, Fraction(-2, 3))
     first = pole_constancy_check(fam, samples)
     fibers = [specialize(fam, s) for s in samples]

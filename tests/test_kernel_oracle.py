@@ -7,8 +7,9 @@ rows that are combinations of earlier ones, every exact path must agree with
 it: ranks, subspace dimensions and canonical reduction, kernels, and the
 greedy acceptance and coordinates of `SpanSolver`.
 
-The modular full-rank pass is held to a dense mod-p oracle and to the
-Fraction rank it certifies, and the exact fallbacks behind it must leave
+The modular full-rank pass is held to the dense mod-p oracle of
+`tests/oracles.py`, on entries that are multiples of the prime too, and to
+the Fraction rank it certifies, and the exact fallbacks behind it must leave
 every report unchanged when the prime divides minors that Q does not.
 """
 
@@ -23,6 +24,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from oracles import dense_rank_mod  # noqa: E402
 
 from brieskornlab import exactlinalg, jacobian  # noqa: E402
 from brieskornlab.cli import main  # noqa: E402
@@ -53,23 +55,6 @@ def dense_rref(rows: list, ncols: int) -> tuple:
 
 def dense_rank(rows: list, ncols: int) -> int:
     return len(dense_rref(rows, ncols)[0])
-
-
-def dense_rank_mod(rows: list, ncols: int, p: int) -> int:
-    """Rank of integer rows over GF(p), leftmost pivots, dense."""
-    m = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        k = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if k is None:
-            continue
-        m[rank], m[k] = m[k], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        for i in range(rank + 1, len(m)):
-            a = m[i][c] * inv % p
-            m[i] = [(x - a * y) % p for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def combination(coeffs, rows) -> dict:
@@ -209,6 +194,37 @@ def test_full_rank_mod_p_matches_the_oracle_and_proves_full_rank(matrix, prime):
     assert full == (dense_rank_mod(rows, ncols, prime) == ncols)
     if full:
         assert dense_rank(rows, ncols) == ncols
+
+
+@st.composite
+def rows_with_multiples_of_p(draw):
+    """(prime, rows, width): the default prime or 3, and up to 12 sparse
+    integer rows over up to 10 columns whose entries are small or a multiple
+    of the prime plus -1, 0 or 1, so that many nonzero integers vanish or
+    become units modulo it."""
+    prime = draw(st.sampled_from((exactlinalg.FULL_RANK_PRIME, 3)))
+    width = draw(st.integers(1, 10))
+    near_multiple = st.builds(lambda k, r: k * prime + r, st.integers(-3, 3), st.integers(-1, 1))
+    entries = st.dictionaries(st.integers(0, width - 1), INTEGERS | near_multiple,
+                              max_size=min(width, 6))
+    return prime, draw(st.lists(entries, max_size=12)), width
+
+
+@SETTINGS
+@given(rows_with_multiples_of_p())
+def test_full_rank_mod_p_is_exactly_the_rank_modulo_p(matrix):
+    """full_rank_mod_p(rows, ncols) says whether the rank over GF(p) reaches
+    ncols, both for ncols the width (the smoothness probe) and for ncols the
+    number of rows (the squarefree test), and leaves the rows as it found
+    them."""
+    prime, rows, width = matrix
+    given_rows = [dict(row) for row in rows]
+    rank = dense_rank_mod(rows, width, prime)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlinalg, "FULL_RANK_PRIME", prime)
+        for ncols in (width, len(rows)):
+            assert full_rank_mod_p(rows, ncols) == (rank >= ncols)
+    assert rows == given_rows
 
 
 def test_full_rank_over_q_but_singular_mod_p_is_no_certificate():

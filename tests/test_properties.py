@@ -23,6 +23,7 @@ f_a d_b(g) - f_b d_a(g).
 
 import itertools
 import re
+import weakref
 from unittest import mock
 
 import pytest
@@ -210,18 +211,34 @@ def squarefree_candidates(draw):
     return f
 
 
+def fresh_context(f: Poly):
+    """The context `jacobian._ctx` builds for f, with no verdict kept from
+    an earlier call; the probe's verdict is recorded as an event."""
+    with mock.patch.object(jacobian, "_contexts", weakref.WeakKeyDictionary()):
+        ctx = jacobian._ctx(f)
+        event(f"probe proves smooth: {ctx._probe_full_rank} at prime "
+              f"{exactlinalg.FULL_RANK_PRIME}")
+        return ctx
+
+
 @settings(max_examples=80, deadline=None, database=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(squarefree_candidates())
 def test_squarefree_test_agrees_with_the_gcd_chain(f):
     """The rank of one Macaulay matrix of the partials decides as the gcd
     of f and its partials does, at the default prime and at the prime 3,
-    where many modular ranks fall short and the exact rank decides."""
+    where many modular ranks fall short and the exact rank decides.  So does
+    the verdict of a fresh context of f, which a full-rank smoothness probe
+    gives without that matrix."""
     expected = squarefree_by_gcd(f)
     event(f"squarefree: {expected}")
     assert is_squarefree(f) == expected
+    if f.homogeneous_degree() >= 1:
+        assert fresh_context(f).reduced == expected
     with mock.patch.object(exactlinalg, "FULL_RANK_PRIME", 3):
         assert is_squarefree(f) == expected
+        if f.homogeneous_degree() >= 1:
+            assert fresh_context(f).reduced == expected
 
 
 @settings(max_examples=20, deadline=None, database=None,
@@ -244,7 +261,7 @@ def smooth_pencils(draw):
     g = Poly.from_terms(3, dict(zip(monos, draw(st.lists(
         st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=len(monos), max_size=len(monos))))))
     assume(not f.is_zero() and not g.is_zero())
-    fam = PencilFamily.pencil(f, g)
+    fam = PencilFamily(f, g)
     try:
         smooth = all(smoothness_test(specialize(fam, s)) for s in DEFAULT_SAMPLES)
     except InputError:   # a zero or non-reduced fiber
@@ -290,7 +307,7 @@ def jacobian_ring_presentation(f: Poly, m: int, images: list) -> tuple:
 def test_smooth_connection_is_multiplication_in_the_jacobian_ring(fam):
     """grp_nabla_matrix(fam, 0, q) for q <= 2 is multiplication by -q*g from
     R_{qd-n-1} to R_{(q+1)d-n-1} (Griffiths), over the greedy monomial bases."""
-    f, g = fam.coeffs
+    f, g = fam.base, fam.direction
     d = f.homogeneous_degree()
     for q in range(3):
         source, _ = jacobian_ring_presentation(f, q * d - 3, [])
