@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from . import jacobian
 from .exactlinalg import InvariantError, Subspace, _strip_content, echelon_rows
-from .gradedpoly import InputError, Poly, mono_mul, multiples
+from .gradedpoly import InputError, Poly, _basis_overflow, mono_mul, multiples
 
 
 class StabilizationError(InvariantError):
@@ -372,7 +372,10 @@ def _stabilize(ctx: _BrieskornContext, k: int, policy: StabilizationPolicy,
     degree k takes no power of f: H_f is free, so every value is
     h = dim H_{f,k} by `_sebastiani_dim`, whose dim R are theorems from the
     complete-intersection Hilbert series, and the policy is run over the
-    constant trace (h, ..., h) under rule "Sebastiani".  Each such call
+    constant trace (h, ..., h) under rule "Sebastiani".  No basis is built
+    for it, so each power N refuses, with InputError, a landing degree
+    k+N*d whose coefficient degree k+N*d-n-1 a scan would refuse: the
+    window stays within the basis budget on smooth input too.  Each such call
     first checks the formula exactly at the lowest degrees, through the
     engine: the rank of f out of degree n+1 and dim H_f in degree n+1+d
     (cache reads after the first call); a mismatch raises InvariantError.
@@ -391,7 +394,14 @@ def _stabilize(ctx: _BrieskornContext, k: int, policy: StabilizationPolicy,
                 f"smooth f: {what} degree {at} is {exact}, but Sebastiani's "
                 f"free-module formula gives {_sebastiani_dim(ctx, at)}")
     h = _sebastiani_dim(ctx, k)
-    return _window(k, ctx.d, resolved, lambda N: h, "Sebastiani")
+
+    def rank(N: int) -> int:
+        refusal = _basis_overflow(ctx.nvars, k + N * ctx.d - ctx.n - 1)
+        if refusal:
+            raise InputError(refusal)
+        return h
+
+    return _window(k, ctx.d, resolved, rank, "Sebastiani")
 
 
 def hbar_certificate(f: Poly, k: int, policy: StabilizationPolicy | None = None) -> StabilizationCertificate:

@@ -3,10 +3,12 @@
 A problem file is plain key/value text (schema in the README): variables and
 the defining polynomial at top level, then optional repeated [singular_point]
 sections, an optional [family] section, and optional [policy] sections; a key
-its section does not list in `_KEYS` is refused at its line.  A report is the
-JSON object itself, a plain dict; it renders as aligned text or as versioned
-JSON ("brieskorn-lab/1"), which `parse_report` reads back.  Every rational in
-it is a "p/q" string, dimensions stay integers.
+its section does not list in `_KEYS` is refused at its line.  The file is
+read into the plain dict its report echoes as `input`, and the section
+builders index that dict.  A report is the JSON object itself, a plain dict;
+it renders as aligned text or as versioned JSON ("brieskorn-lab/1"), which
+`parse_report` reads back.  Every rational in it is a "p/q" string,
+dimensions stay integers.
 
 Exit codes: 0 success, 1 bad input, 2 a failed internal cross-check.
 """
@@ -35,64 +37,19 @@ SCHEMA = "brieskorn-lab/1"
 # ---------------------------------------------------------------------------
 # problem files
 
-class ChartData:
-    """One [singular_point] section; immutable by convention."""
-
-    __slots__ = ("point", "chart", "weights")
-
-    def __init__(self, point: tuple, chart: str, weights: tuple):
-        self.point = point
-        self.chart = chart
-        self.weights = weights
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChartData):
-            return NotImplemented
-        return ((self.point, self.chart, self.weights)
-                == (other.point, other.chart, other.weights))
-
-
-class FamilyData:
-    """The [family] section; immutable by convention."""
-
-    __slots__ = ("direction", "samples")
-
-    def __init__(self, direction: str, samples: tuple | None = None):
-        self.direction = direction
-        self.samples = samples
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FamilyData):
-            return NotImplemented
-        return (self.direction, self.samples) == (other.direction, other.samples)
-
-
-class ProblemSpec:
-    """A parsed problem file."""
-
-    __slots__ = ("variables", "polynomial", "singular_points", "family", "policy")
-
-    def __init__(self, variables: tuple, polynomial: str, singular_points: tuple = (),
-                 family: FamilyData | None = None, policy: dict | None = None):
-        self.variables = variables
-        self.polynomial = polynomial
-        self.singular_points = singular_points
-        self.family = family
-        self.policy = {} if policy is None else policy
-
-
-def _fraction(text: str, where: str) -> Fraction:
+def _rational(text: str, where: str) -> str:
+    """`text` as a normalized "p/q" string."""
     try:
-        return Fraction(text)
+        return str(Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise InputError(f"{where}: {text!r} is not a rational number") from None
 
 
-def _fraction_list(text: str, where: str) -> tuple:
+def _rational_list(text: str, where: str) -> list:
     parts = text.replace(":", " ").replace(",", " ").split()
     if not parts:
         raise InputError(f"{where}: empty list")
-    return tuple(_fraction(p, where) for p in parts)
+    return [_rational(p, where) for p in parts]
 
 
 # section -> the keys it may carry; None is the top level
@@ -102,11 +59,15 @@ _KEYS = {None: ("variables", "polynomial"),
          "policy": ("window", "max_power", "min_target_degree")}
 
 
-def parse_problem(text: str, source: str = "<input>") -> ProblemSpec:
-    """Parse a problem file; errors carry the source name and line number.
+def parse_problem(text: str, source: str = "<input>") -> dict:
+    """Parse a problem file into its report's `input` object; errors carry the
+    source name and line number.
 
-    Each section is read into {key: (value, line)}; a [singular_point] or
-    [family] section keeps its header's line, where a missing key is reported."""
+    The object is JSON-native: `variables` a list, every rational a
+    normalized "p/q" string, `family` and `policy` null when the file has
+    none.  Each section is read into {key: (value, line)}; a
+    [singular_point] or [family] section keeps its header's line, where a
+    missing key is reported.  The polynomials stay text."""
     top: dict = {}
     points: list = []
     family: tuple | None = None
@@ -154,7 +115,7 @@ def parse_problem(text: str, source: str = "<input>") -> ProblemSpec:
     if "variables" not in top:
         raise InputError(f"{source}: missing 'variables' line")
     names, lineno = top["variables"]
-    variables = tuple(names.split())
+    variables = names.split()
     if len(set(variables)) != len(variables):
         fail(lineno, "variable names must be distinct")
     if len(variables) < 3:
@@ -166,9 +127,9 @@ def parse_problem(text: str, source: str = "<input>") -> ProblemSpec:
     charts = []
     for p in points:
         where, header = "[singular_point]", p[0]
-        point = _fraction_list(take(p, "point", where), where + " point")
+        point = _rational_list(take(p, "point", where), where + " point")
         chart = take(p, "chart", where)
-        weights = _fraction_list(take(p, "weights", where), where + " weights")
+        weights = _rational_list(take(p, "weights", where), where + " weights")
         if len(point) != len(variables):
             fail(header, f"point needs {len(variables)} coordinates")
         if chart not in variables:
@@ -176,13 +137,14 @@ def parse_problem(text: str, source: str = "<input>") -> ProblemSpec:
         if len(weights) != len(variables) - 1:
             fail(header, f"weights: one per non-chart variable "
                          f"({len(variables) - 1} expected)")
-        charts.append(ChartData(point, chart, weights))
+        charts.append({"point": point, "chart": chart, "weights": weights})
 
     fam = None
     if family is not None:
         samples = family[1].get("samples")
-        fam = FamilyData(take(family, "direction", "[family]"), None if samples is None
-                         else _fraction_list(samples[0], "[family] samples"))
+        fam = {"direction": take(family, "direction", "[family]"),
+               "samples": None if samples is None
+               else _rational_list(samples[0], "[family] samples")}
 
     ints = {}
     for key, (value, lineno) in policy.items():
@@ -191,10 +153,11 @@ def parse_problem(text: str, source: str = "<input>") -> ProblemSpec:
         except ValueError:
             fail(lineno, f"{key} must be an integer")
 
-    return ProblemSpec(variables, polynomial, tuple(charts), fam, ints)
+    return {"variables": variables, "polynomial": polynomial, "singular_points": charts,
+            "family": fam, "policy": ints or None}
 
 
-def load_problem(path: str) -> ProblemSpec:
+def load_problem(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -206,11 +169,11 @@ def load_problem(path: str) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _new_report(command: str, echo: dict) -> dict:
+def _new_report(command: str, problem: dict) -> dict:
     """The report before any section ran; its keys, in this order, are the JSON
     object's.  A section the command does not touch stays None, so text and
     JSON draw from one source.  Values are JSON-native, rationals "p/q"."""
-    return {"schema": SCHEMA, "command": command, "input": echo,
+    return {"schema": SCHEMA, "command": command, "input": problem,
             "smoothness": None, "pole": None, "hodge": None, "alpha": None,
             "briancon_skoda": None, "milnor": None, "jacobian": None, "family": None,
             "checks": [], "timing": None}
@@ -228,33 +191,17 @@ def _cert_json(cert) -> dict:
             "early_zero": cert.early_zero}
 
 
-def _echo(spec: ProblemSpec) -> dict:
-    return {
-        "variables": list(spec.variables),
-        "polynomial": spec.polynomial,
-        "singular_points": [
-            {"point": [_rat(c) for c in p.point], "chart": p.chart,
-             "weights": [_rat(w) for w in p.weights]}
-            for p in spec.singular_points],
-        "family": None if spec.family is None else {
-            "direction": spec.family.direction,
-            "samples": None if spec.family.samples is None
-            else [_rat(s) for s in spec.family.samples]},
-        "policy": spec.policy or None,
-    }
-
-
 # ---------------------------------------------------------------------------
 # section builders: each fills its report section(s) and lists the checks it ran
 
 class _Job:
     """The parsed input every builder reads and the report it fills."""
 
-    __slots__ = ("spec", "args", "f", "policy", "report")
+    __slots__ = ("problem", "args", "f", "policy", "report")
 
-    def __init__(self, spec: ProblemSpec, args: argparse.Namespace, f: Poly,
+    def __init__(self, problem: dict, args: argparse.Namespace, f: Poly,
                  policy: StabilizationPolicy, report: dict):
-        self.spec = spec
+        self.problem = problem
         self.args = args
         self.f = f
         self.policy = policy
@@ -322,19 +269,20 @@ def _chart_json(chart, variables) -> dict:
 
 def _hodge(job: _Job) -> None:
     """Runs after _smoothness: a singular hypersurface needs its charts in the file."""
-    spec, report = job.spec, job.report
-    if not report["smoothness"] and not spec.singular_points:
+    problem, report = job.problem, job.report
+    variables = problem["variables"]
+    if not report["smoothness"] and not problem["singular_points"]:
         raise _NoData("hodge on a singular hypersurface needs [singular_point] "
                       "sections with weighted-homogeneous local data")
-    charts = tuple(build_chart(job.f, p.point, spec.variables.index(p.chart), p.weights)
-                   for p in spec.singular_points)
+    charts = tuple(build_chart(job.f, p["point"], variables.index(p["chart"]), p["weights"])
+                   for p in problem["singular_points"])
     rep = hodge_filtration_dims(job.f, charts, job.policy)
     report["hodge"] = {"alpha": _rat(rep.alpha),
                        "hodge_dims": list(rep.hodge_dims),
                        "pole_dims": list(rep.pole_dims),
                        "equal_range": list(rep.equal_range),
                        "strict_drop": list(rep.strict_drop),
-                       "charts": [_chart_json(c, spec.variables) for c in rep.charts],
+                       "charts": [_chart_json(c, variables) for c in rep.charts],
                        "certificates": [_cert_json(c) for c in rep.certificates]}
     report["alpha"] = report["hodge"]["alpha"]
     if charts:
@@ -350,13 +298,13 @@ def _matrix_json(m) -> list:
 
 
 def _family(job: _Job) -> None:
-    spec, args, policy = job.spec, job.args, job.policy
-    if spec.family is None:
+    args, policy, family = job.args, job.policy, job.problem["family"]
+    if family is None:
         raise _NoData("the problem file has no [family] section")
-    samples = spec.family.samples
+    samples = family["samples"]
     if args.samples is not None:
-        samples = tuple(_fraction(s, "--samples") for s in args.samples.replace(",", " ").split())
-    direction = parse_poly(spec.family.direction, spec.variables)
+        samples = [_rational(s, "--samples") for s in args.samples.replace(",", " ").split()]
+    direction = parse_poly(family["direction"], job.problem["variables"])
     fam = PencilFamily(job.f, direction)
     constancy = pole_constancy_check(fam, samples, policy)
     ss = tuple(s for s, _ in constancy.table)
@@ -601,23 +549,23 @@ def parse_report(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # the driver
 
-def _run(spec: ProblemSpec, args) -> dict:
+def _run(problem: dict, args) -> dict:
     """Compute the command's sections into one timed report."""
     try:
-        f = parse_poly(spec.polynomial, spec.variables)
+        f = parse_poly(problem["polynomial"], problem["variables"])
     except ParseError as e:
         raise InputError(f"polynomial: {e}") from None
     if f.is_zero() or not f.is_homogeneous():
         raise InputError("the defining polynomial must be homogeneous and nonzero")
     if args.q_max is not None and args.q_max < 0:
         raise InputError("--q-max must be nonnegative")
-    overrides = dict(spec.policy)
+    overrides = dict(problem["policy"] or {})
     if args.stab_window is not None:
         overrides["window"] = args.stab_window
     if args.stab_max is not None:
         overrides["max_power"] = args.stab_max
     policy = StabilizationPolicy(**overrides)
-    job = _Job(spec, args, f, policy, _new_report(args.command, _echo(spec)))
+    job = _Job(problem, args, f, policy, _new_report(args.command, problem))
     t0 = time.perf_counter()
     for name in _COMMANDS[args.command][1]:
         try:

@@ -125,14 +125,17 @@ def _combine_mod_p(row: dict[int, int], prow: dict[int, int], pcol: int) -> dict
     return new
 
 
-def _forward_eliminate(int_rows: Iterable[dict[int, int]],
-                       step=_combine) -> list[tuple[int, dict[int, int]]]:
+def _forward_eliminate(int_rows: Iterable[dict[int, int]], step=_combine,
+                       need: int = 0) -> list[tuple[int, dict[int, int]]]:
     """Sparse elimination; returns (pivot_col, row) in pivot time order.
 
     `step(other, prow, pcol)` clears other at the pivot column pcol of the
     pivot row prow and changes its support only on the columns of prow:
     `_combine` over Q by default, `_combine_mod_p` over residues.  Each
-    returned row is zero on the pivot columns of all earlier ones.
+    returned row is zero on the pivot columns of all earlier ones.  The pass
+    stops, returning fewer rows than the rank, once the pivots found plus the
+    rows still live fall below `need` (0: never), since the rank cannot then
+    reach it.
     """
     rows: dict[int, dict[int, int]] = {}
     by_col: dict[int, set[int]] = {}
@@ -147,7 +150,7 @@ def _forward_eliminate(int_rows: Iterable[dict[int, int]],
         heapq.heappush(heap, (len(row), rid))
 
     finished: list[tuple[int, dict[int, int]]] = []
-    while heap:
+    while heap and len(finished) + len(rows) >= need:
         length, rid = heapq.heappop(heap)
         row = rows.get(rid)
         if row is None or len(row) != length:
@@ -304,11 +307,12 @@ def full_rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> bool:
     number of columns it proves full column rank (the smoothness probe);
     with ncols = len(rows) it proves the rows independent, a zero row
     counting as a dependency (the squarefree test).  The pass is
-    `_forward_eliminate` over residue copies of the rows.
+    `_forward_eliminate` over residue copies of the rows, which stops as soon
+    as the rows it has left cannot reach rank ncols.
     """
     p = FULL_RANK_PRIME
     residues = ({c: r for c, val in row.items() if (r := val % p)} for row in rows)
-    return len(_forward_eliminate(residues, _combine_mod_p)) >= ncols
+    return len(_forward_eliminate(residues, _combine_mod_p, ncols)) >= ncols
 
 
 def echelon_rows(vectors: Iterable[Mapping[int, object]]) -> list[dict[int, int]]:

@@ -59,10 +59,6 @@ class PencilFamily:
     def __repr__(self) -> str:
         return f"PencilFamily(base={self.base!r}, direction={self.direction!r})"
 
-    @property
-    def nvars(self) -> int:
-        return self.base.nvars
-
 
 def specialize(fam: PencilFamily, s0) -> Poly:
     """base + s0 * direction; refuses a zero or non-reduced fiber.

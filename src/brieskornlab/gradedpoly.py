@@ -286,7 +286,8 @@ def _coeff(c):
 # which refuses a larger basis before building it, as `is_squarefree` refuses
 # its degree 2d-3 (every function that calls `monomial_basis` calls
 # `_basis_overflow`), and `parse_poly` refuses to expand a power or product
-# into such a degree.  A basis and its index take about 150 bytes a monomial
+# into such a degree.  A proved-smooth certificate builds no basis but refuses
+# every power whose relations a scan would refuse (`brieskorn._stabilize`).  A basis and its index take about 150 bytes a monomial
 # (CPython 3.11), so this bounds one at about 40 MB; the largest that the
 # tests build has 4495 monomials (4 variables, degree 28), the problem corpus
 # and the benchmark workloads 680.

@@ -242,12 +242,13 @@ def _coordinate_section_vanishes(ctx: _JacContext, k: int) -> bool:
     """Whether (S/(J + x_i))_k = 0 for some coordinate x_i: the degree-k rows
     of J, read modulo x_i, span the monomials free of x_i.  Modulo x_i those
     rows are the multiples of the partials with x_i = 0 by the monomials free
-    of x_i (a multiple by any other monomial vanishes)."""
+    of x_i (a multiple by any other monomial vanishes).  A full rank modulo
+    a prime proves the span; the exact rank decides only where that fails."""
     mdeg = k - (ctx.d - 1)
     for i in reversed(range(ctx.nvars)):
         cols = {mono: j for j, mono in enumerate(m for m in ctx.monomials(k) if not m[i])}
         rows = multiples(ctx.partials, (m for m in ctx.monomials(mdeg) if not m[i]), cols)
-        if rank_of_vectors(rows, len(cols)) == len(cols):
+        if full_rank_mod_p(rows, len(cols)) or rank_of_vectors(rows, len(cols)) == len(cols):
             return True
     return False
 

@@ -46,8 +46,8 @@ def _corpus():
     """Distinct homogeneous polynomials across all problem files."""
     seen = {}
     for path in sorted(PROBLEMS.glob("*.txt")):
-        spec = load_problem(str(path))
-        f = parse_poly(spec.polynomial, spec.variables)
+        problem = load_problem(str(path))
+        f = parse_poly(problem["polynomial"], problem["variables"])
         seen.setdefault(f, path.stem)
     return [(name, f) for f, name in seen.items()]
 

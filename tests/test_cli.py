@@ -6,15 +6,14 @@ import resource
 import subprocess
 import sys
 import weakref
-from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from brieskornlab import gradedpoly, jacobian
-from brieskornlab.cli import (ChartData, FamilyData, ProblemSpec, _parser, main,
-                              parse_problem, parse_report, render_report)
+from brieskornlab.cli import (_parser, load_problem, main, parse_problem, parse_report,
+                              render_report)
 from brieskornlab.gradedpoly import InputError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,16 +46,23 @@ max_power = 12
 
 
 def test_parse_problem_full():
-    spec = parse_problem(FULL_FILE, source="demo")
-    assert spec.variables == ("x", "y", "z")
-    assert spec.polynomial == "x^2*y^2 + x*z^3 + y*z^3"
-    assert spec.singular_points == (
-        ChartData((Fraction(1), Fraction(0), Fraction(0)), "x",
-                  (Fraction(1, 2), Fraction(1, 3))),
-        ChartData((Fraction(0), Fraction(1), Fraction(0)), "y",
-                  (Fraction(1, 2), Fraction(1, 3))))
-    assert spec.family == FamilyData("x*y*z^2", (Fraction(0), Fraction(1)))
-    assert spec.policy == {"window": 3, "max_power": 12}
+    assert parse_problem(FULL_FILE, source="demo") == {
+        "variables": ["x", "y", "z"],
+        "polynomial": "x^2*y^2 + x*z^3 + y*z^3",
+        "singular_points": [
+            {"point": ["1", "0", "0"], "chart": "x", "weights": ["1/2", "1/3"]},
+            {"point": ["0", "1", "0"], "chart": "y", "weights": ["1/2", "1/3"]}],
+        "family": {"direction": "x*y*z^2", "samples": ["0", "1"]},
+        "policy": {"window": 3, "max_power": 12}}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.txt")))
+def test_a_problem_parses_to_its_reports_input(name):
+    """The parsed problem is the `input` object its report echoes, down to
+    the key order the JSON is written in."""
+    problem = load_problem(str(PROBLEMS / f"{name}.txt"))
+    echoed = json.loads((GOLDEN / f"{name}.json").read_text())["input"]
+    assert json.dumps(problem) == json.dumps(echoed)
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -230,11 +236,10 @@ def test_exit_one_when_a_degree_exceeds_the_basis_budget(tmp_path):
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
-def test_exit_one_before_the_reducedness_basis_outgrows_the_budget(monkeypatch, capsys, tmp_path):
-    """x^700 + y^700 + z^700 parses (degree 700 has C(702, 2) = 245351
-    monomials), but its squarefree test lies in degree 2d-3 = 1397, with
-    C(1399, 2) = 977901.  `pole` refuses that basis before building it: exit
-    1 with one line, and no monomial basis past the budget is asked for."""
+def watch_bases(monkeypatch) -> list:
+    """Start from no cached context and rebind every binding of
+    `monomial_basis` in the package to a wrapper that records the size of
+    each basis asked for and fails on one past the budget; returns the sizes."""
     monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
     sizes = []
     real = gradedpoly.monomial_basis
@@ -250,12 +255,37 @@ def test_exit_one_before_the_reducedness_basis_outgrows_the_budget(monkeypatch, 
             for key, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, key, recorded)
+    return sizes
+
+
+def test_exit_one_before_the_reducedness_basis_outgrows_the_budget(monkeypatch, capsys, tmp_path):
+    """x^700 + y^700 + z^700 parses (degree 700 has C(702, 2) = 245351
+    monomials), but its squarefree test lies in degree 2d-3 = 1397, with
+    C(1399, 2) = 977901.  `pole` refuses that basis before building it: exit
+    1 with one line, and no monomial basis past the budget is asked for."""
+    sizes = watch_bases(monkeypatch)
     p = tmp_path / "p.txt"
     p.write_text("variables = x y z\npolynomial = x^700 + y^700 + z^700\n")
     assert main(["pole", "--input", str(p)]) == 1
     assert capsys.readouterr() == ("", "error: degree 1397 has 977901 monomials in 3 variables, "
                                        "more than the limit of 250000\n")
     assert max(sizes, default=0) <= gradedpoly._MAX_BASIS_SIZE
+
+
+@pytest.mark.parametrize("argv", [
+    ("pole", "fermat_cubic_curve.txt", "--stab-window", "5000000", "--stab-max", "5000000"),
+    ("family", "fermat_pencil.txt", "--q-max", "4000"),
+])
+def test_exit_one_before_a_smooth_window_outgrows_the_budget(monkeypatch, capsys, argv):
+    """A proved-smooth certificate builds no basis, yet its window refuses
+    the landing degree a scan would refuse: the relations of degree 711 of
+    a plane cubic live in degree 708, with C(710, 2) = 251695 monomials."""
+    sizes = watch_bases(monkeypatch)
+    command, name, *rest = argv
+    assert main([command, "--input", str(PROBLEMS / name), *rest]) == 1
+    assert capsys.readouterr() == ("", "error: degree 708 has 251695 monomials in 3 variables, "
+                                       "more than the limit of 250000\n")
+    assert sizes and max(sizes) <= gradedpoly._MAX_BASIS_SIZE
 
 
 def test_exit_one_on_negative_q_max(capsys):

@@ -122,6 +122,27 @@ def test_kernel_basis_runs_one_elimination(monkeypatch):
     assert ker.dim == 4 - rank_of_vectors(rows, 4) == 2
 
 
+def test_the_modular_pass_stops_once_full_rank_is_out_of_reach(monkeypatch):
+    """Six dense rows with one repeated cannot reach rank 6: the pass stops
+    when the repeat clears to zero, after fewer row steps than the full
+    elimination makes."""
+    rows = [{c: (i + 2) ** c for c in range(6)} for i in range(5)]
+    rows.append(dict(rows[0]))
+    steps = []
+    real = exactlinalg._combine_mod_p
+
+    def counted(row, prow, pcol):
+        steps.append(1)
+        return real(row, prow, pcol)
+
+    assert len(exactlinalg._forward_eliminate([dict(r) for r in rows], counted)) == 5
+    full_steps = len(steps)
+    steps.clear()
+    monkeypatch.setattr(exactlinalg, "_combine_mod_p", counted)
+    assert not exactlinalg.full_rank_mod_p(rows, 6)
+    assert 0 < len(steps) < full_steps
+
+
 def test_span_solver_expresses_exact_combinations():
     rng = random.Random(5)
     solver = SpanSolver(5)

@@ -42,8 +42,8 @@ def test_family_validation():
         PencilFamily(FERMAT_CUBIC, parse_poly("x^2", XYZ))  # degree clash
     with pytest.raises(InputError):
         PencilFamily(FERMAT_CUBIC, parse_poly("x^2 + x^3", XYZ))
-    assert PencilFamily(Poly.zero(3), XYZ_CUBE).nvars == 3
-    assert PencilFamily(FERMAT_CUBIC, Poly.zero(3)).nvars == 3
+    PencilFamily(Poly.zero(3), XYZ_CUBE)  # one zero form is allowed
+    PencilFamily(FERMAT_CUBIC, Poly.zero(3))
 
 
 def test_specialize_exact():

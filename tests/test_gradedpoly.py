@@ -160,10 +160,10 @@ def test_only_a_non_reduced_form_costs_an_exact_elimination(monkeypatch):
     the calls with the exact step `_combine` are counted."""
     real, calls = exactlinalg._forward_eliminate, []
 
-    def counted(rows, step=exactlinalg._combine):
+    def counted(rows, step=exactlinalg._combine, need=0):
         if step is exactlinalg._combine:
             calls.append(1)
-        return real(rows, step)
+        return real(rows, step, need)
 
     monkeypatch.setattr(exactlinalg, "_forward_eliminate", counted)
     assert is_squarefree(P("x^3 + y^3 + z^3"))

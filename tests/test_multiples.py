@@ -4,7 +4,8 @@ replaced (`tests/oracles.py`).
 The Jacobian rows, the relation rows and the Tjurina scan's coordinate
 sections of random forms in 3 and 4 variables, and the local jets of the
 charts in `problems/`, come out as the same rows in the same order (key
-order inside each row included), and the same coordinate verdicts.
+order inside each row included), and the same coordinate verdicts, whether
+a full rank modulo the prime or the exact rank proves them.
 """
 
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 from oracles import (coordinate_section_vanishes_by_cut, image_rows_by_loop,  # noqa: E402
                      jet_rows_by_truncation, relation_rows_by_loop)
 
-from brieskornlab import brieskorn, jacobian, singularities  # noqa: E402
+from brieskornlab import brieskorn, exactlinalg, jacobian, singularities  # noqa: E402
 from brieskornlab.cli import load_problem  # noqa: E402
 from brieskornlab.gradedpoly import Poly, monomial_basis, multiples, parse_poly  # noqa: E402
 
@@ -74,6 +75,21 @@ def test_rows_and_coordinate_verdicts_match_the_loops(f):
         assert _ordered(bctx.relation_rows(k)) == _ordered(relation_rows_by_loop(bctx, k)), k
 
 
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(sparse_forms(), st.sampled_from((exactlinalg.FULL_RANK_PRIME, 3)))
+def test_coordinate_verdicts_proved_modulo_a_prime_are_the_exact_ones(f, prime):
+    """A coordinate section proved by a full rank modulo the prime, or by the
+    exact rank where that fails, which 3 makes common, gets the verdict of
+    the exact rank alone."""
+    ctx = jacobian._ctx(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlinalg, "FULL_RANK_PRIME", prime)
+        for k in range(max(ctx.d - 1, 1), ctx.probe + 4):
+            assert (jacobian._coordinate_section_vanishes(ctx, k)
+                    == coordinate_section_vanishes_by_cut(ctx, k)), k
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS.glob("*.txt")
                                         if "[singular_point]" in p.read_text()))
 def test_corpus_chart_jets_match_the_truncation_loop(monkeypatch, name):
@@ -90,10 +106,12 @@ def test_corpus_chart_jets_match_the_truncation_loop(monkeypatch, name):
         return got
 
     monkeypatch.setattr(singularities, "_jet_rows", both)
-    spec = load_problem(str(PROBLEMS / name))
-    f = parse_poly(spec.polynomial, spec.variables)
-    for p in spec.singular_points:
-        chart = singularities.build_chart(f, p.point, spec.variables.index(p.chart), p.weights)
+    problem = load_problem(str(PROBLEMS / name))
+    variables = problem["variables"]
+    f = parse_poly(problem["polynomial"], variables)
+    for p in problem["singular_points"]:
+        chart = singularities.build_chart(f, p["point"], variables.index(p["chart"]),
+                                          p["weights"])
         singularities.local_tjurina(chart)
         for q in range(f.nvars):
             singularities.local_jq_jets(chart, q)
