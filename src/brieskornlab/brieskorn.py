@@ -12,7 +12,7 @@ with g running over the polynomial vector fields of degree k-n-d: the
 exact n-forms are the closed ones, iota_g omega_0 with div g = 0, and
 df ^ iota_g omega_0 = (g.grad f) omega_0 (Brieskorn, Manuscripta Math. 2
 (1970)).  One row is built per field of an explicit monomial basis of the
-divergence-free fields (`_BrieskornContext.relation_rows`).
+divergence-free fields (`jacobian._JacContext.relation_rows`).
 
 Ranks of high f-powers out of a fixed degree compute the torsion-free
 quotient, and with it the pole-order filtration on H^n of the complement,
@@ -25,17 +25,15 @@ times omega_0 (Sebastiani, Manuscripta Math. 3 (1970); Brieskorn, Manuscripta
 Math. 2 (1970)), so f is injective, there is no torsion, and
 dim H_{f,k} = sum_{j>=0} dim R_{k-n-1-jd}: those ranks are theorems.
 
-The relation subspaces and rank traces of f live on the one context of f
-(`jacobian._ctx`), which validates, scales and checks f for reducedness once.
+Every function here computes through the one context of f
+(`jacobian._JacContext`), which `_ctx` hands out for reduced f only.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import jacobian
-from .exactlinalg import InvariantError, Subspace, _strip_content, echelon_rows
-from .gradedpoly import InputError, Poly, _basis_overflow, mono_mul, multiples
+from .exactlinalg import InvariantError, Subspace
+from .gradedpoly import InputError, Poly, _basis_overflow
 
 
 class StabilizationError(InvariantError):
@@ -112,191 +110,17 @@ class StabilizationCertificate:
         return self.values[-1]
 
 
-class _RankTrace:
-    """Ranks of f^N out of one seed span in degree k, N = 0..len(values)-1,
-    and an echelon basis of the image of the last power tried.  Only that one
-    basis is kept: the next power needs nothing else."""
-
-    __slots__ = ("k", "values", "basis")
-
-    def __init__(self, k: int, basis: list):
-        self.k = k
-        self.values = [len(basis)]
-        self.basis = basis
+# the trace targets of bench/tracing.py name the context's Brieskorn methods
+# (power_rank, span_rank, relation_rows) through this alias
+_BrieskornContext = jacobian._JacContext
 
 
-class _BrieskornContext:
-    """Relation subspaces and f-power rank traces of one reduced f.
-
-    Built on the context of f (`jacobian._JacContext`), whose scaled f,
-    partials and monomial bases it reads; `_ctx` stores it there.
-
-    Multiplication by f is well defined on H_f because
-    f * (df ^ d eta) = df ^ d(f eta), so it maps the relations in degree k
-    into those in degree k+d.  The image of f^N out of degree k is therefore
-    f times the image of f^(N-1), and a rank trace grows one power at a time:
-    push the echelon basis of the last image forward by f alone, reduce
-    modulo the relations of the landing degree and eliminate again
-    (`_extend`).  Traces are kept per degree for `power_rank` (seeded by the
-    non-pivot monomials, a basis of H_k) and per (degree, classes) for
-    `span_rank`, so a rank asked for twice is read from the trace.  The same
-    multiplication, `times_f`, gives the class vectors of `class_vector`.
-    """
-
-    def __init__(self, f: Poly | jacobian._JacContext):
-        self.base = base = f if isinstance(f, jacobian._JacContext) else jacobian._ctx(f)
-        if not base.reduced:
-            raise InputError("f must be reduced (squarefree)")
-        self.d, self.n, self.nvars = base.d, base.n, base.nvars
-        self.f, self.scale, self.partials = base.f, base.scale, base.partials
-        self.monomials, self.index = base.monomials, base.index
-        self.fterms = list(self.f.terms.items())
-        self._rel: dict[int, Subspace] = {}
-        self._traces: dict[tuple, _RankTrace] = {}
-
-    def relation_rows(self, k: int) -> list:
-        """Integer rows, content stripped, spanning (df^dOmega^{n-1})_k in the
-        coordinates of C[x]_{k-n-1}: the row of g.grad(f) for every field g of
-        a monomial basis of the divergence-free vector fields of degree
-        e = k-n-d.
-
-        The rows span.  Every n-form is iota_g omega_0 for one vector field
-        g, of total degree e+n when g has degree e, and
-        d(iota_g omega_0) = div(g) omega_0, while iota_g(df ^ omega_0) = 0
-        gives df ^ iota_g omega_0 = (g.grad f) omega_0.  By the Euler
-        homotopy (d iota_E + iota_E d multiplies a form by its total degree)
-        every closed form of positive degree is exact, so the exact n-forms
-        of degree e+n are the iota_g omega_0 with div g = 0, and
-        (df^dOmega^{n-1})_k = {(g.grad f) omega_0 : div g = 0, deg g = e}.
-
-        The fields are a basis of that kernel.  div maps S_e^{n+1} onto
-        S_{e-1}, since x^b = div(x^{b+e_0} e_0) / (b_0+1), so the kernel has
-        dimension (n+1) dim S_e - dim S_{e-1}.  The fields are
-          (a) x^alpha e_a for alpha in S_e with alpha_a = 0, and
-          (b) (b_n+1) x^{b+e_a} e_a - (b_a+1) x^{b+e_n} e_n for b in S_{e-1}
-              and a < n,
-        each of divergence 0.  A type (b) field is the only field with the
-        term x^{b+e_a} e_a: type (a) fields in component a avoid x_a, and
-        every other type (b) field has another e_a-term or none.  So a
-        vanishing combination has no type (b) field, and the type (a)
-        fields are distinct monomial fields: the fields are independent.
-        There are (n+1) C(e+n-1, n-1) of type (a) and n dim S_{e-1} of type
-        (b), which is (n+1) dim S_e - dim S_{e-1}, the dimension of the
-        kernel.  A field with g.grad(f) = 0 gives no row, so that count
-        bounds the number of rows.  Each row is one Jacobian row
-        jac[a][alpha] of x^alpha f_a (alpha in S_e), or for type (b)
-        (b_n+1) jac[a][b+e_a] - (b_a+1) jac[n][b+e_n].
-        """
-        e = k - self.n - self.d
-        if e < 0:
-            return []
-        n, monos, at = self.n, self.monomials(e), self.index(e)
-        jac = [multiples([p], monos, self.index(k - n - 1)) for p in self.partials]
-        rows = [jac[a][i] for i, alpha in enumerate(monos) for a in range(n + 1) if not alpha[a]]
-        for b in self.monomials(e - 1):
-            up = [at[b[:a] + (b[a] + 1,) + b[a + 1:]] for a in range(n + 1)]
-            last = jac[n][up[n]]
-            for a in range(n):
-                row = {col: (b[n] + 1) * c for col, c in jac[a][up[a]].items()}
-                for col, c in last.items():
-                    v = row.get(col, 0) - (b[a] + 1) * c
-                    if v:
-                        row[col] = v
-                    else:
-                        del row[col]
-                rows.append(row)
-        for row in rows:
-            _strip_content(row)
-        return [row for row in rows if row]
-
-    def relations(self, k: int) -> Subspace:
-        got = self._rel.get(k)
-        if got is None:
-            ambient = len(self.index(k - self.n - 1)) if k >= self.n + 1 else 0
-            got = self._rel[k] = Subspace._from_int_rows(self.relation_rows(k), ambient)
-        return got
-
-    def vector(self, p: Poly, m: int) -> dict:
-        """Coordinates of a degree-m polynomial in the cached basis order."""
-        idx = self.index(m)
-        return {idx[mono]: c for mono, c in p.terms.items()}
-
-    def hf_dim(self, k: int) -> int:
-        if k < self.n + 1:
-            return 0
-        return len(self.index(k - self.n - 1)) - self.relations(k).dim
-
-    def times_f(self, vec: dict, k: int) -> dict:
-        """Coordinates in degree k+d of the integer-scaled f times the
-        degree-k coordinates vec, unreduced."""
-        src = self.monomials(k - self.n - 1)
-        idx = self.index(k + self.d - self.n - 1)
-        out: dict = {}
-        for col, c in vec.items():
-            mono = src[col]
-            for fm, fc in self.fterms:
-                t = idx[mono_mul(mono, fm)]
-                out[t] = out.get(t, 0) + c * fc
-        return out
-
-    def _extend(self, trace: _RankTrace, N: int) -> int:
-        """Push the trace forward by f until it holds the rank of f^N."""
-        while len(trace.values) <= N:
-            last = trace.k + (len(trace.values) - 1) * self.d
-            rel = self.relations(last + self.d)
-            trace.basis = echelon_rows(rel.reduce(self.times_f(v, last)) for v in trace.basis)
-            trace.values.append(len(trace.basis))
-        return trace.values[N]
-
-    def power_rank(self, k: int, N: int) -> int:
-        """Rank of multiplication by f^N from H_{f,k} to H_{f,k+Nd}."""
-        if k < self.n + 1:
-            return 0
-        trace = self._traces.get((k, None))
-        if trace is None:
-            pivots = set(self.relations(k).pivots)
-            seed = [{c: 1} for c in range(len(self.index(k - self.n - 1))) if c not in pivots]
-            trace = self._traces[(k, None)] = _RankTrace(k, seed)
-        return self._extend(trace, N)
-
-    def span_rank(self, k: int, N: int, polys) -> int:
-        """Rank of the span of the classes of f^N * p in H_{f,k+Nd}."""
-        if k < self.n + 1:
-            return 0
-        key = (k, tuple(polys))
-        trace = self._traces.get(key)
-        if trace is None:
-            rel = self.relations(k)
-            m = k - self.n - 1
-            seed = echelon_rows(rel.reduce(self.vector(p, m)) for p in key[1])
-            trace = self._traces[key] = _RankTrace(k, seed)
-        return self._extend(trace, N)
-
-    def class_vector(self, p: Poly, k: int, power: int) -> dict:
-        """Reduced coordinates of the class of f^power * p in H_{k+power*d};
-        p is homogeneous of degree k-n-1 (the coefficient of omega_0).
-
-        The product is reduced once, in the landing degree: a reduction per
-        power would cost more than it saves on the few powers used here.
-        """
-        if k < self.n + 1:
-            return {}
-        vec = self.vector(p, k - self.n - 1)
-        for j in range(power):
-            vec = self.times_f(vec, k + j * self.d)
-        vec = self.relations(k + power * self.d).reduce(vec)
-        if self.scale != 1 and power:
-            unscale = Fraction(1, self.scale ** power)
-            vec = {c: v * unscale for c, v in vec.items()}
-        return vec
-
-
-def _ctx(f: Poly) -> _BrieskornContext:
-    """The Brieskorn state of f, kept on the hypersurface context of f."""
-    base = jacobian._ctx(f)
-    if base.brieskorn is None:
-        base.brieskorn = _BrieskornContext(base)
-    return base.brieskorn
+def _ctx(f: Poly) -> jacobian._JacContext:
+    """The context of f (`jacobian._ctx`), refused unless f is reduced."""
+    ctx = jacobian._ctx(f)
+    if not ctx.reduced:
+        raise InputError("f must be reduced (squarefree)")
+    return ctx
 
 
 def relation_space(f: Poly, k: int) -> Subspace:
@@ -348,7 +172,7 @@ def _window(k: int, d: int, resolved: tuple, rank,
         f"(trace {values})", k, values)
 
 
-def _scan(ctx: _BrieskornContext, k: int, resolved: tuple,
+def _scan(ctx: jacobian._JacContext, k: int, resolved: tuple,
           polys=None) -> StabilizationCertificate:
     """Stabilize by elimination under the resolved policy: the rank of f^N
     out of degree k (or out of the span of the classes of polys), one power
@@ -358,12 +182,12 @@ def _scan(ctx: _BrieskornContext, k: int, resolved: tuple,
     return _window(k, ctx.d, resolved, lambda N: ctx.span_rank(k, N, polys))
 
 
-def _sebastiani_dim(ctx: _BrieskornContext, k: int) -> int:
+def _sebastiani_dim(ctx: jacobian._JacContext, k: int) -> int:
     """dim H_{f,k} = sum_{j>=0} dim R_{k-n-1-jd} of smooth f (free module)."""
-    return sum(ctx.base.dim_R(m) for m in range(k - ctx.n - 1, -1, -ctx.d))
+    return sum(ctx.dim_R(m) for m in range(k - ctx.n - 1, -1, -ctx.d))
 
 
-def _stabilize(ctx: _BrieskornContext, k: int, policy: StabilizationPolicy,
+def _stabilize(ctx: jacobian._JacContext, k: int, policy: StabilizationPolicy,
                polys=None) -> StabilizationCertificate:
     """Certificate for the rank of f^N out of degree k (or out of the span of
     the classes of polys) at high N.
@@ -384,7 +208,7 @@ def _stabilize(ctx: _BrieskornContext, k: int, policy: StabilizationPolicy,
     (`_scan`).
     """
     resolved = policy.resolved(ctx.n, ctx.d)
-    if polys is not None or not ctx.base.smooth:
+    if polys is not None or not ctx.smooth:
         return _scan(ctx, k, resolved, polys)
     low = ctx.n + 1
     for what, exact, at in (("rank of f out of", ctx.power_rank(low, 1), low),

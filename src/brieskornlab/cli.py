@@ -27,7 +27,7 @@ from .brieskorn import (StabilizationPolicy, briancon_skoda, hbar_certificate,
 from .exactlinalg import InvariantError
 from .families import PencilFamily, grp_nabla_matrix, pole_constancy_check, tjurina_scan
 from .gradedpoly import InputError, ParseError, Poly, parse_poly
-from .jacobian import (NonIsolatedError, global_tjurina, jacobian_dims,
+from .jacobian import (NonIsolatedError, _ctx, global_tjurina, jacobian_dims,
                        smoothness_test)
 from .singularities import build_chart, hodge_filtration_dims, local_tjurina
 
@@ -230,8 +230,8 @@ def _briancon_skoda(job: _Job) -> None:
 
 
 def _milnor(job: _Job) -> None:
-    f = job.f
-    n, d = f.nvars - 1, f.homogeneous_degree()
+    f, ctx = job.f, _ctx(job.f)
+    n, d = ctx.n, ctx.d
     rows = []
     for i in range(d):
         dim = milnor_eigenspace_dim(f, i, job.policy)
@@ -243,8 +243,8 @@ def _milnor(job: _Job) -> None:
 
 
 def _jacobian(job: _Job) -> None:
-    f = job.f
-    n, d = f.nvars - 1, f.homogeneous_degree()
+    f, ctx = job.f, _ctx(job.f)
+    n, d = ctx.n, ctx.d
     socle = max((n + 1) * (d - 2), 0)
     k_max = socle + n + 3
     out = {"dims": None, "max_degree": k_max, "socle_degree": socle,

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .brieskorn import (StabilizationPolicy, class_vector, hbar_certificate,
-                        pole_filtration_dims, relation_space)
+from .brieskorn import StabilizationPolicy, hbar_certificate, pole_filtration_dims
 from .exactlinalg import ExactMatrix, InvariantError, QuotientMapError, SpanSolver
 from .gradedpoly import InputError, Poly
-from .jacobian import _ctx, global_tjurina
+from .jacobian import _ctx, _JacContext, global_tjurina
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2))
 
@@ -108,11 +107,12 @@ def pole_constancy_check(fam: PencilFamily, samples=None,
     return PoleConstancyResult(len({dims for _, dims in table}) == 1, table)
 
 
-def _graded_quotient(f: Poly, n: int, d: int, k: int, power: int):
-    """SpanSolver for H-bar_{f,k} / f*H-bar_{f,k-d} plus the chosen basis.
+def _graded_quotient(ctx: _JacContext, k: int, power: int):
+    """SpanSolver for H-bar_{f,k} / f*H-bar_{f,k-d}, f that of ctx, plus the chosen basis.
 
-    Seeds the solver with the f-image classes (labelled None), then adds the
-    classes of ambient monomials; the accepted ones label the quotient basis.
+    Seeds the solver with the f-image classes (labelled None; the context's
+    integer-scaled f spans the same image), then adds the classes of ambient
+    monomials; the accepted ones label the quotient basis.
     On a proved-smooth fiber the quotient is the Jacobian ring piece R_{k-n-1}
     (Griffiths), of the dimension the Hilbert series gives (Prop. 16: the
     cokernel of f on H_f is R shifted by n+1), at every power.  Past the
@@ -120,18 +120,18 @@ def _graded_quotient(f: Poly, n: int, d: int, k: int, power: int):
     `grp_nabla_matrix` for every q >= n, and the empty presentation is
     returned without building the relation space.
     """
+    n, d = ctx.n, ctx.d
     if k < n + 1:
         return None, []
-    ctx = _ctx(f)
     if ctx.smooth and not ctx.dim_R(k - n - 1):
         return None, []
-    solver = SpanSolver(relation_space(f, k + power * d).ambient_dim)
+    solver = SpanSolver(len(ctx.index(k + power * d - n - 1)))
     basis = []
     fimage_src = ctx.monomials(k - d - n - 1) if k - d >= n + 1 else []
     for mono in fimage_src:
-        solver.add(class_vector(f, f.shift(mono), k, power), None)
+        solver.add(ctx.class_vector(ctx.f.shift(mono), k, power), None)
     for mono in ctx.monomials(k - n - 1):
-        if solver.add(class_vector(f, Poly.monomial(f.nvars, mono), k, power), len(basis)):
+        if solver.add(ctx.class_vector(Poly.monomial(ctx.nvars, mono), k, power), len(basis)):
             basis.append(mono)
     return solver, basis
 
@@ -142,13 +142,14 @@ def _presentation_powers(f: Poly, q: int, policy: StabilizationPolicy) -> tuple:
     the certified power of the target degree, and for the source the larger
     of the certified power of its degree and that of one degree d lower,
     less one.  The certificates are asked for in either case."""
-    n, d = f.nvars - 1, f.homogeneous_degree()
+    ctx = _ctx(f)
+    n, d = ctx.n, ctx.d
     src_k, tgt_k = q * d, (q + 1) * d
     p_tgt = hbar_certificate(f, tgt_k, policy).power
     p_src = hbar_certificate(f, src_k, policy).power if src_k >= n + 1 else 0
     if src_k - d >= n + 1:
         p_src = max(p_src, hbar_certificate(f, src_k - d, policy).power - 1)
-    if _ctx(f).smooth:
+    if ctx.smooth:
         return 0, 0
     return p_src, p_tgt
 
@@ -194,29 +195,29 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
             "pole dims are not constant over the samples; "
             f"table: {constancy.table}")
     f = specialize(fam, s0)
-    n, d = f.nvars - 1, f.homogeneous_degree()
+    ctx = _ctx(f)
+    n, d = ctx.n, ctx.d
 
     src_k, tgt_k = q * d, (q + 1) * d
     p_src, p_tgt = _presentation_powers(f, q, policy)
-    ctx = _ctx(f)
 
-    tgt_solver, tgt_basis = _graded_quotient(f, n, d, tgt_k, p_tgt)
+    tgt_solver, tgt_basis = _graded_quotient(ctx, tgt_k, p_tgt)
     if not tgt_basis and ctx.smooth:
         # the source is R_{qd-n-1} too, and the zero map needs only its dim
         return ExactMatrix.zeros(0, ctx.dim_R(src_k - n - 1))
-    src_solver, src_basis = _graded_quotient(f, n, d, src_k, p_src)
+    src_solver, src_basis = _graded_quotient(ctx, src_k, p_src)
     nrows, ncols = len(tgt_basis), len(src_basis)
     if q == 0 or fam.direction.is_zero() or ncols == 0:
         return ExactMatrix.zeros(nrows, ncols)
 
     def target_coords(p: Poly) -> dict:
-        combo = tgt_solver.express(class_vector(f, p, tgt_k, p_tgt))
+        combo = tgt_solver.express(ctx.class_vector(p, tgt_k, p_tgt))
         if combo is None:
             raise InvariantError("image class escaped the target presentation")
         return {lab: val for lab, val in combo.items() if lab is not None}
 
     scaled = fam.direction.scale(-q)
-    columns = [target_coords(scaled * Poly.monomial(f.nvars, mono)) for mono in src_basis]
+    columns = [target_coords(scaled * Poly.monomial(ctx.nvars, mono)) for mono in src_basis]
 
     # well-definedness: every ambient monomial must map consistently with its
     # expression through the chosen source basis
@@ -224,14 +225,14 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     for mono in ctx.monomials(src_k - n - 1):
         if mono in basis_pos:
             continue
-        combo = src_solver.express(class_vector(f, Poly.monomial(f.nvars, mono), src_k, p_src))
+        combo = src_solver.express(ctx.class_vector(Poly.monomial(ctx.nvars, mono), src_k, p_src))
         if combo is None:
             raise InvariantError("source class escaped its own presentation")
         expected: dict = {}
         for lab, val in combo.items():
             for r, e in columns[lab].items() if lab is not None else ():
                 expected[r] = expected.get(r, 0) + val * e
-        got = target_coords(scaled * Poly.monomial(f.nvars, mono))
+        got = target_coords(scaled * Poly.monomial(ctx.nvars, mono))
         if got != {r: v for r, v in expected.items() if v}:
             raise QuotientMapError(
                 "graded action is not well defined: representative choice leaks "

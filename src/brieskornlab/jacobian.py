@@ -43,23 +43,27 @@ proves f = 0 smooth, and a smooth f is reduced (if g^2 divides f, every
 partial vanishes on g = 0), so the test runs only when the probe falls short.
 
 `_ctx(f)` is the one context of f per live polynomial: it validates, scales
-and differentiates f once, holds the Brieskorn state of f beside the ranks of
-R, and decides reducedness and smoothness on first use only, since R is
-defined for every f.  The context lives exactly as long as the Poly it was
-first asked for (a weak key): an equal Poly shares it while that one is
-alive, and builds a new one after.  A caller that asks about one polynomial
-again keeps that Poly alive, as `families.PencilFamily` keeps its fibers.
+and differentiates f once and holds the ranks of R beside the relation
+subspaces and rank traces of the Brieskorn module H_f (`brieskorn._ctx`
+hands out the same object for reduced f only).  Reducedness and smoothness
+are decided on first use only, since R is defined for every f.  The context
+lives exactly as long as the Poly it was first asked for (a weak key): an
+equal Poly shares it while that one is alive, and builds a new one after.  A
+caller that asks about one polynomial again keeps that Poly alive, as
+`families.PencilFamily` keeps its fibers.
 """
 
 from __future__ import annotations
 
 import weakref
+from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .exactlinalg import InvariantError, full_rank_mod_p, rank_of_vectors
+from .exactlinalg import (InvariantError, Subspace, _strip_content, echelon_rows,
+                          full_rank_mod_p, rank_of_vectors)
 from .gradedpoly import (_MAX_BASIS_SIZE, InputError, Poly, _basis_overflow, hilbert_ci_coeffs,
-                         is_squarefree, monomial_basis, multiples)
+                         is_squarefree, mono_mul, monomial_basis, multiples)
 
 
 class NonIsolatedError(InvariantError):
@@ -77,11 +81,38 @@ class NonIsolatedError(InvariantError):
 # (a jump to the degree h of a constant run h is let through up to h+1)
 _TJURINA_DEGREE_BUDGET = 6
 
+
+class _RankTrace:
+    """Ranks of f^N out of one seed span in degree k, N = 0..len(values)-1,
+    and an echelon basis of the image of the last power tried.  Only that one
+    basis is kept: the next power needs nothing else."""
+
+    __slots__ = ("k", "values", "basis")
+
+    def __init__(self, k: int, basis: list):
+        self.k = k
+        self.values = [len(basis)]
+        self.basis = basis
+
+
 class _JacContext:
-    """Context of one hypersurface: the validated integer-scaled f, its scale,
-    partials, monomial bases and indices by degree, the ranks dim R_k, the
-    reducedness and smoothness verdicts and the Brieskorn state (set by
-    `brieskorn._ctx`)."""
+    """Context of one hypersurface f, the only object kept per polynomial:
+    the validated integer-scaled f, its scale, partials, monomial bases and
+    indices by degree, the ranks dim R_k and the tail `global_tjurina`
+    proved, the reducedness and smoothness verdicts, and for reduced f
+    (`brieskorn._ctx`) the relation subspaces and f-power rank traces of H_f.
+
+    Multiplication by f is well defined on H_f because
+    f * (df ^ d eta) = df ^ d(f eta), so it maps the relations in degree k
+    into those in degree k+d.  The image of f^N out of degree k is therefore
+    f times the image of f^(N-1), and a rank trace grows one power at a time:
+    push the echelon basis of the last image forward by f alone, reduce
+    modulo the relations of the landing degree and eliminate again
+    (`_extend`).  Traces are kept per degree for `power_rank` (seeded by the
+    non-pivot monomials, a basis of H_k) and per (degree, classes) for
+    `span_rank`, so a rank asked for twice is read from the trace.  The same
+    multiplication, `times_f`, gives the class vectors of `class_vector`.
+    """
 
     def __init__(self, f: Poly):
         if not isinstance(f, Poly):
@@ -97,13 +128,15 @@ class _JacContext:
         self.probe = (self.n + 1) * (self.d - 2) + 1
         self.f, self.scale = f.integer_scaled()
         self.partials = [list(self.f.partial(i).terms.items()) for i in range(self.nvars)]
-        self.brieskorn = None
+        self.fterms = list(self.f.terms.items())
         self._monos: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._dims: dict[int, int] = {}
         self._series: list | None = None   # Hilbert function of R, once smooth
         self._tail: tuple | None = None    # (k, dim R_k, grows) from global_tjurina, see dim_R
         self._probe_rows: list | None = None   # probe rows short of full rank modulo p
+        self._rel: dict[int, Subspace] = {}
+        self._traces: dict[tuple, _RankTrace] = {}
 
     @cached_property
     def reduced(self) -> bool:
@@ -186,6 +219,144 @@ class _JacContext:
                 got = ambient - rank_of_vectors(rows, ambient)
             self._dims[k] = got
         return got
+
+    # -- the Brieskorn module H_f, asked for on reduced f only (`brieskorn._ctx`)
+
+    def relation_rows(self, k: int) -> list:
+        """Integer rows, content stripped, spanning (df^dOmega^{n-1})_k in the
+        coordinates of C[x]_{k-n-1}: the row of g.grad(f) for every field g of
+        a monomial basis of the divergence-free vector fields of degree
+        e = k-n-d.
+
+        The rows span.  Every n-form is iota_g omega_0 for one vector field
+        g, of total degree e+n when g has degree e, and
+        d(iota_g omega_0) = div(g) omega_0, while iota_g(df ^ omega_0) = 0
+        gives df ^ iota_g omega_0 = (g.grad f) omega_0.  By the Euler
+        homotopy (d iota_E + iota_E d multiplies a form by its total degree)
+        every closed form of positive degree is exact, so the exact n-forms
+        of degree e+n are the iota_g omega_0 with div g = 0, and
+        (df^dOmega^{n-1})_k = {(g.grad f) omega_0 : div g = 0, deg g = e}.
+
+        The fields are a basis of that kernel.  div maps S_e^{n+1} onto
+        S_{e-1}, since x^b = div(x^{b+e_0} e_0) / (b_0+1), so the kernel has
+        dimension (n+1) dim S_e - dim S_{e-1}.  The fields are
+          (a) x^alpha e_a for alpha in S_e with alpha_a = 0, and
+          (b) (b_n+1) x^{b+e_a} e_a - (b_a+1) x^{b+e_n} e_n for b in S_{e-1}
+              and a < n,
+        each of divergence 0.  A type (b) field is the only field with the
+        term x^{b+e_a} e_a: type (a) fields in component a avoid x_a, and
+        every other type (b) field has another e_a-term or none.  So a
+        vanishing combination has no type (b) field, and the type (a)
+        fields are distinct monomial fields: the fields are independent.
+        There are (n+1) C(e+n-1, n-1) of type (a) and n dim S_{e-1} of type
+        (b), which is (n+1) dim S_e - dim S_{e-1}, the dimension of the
+        kernel.  A field with g.grad(f) = 0 gives no row, so that count
+        bounds the number of rows.  Each row is one Jacobian row
+        jac[a][alpha] of x^alpha f_a (alpha in S_e), or for type (b)
+        (b_n+1) jac[a][b+e_a] - (b_a+1) jac[n][b+e_n].
+        """
+        e = k - self.n - self.d
+        if e < 0:
+            return []
+        n, monos, at = self.n, self.monomials(e), self.index(e)
+        jac = [multiples([p], monos, self.index(k - n - 1)) for p in self.partials]
+        rows = [jac[a][i] for i, alpha in enumerate(monos) for a in range(n + 1) if not alpha[a]]
+        for b in self.monomials(e - 1):
+            up = [at[b[:a] + (b[a] + 1,) + b[a + 1:]] for a in range(n + 1)]
+            last = jac[n][up[n]]
+            for a in range(n):
+                row = {col: (b[n] + 1) * c for col, c in jac[a][up[a]].items()}
+                for col, c in last.items():
+                    v = row.get(col, 0) - (b[a] + 1) * c
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+                rows.append(row)
+        for row in rows:
+            _strip_content(row)
+        return [row for row in rows if row]
+
+    def relations(self, k: int) -> Subspace:
+        got = self._rel.get(k)
+        if got is None:
+            ambient = len(self.index(k - self.n - 1)) if k >= self.n + 1 else 0
+            got = self._rel[k] = Subspace._from_int_rows(self.relation_rows(k), ambient)
+        return got
+
+    def vector(self, p: Poly, m: int) -> dict:
+        """Coordinates of a degree-m polynomial in the cached basis order."""
+        idx = self.index(m)
+        return {idx[mono]: c for mono, c in p.terms.items()}
+
+    def hf_dim(self, k: int) -> int:
+        if k < self.n + 1:
+            return 0
+        return len(self.index(k - self.n - 1)) - self.relations(k).dim
+
+    def times_f(self, vec: dict, k: int) -> dict:
+        """Coordinates in degree k+d of the integer-scaled f times the
+        degree-k coordinates vec, unreduced."""
+        src = self.monomials(k - self.n - 1)
+        idx = self.index(k + self.d - self.n - 1)
+        out: dict = {}
+        for col, c in vec.items():
+            mono = src[col]
+            for fm, fc in self.fterms:
+                t = idx[mono_mul(mono, fm)]
+                out[t] = out.get(t, 0) + c * fc
+        return out
+
+    def _extend(self, trace: _RankTrace, N: int) -> int:
+        """Push the trace forward by f until it holds the rank of f^N."""
+        while len(trace.values) <= N:
+            last = trace.k + (len(trace.values) - 1) * self.d
+            rel = self.relations(last + self.d)
+            trace.basis = echelon_rows(rel.reduce(self.times_f(v, last)) for v in trace.basis)
+            trace.values.append(len(trace.basis))
+        return trace.values[N]
+
+    def power_rank(self, k: int, N: int) -> int:
+        """Rank of multiplication by f^N from H_{f,k} to H_{f,k+Nd}."""
+        if k < self.n + 1:
+            return 0
+        trace = self._traces.get((k, None))
+        if trace is None:
+            pivots = set(self.relations(k).pivots)
+            seed = [{c: 1} for c in range(len(self.index(k - self.n - 1))) if c not in pivots]
+            trace = self._traces[(k, None)] = _RankTrace(k, seed)
+        return self._extend(trace, N)
+
+    def span_rank(self, k: int, N: int, polys) -> int:
+        """Rank of the span of the classes of f^N * p in H_{f,k+Nd}."""
+        if k < self.n + 1:
+            return 0
+        key = (k, tuple(polys))
+        trace = self._traces.get(key)
+        if trace is None:
+            rel = self.relations(k)
+            m = k - self.n - 1
+            seed = echelon_rows(rel.reduce(self.vector(p, m)) for p in key[1])
+            trace = self._traces[key] = _RankTrace(k, seed)
+        return self._extend(trace, N)
+
+    def class_vector(self, p: Poly, k: int, power: int) -> dict:
+        """Reduced coordinates of the class of f^power * p in H_{k+power*d};
+        p is homogeneous of degree k-n-1 (the coefficient of omega_0).
+
+        The product is reduced once, in the landing degree: a reduction per
+        power would cost more than it saves on the few powers used here.
+        """
+        if k < self.n + 1:
+            return {}
+        vec = self.vector(p, k - self.n - 1)
+        for j in range(power):
+            vec = self.times_f(vec, k + j * self.d)
+        vec = self.relations(k + power * self.d).reduce(vec)
+        if self.scale != 1 and power:
+            unscale = Fraction(1, self.scale ** power)
+            vec = {c: v * unscale for c, v in vec.items()}
+        return vec
 
 
 _contexts: weakref.WeakKeyDictionary[Poly, _JacContext] = weakref.WeakKeyDictionary()

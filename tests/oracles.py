@@ -300,7 +300,7 @@ def coker_check_prop16(f: Poly, k: int) -> bool:
     if k < ctx.n + 1:
         raise InputError(f"degree must be at least n+1 = {ctx.n + 1}")
     lhs = ctx.hf_dim(k) - ctx.power_rank(k - ctx.d, 1)
-    return lhs == ctx.base.dim_R(k - ctx.n - 1)
+    return lhs == ctx.dim_R(k - ctx.n - 1)
 
 
 def smooth_hodge_numbers(n: int, d: int) -> list:
@@ -343,7 +343,7 @@ def image_rows_by_loop(ctx, k: int) -> list:
 
 
 def relation_rows_by_loop(ctx, k: int) -> list:
-    """`_BrieskornContext.relation_rows` with each product mapped by hand:
+    """`jacobian._JacContext.relation_rows` with each product mapped by hand:
     type (a) rows x^alpha f_a, then type (b) rows built from the partials
     shifted by x_a."""
     e = k - ctx.n - ctx.d

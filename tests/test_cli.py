@@ -215,6 +215,16 @@ def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial):
     assert err.startswith("error: polynomial: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_refuses_a_constant_polynomial(tmp_path, capsys, command):
+    """A constant is homogeneous of degree 0: every command reads n and d
+    from the one context of f, which refuses it, and no report is printed."""
+    p = tmp_path / "p.txt"
+    p.write_text("variables = x y z\npolynomial = 3\n\n[family]\ndirection = 1\n")
+    assert run_cli(capsys, command, "--input", str(p), "--json") == (
+        1, "", "error: f must be nonconstant\n")
+
+
 def test_exit_one_when_a_degree_exceeds_the_basis_budget(tmp_path):
     """The smoothness probe of the degree-30 Fermat form in five variables
     lies in degree 141, with C(145, 4) monomials.  That basis is refused

@@ -130,9 +130,9 @@ def _quotient_powers(monkeypatch) -> list:
     built = []
     real = families._graded_quotient
 
-    def recorded(f, n, d, k, power):
+    def recorded(ctx, k, power):
         built.append((k, power))
-        return real(f, n, d, k, power)
+        return real(ctx, k, power)
 
     monkeypatch.setattr(families, "_graded_quotient", recorded)
     return built
@@ -167,8 +167,8 @@ def test_grp_nabla_builds_no_presentation_of_a_zero_target(monkeypatch):
     fam = PencilFamily(parse_poly("x^4 + 2*y^4 + 3*z^4 - x*y^3", XYZ),
                        parse_poly("x*y*z^2 + y^2*z^2", XYZ))
     degrees = []
-    real = brieskorn._BrieskornContext.relations
-    monkeypatch.setattr(brieskorn._BrieskornContext, "relations",
+    real = jacobian._JacContext.relations
+    monkeypatch.setattr(jacobian._JacContext, "relations",
                         lambda ctx, k: degrees.append(k) or real(ctx, k))
     m = grp_nabla_matrix(fam, 0, 2)
     assert (m.nrows, m.ncols) == (0, 3)
@@ -215,8 +215,8 @@ def test_grp_nabla_rechecks_constancy_from_cached_fiber_traces(monkeypatch):
     def no_elimination(*_):
         raise AssertionError("fiber rank recomputed")
 
-    monkeypatch.setattr(brieskorn, "echelon_rows", no_elimination)
-    monkeypatch.setattr(brieskorn._BrieskornContext, "relation_rows", no_elimination)
+    monkeypatch.setattr(jacobian, "echelon_rows", no_elimination)
+    monkeypatch.setattr(jacobian._JacContext, "relation_rows", no_elimination)
     assert pole_constancy_check(FERMAT_PENCIL, samples)
 
 

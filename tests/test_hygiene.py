@@ -11,7 +11,7 @@ must be referenced, as a name or an attribute, by some module of the package
 outside its own definition: a re-export from the package __init__ is no
 reference, so an export that nothing in the package calls fails the scan.
 Reference implementations that only tests call live under tests/ (the
-`oracles` module).  `_KEPT_UNREFERENCED` names the one exception.  No
+`oracles` module).  `_KEPT_UNREFERENCED` names the two exceptions.  No
 module binds an empty mutable container ({}, [], set(), dict(), list()) at
 module level: such a binding is a cache or registry that lives as long as
 the process, where per-polynomial state belongs on an object that dies with
@@ -22,18 +22,24 @@ step, and a second heap-driven loop would be a second copy of it.  Every
 function that calls `monomial_basis` also calls `_basis_overflow`, so no
 basis past the input budget of `gradedpoly` is built before it is refused.
 
-One check is not syntactic: a cold `import brieskornlab.cli`, which every
+Two checks are not syntactic.  A cold `import brieskornlab.cli`, which every
 CLI job pays, loads no `dataclasses` and none of the source-introspection
-modules it pulls in.
+modules it pulls in.  Every span target of the benchmark's tracer
+(`bench/tracing.py`, `TARGETS`) resolves the way `Recorder.install` looks it
+up, with nothing installed: a rename that would stop every traced benchmark
+job with a LookupError fails here instead, naming the entry.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brieskornlab"
+TRACING = PACKAGE.parent.parent / "bench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list:
@@ -84,8 +90,10 @@ def _references(tree, skip=None) -> set:
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# cli.parse_report reads a rendered report back, the round trip README documents
-_KEPT_UNREFERENCED = frozenset({"parse_report"})
+# cli.parse_report reads a rendered report back, the round trip README documents;
+# brieskorn.relation_space is the public view of the relation subspaces, which
+# the package itself reads off the context (`jacobian._JacContext.relations`)
+_KEPT_UNREFERENCED = frozenset({"parse_report", "relation_space"})
 
 
 def _defs(tree):
@@ -321,3 +329,56 @@ def test_cli_import_loads_no_introspection_modules():
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def unresolved_targets(targets, modules: dict) -> list:
+    """"module.path" of each (module, path, group) target that
+    `Recorder.install` could not wrap, `modules` mapping the imported module
+    names to modules: the module is not imported, its function is not bound,
+    or its method is not in the owner class's own __dict__."""
+    out = []
+    for module_name, path, _ in targets:
+        module = modules.get(module_name)
+        owner_name, _, attr = path.rpartition(".")
+        if owner_name:
+            owner = getattr(module, owner_name, None)
+            found = getattr(owner, "__dict__", {}).get(attr) is not None
+        else:
+            found = getattr(module, attr, None) is not None
+        if not found:
+            out.append(f"{module_name}.{path}")
+    return out
+
+
+def test_resolver_flags_only_untraceable_targets():
+    class Owner:
+        def method(self):
+            pass
+
+    class Heir(Owner):
+        pass
+
+    module = type(sys)("m")
+    module.fn, module.Owner, module.Heir = len, Owner, Heir
+    targets = (("m", "fn", None), ("m", "Owner.method", "g"), ("m", "Heir.method", None),
+               ("m", "gone", None), ("m", "Owner.gone", None), ("absent", "fn", None))
+    assert unresolved_targets(targets, {"m": module}) == [
+        "m.Heir.method", "m.gone", "m.Owner.gone", "absent.fn"]
+
+
+def test_every_trace_target_resolves():
+    """The modules a benchmark job has imported when it installs the tracer
+    (`import brieskornlab.cli`, cold) hold every target of `TARGETS`."""
+    probe = ("import sys, brieskornlab.cli; "
+             "print(' '.join(m for m in sys.modules if m.startswith('brieskornlab.')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    modules = {name.split(".", 1)[1]: importlib.import_module(name)
+               for name in done.stdout.split()}
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TARGETS) > 1
+    assert unresolved_targets(tracing.TARGETS, modules) == []

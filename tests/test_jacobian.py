@@ -270,16 +270,29 @@ def test_macaulay_bound_matches_lex_segments():
 
 
 def test_non_reduced_f_has_a_jacobian_ring_but_no_brieskorn_module(monkeypatch):
+    """x^2*y has a Jacobian ring on its one context, but every entry point of
+    `brieskorn` refuses it with the one line, leaves no Brieskorn state on
+    that context, and reads the reducedness verdict kept there."""
     calls = []
     real = jacobian.is_squarefree
     monkeypatch.setattr(jacobian, "is_squarefree", lambda f: calls.append(f) or real(f))
-    f = parse_poly("x^2*y", XYZ)
+    f, p = parse_poly("x^2*y", XYZ), parse_poly("x", XYZ)
     monkeypatch.delitem(jacobian._contexts, f, raising=False)   # a fresh context
     assert jacobian_dims(f, 5) == [1, 3, 4, 5, 6, 7]
-    for _ in range(2):
-        with pytest.raises(InputError, match=r"f must be reduced \(squarefree\)"):
-            brieskorn._ctx(f).hf_dim(4)
-    assert jacobian._ctx(f).dim_R(6) == 8
+    entries = (lambda: brieskorn._ctx(f).hf_dim(4),
+               lambda: brieskorn.relation_space(f, 4),
+               lambda: brieskorn.class_vector(f, p, 4, 1),
+               lambda: brieskorn.hbar_certificate(f, 4),
+               lambda: brieskorn.stabilized_span_rank(f, 4, [p]),
+               lambda: brieskorn.pole_filtration_dims(f),
+               lambda: brieskorn.milnor_eigenspace_dim(f, 0),
+               lambda: brieskorn.briancon_skoda(f))
+    for entry in entries:
+        with pytest.raises(InputError, match=r"^f must be reduced \(squarefree\)$"):
+            entry()
+    ctx = jacobian._ctx(f)
+    assert ctx.dim_R(6) == 8
+    assert ctx._rel == {} and ctx._traces == {}
     assert len(calls) == 1   # the verdict is kept on the context
 
 
@@ -324,12 +337,10 @@ def test_brieskorn_and_jacobian_share_one_context():
     f = parse_poly("x^3 + y^3 + z^3 + 2/3*x^2*y", XYZ)
     brieskorn._ctx(f).hf_dim(6)
     jacobian_dims(f, 4)
-    jac, bri = jacobian._ctx(f), brieskorn._ctx(f)
-    assert bri.base is jac and jac.brieskorn is bri
-    assert brieskorn._ctx(f) is bri and jacobian._ctx(f) is jac
-    assert jac.scale == bri.scale == 3 and bri.f is jac.f
-    for m in (3, 4):   # filled by the Brieskorn context (m = k-n-1) and by jacobian_dims
-        assert bri.index(m) is jac.index(m)
+    ctx = jacobian._ctx(f)
+    assert brieskorn._ctx(f) is ctx and type(ctx) is jacobian._JacContext
+    assert ctx.scale == 3 and 6 in ctx._rel
+    assert {3, 4} <= set(ctx._index)   # m = k-n-1 of hf_dim(6), and jacobian_dims
 
 
 def test_a_context_lives_as_long_as_its_polynomial():
@@ -357,11 +368,12 @@ def test_a_family_keeps_its_fibers_and_their_contexts(monkeypatch):
     def no_elimination(*_):
         raise AssertionError("fiber rank recomputed")
 
-    monkeypatch.setattr(brieskorn, "echelon_rows", no_elimination)
-    monkeypatch.setattr(brieskorn._BrieskornContext, "relation_rows", no_elimination)
+    monkeypatch.setattr(jacobian, "echelon_rows", no_elimination)
+    monkeypatch.setattr(jacobian._JacContext, "relation_rows", no_elimination)
     monkeypatch.setattr(jacobian, "rank_of_vectors", no_elimination)
     assert pole_constancy_check(fam, samples).table == first.table
     assert all(specialize(fam, s) is fiber for s, fiber in zip(samples, fibers))
+    assert all(brieskorn._ctx(f) is jacobian._ctx(f) for f in fibers)
 
 
 def _run_family(capsys, path) -> None:

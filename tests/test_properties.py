@@ -71,7 +71,7 @@ def test_smooth_curve_matches_complete_intersection(f):
                   for k in range(len(coeffs) + 1)]
     assert eliminated == coeffs + [0]
     assert jacobian_dims(f, len(coeffs)) == coeffs + [0]
-    assert brieskorn._ctx(f).base is ctx
+    assert brieskorn._ctx(f) is ctx
 
 
 def _outcome(stabilize):

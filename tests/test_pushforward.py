@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from brieskornlab.brieskorn import _BrieskornContext, class_vector, relation_space
+from brieskornlab import brieskorn, jacobian
+from brieskornlab.brieskorn import class_vector, relation_space
 from brieskornlab.exactlinalg import rank_of_vectors
 from brieskornlab.gradedpoly import (InputError, Poly, is_squarefree, monomial_basis,
                                      parse_poly)
@@ -87,7 +88,7 @@ ALL = {**CORPUS, **SEEDED}
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_power_rank_matches_direct_definition(name):
     f = ALL[name]
-    ctx = _BrieskornContext(f)
+    ctx = brieskorn._ctx(f)
     for k in degrees(f):
         got = [ctx.power_rank(k, N) for N in POWERS]
         assert got == [direct_power_rank(f, k, N) for N in POWERS], (name, k)
@@ -96,7 +97,7 @@ def test_power_rank_matches_direct_definition(name):
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_span_rank_matches_direct_definition(name):
     f = ALL[name]
-    ctx = _BrieskornContext(f)
+    ctx = brieskorn._ctx(f)
     for k in degrees(f):
         if k < f.nvars:
             continue
@@ -125,7 +126,7 @@ def _forbid(*_args):
 
 def test_second_call_is_served_from_the_trace(monkeypatch):
     f = CORPUS["two_cusp"]
-    ctx = _BrieskornContext(f)
+    ctx = jacobian._JacContext(f)   # cold: the first calls compute
     polys = {k: span_seed(f, k, 0) for k in (4, 6)}
     asks = [(k, N) for k in (4, 6) for N in POWERS]
     first = {(k, N): (ctx.power_rank(k, N), ctx.span_rank(k, N, polys[k])) for k, N in asks}
@@ -138,7 +139,7 @@ def test_second_call_is_served_from_the_trace(monkeypatch):
 def test_one_image_basis_per_degree():
     f = CORPUS["nodal"]
     n, d = 2, 3
-    ctx = _BrieskornContext(f)
+    ctx = jacobian._JacContext(f)   # cold: no trace from another test
     ks = range(n + 1, (n + 1) * d + 1)
     for k in ks:
         for N in POWERS:
