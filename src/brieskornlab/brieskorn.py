@@ -32,7 +32,7 @@ Every function here computes through the one context of f
 from __future__ import annotations
 
 from . import jacobian
-from .exactlinalg import InvariantError, Subspace
+from .exactlinalg import InvariantError
 from .gradedpoly import InputError, Poly, _basis_overflow
 
 
@@ -121,28 +121,6 @@ def _ctx(f: Poly) -> jacobian._JacContext:
     if not ctx.reduced:
         raise InputError("f must be reduced (squarefree)")
     return ctx
-
-
-def relation_space(f: Poly, k: int) -> Subspace:
-    """(df^dOmega^{n-1})_k inside C[x]_{k-n-1} coordinates."""
-    return _ctx(f).relations(k)
-
-
-def class_vector(f: Poly, p: Poly, k: int, power: int = 0) -> dict:
-    """Reduced coordinates of the class of f^power * p in H_{f,k+power*d}.
-
-    p must be homogeneous of degree k-n-1 (the coefficient of omega_0).  The
-    representative is the canonical one modulo the relations (zero on their
-    pivot columns), so it does not depend on how the product was formed.
-    """
-    ctx = _ctx(f)
-    if power < 0:
-        raise InputError("power must be nonnegative")
-    if not isinstance(p, Poly) or p.nvars != ctx.nvars:
-        raise InputError("p must live in the same ring as f")
-    if p.terms and not (p.is_homogeneous() and p.homogeneous_degree() == k - ctx.n - 1):
-        raise InputError(f"p must be homogeneous of degree {k - ctx.n - 1}")
-    return ctx.class_vector(p, k, power)
 
 
 def _window(k: int, d: int, resolved: tuple, rank,

@@ -7,7 +7,7 @@ its section does not list in `_KEYS` is refused at its line.  The file is
 read into the plain dict its report echoes as `input`, and the section
 builders index that dict.  A report is the JSON object itself, a plain dict;
 it renders as aligned text or as versioned JSON ("brieskorn-lab/1"), which
-`parse_report` reads back.  Every rational in it is a "p/q" string,
+`json.loads` reads back.  Every rational in it is a "p/q" string,
 dimensions stay integers.
 
 Exit codes: 0 success, 1 bad input, 2 a failed internal cross-check.
@@ -497,53 +497,6 @@ def render_report(report: dict, as_json: bool) -> str:
     if as_json:
         return json.dumps(report, indent=2, sort_keys=False) + "\n"
     return _render_text(report)
-
-
-# each report value as the builders write it: its JSON type, or an object's keys,
-# which the text renderer reads; a value `_new_report` starts at None may be null
-_SHAPES = {
-    "schema": str, "command": str, "smoothness": bool, "alpha": str, "checks": list,
-    "input": ("variables", "polynomial", "singular_points", "family", "policy"),
-    "pole": ("dims", "total_dim", "certificates"), "milnor": ("eigenspaces", "total"),
-    "hodge": ("alpha", "hodge_dims", "pole_dims", "equal_range", "strict_drop", "charts",
-              "certificates"),
-    "briancon_skoda": ("holds", "witness_power", "certificate"), "timing": ("total_seconds",),
-    "jacobian": ("dims", "max_degree", "socle_degree", "tjurina", "note"),
-    "family": ("samples", "pole_table", "pole_constant", "tjurina_table", "tjurina_jumps",
-               "grp_nabla", "note")}
-_JSON_NAMES = {str: "a string", bool: "a boolean", dict: "an object", list: "an array"}
-
-
-def parse_report(text: str) -> dict:
-    """Read back a JSON report; refuses one `render_report` could not have
-    written, down to the JSON type of each top-level value, the keys of each
-    section and the shape of each check."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as e:
-        raise InputError(f"a report must be JSON text: {e}") from None
-    if not isinstance(data, dict):
-        raise InputError("a report must be a JSON object")
-    if data.get("schema") != SCHEMA:
-        raise InputError(f"unsupported report schema {data.get('schema')!r}")
-    fresh = _new_report("", {})
-    missing, unexpected = fresh.keys() - data.keys(), data.keys() - fresh.keys()
-    if missing or unexpected:
-        raise InputError(f"report keys differ from {SCHEMA}: missing {sorted(missing)}, "
-                         f"unexpected {sorted(unexpected)}")
-    for key, value in data.items():
-        shape = _SHAPES[key]
-        kind = dict if isinstance(shape, tuple) else shape
-        if not (isinstance(value, kind) or value is None and fresh[key] is None):
-            raise InputError(f"report value {key!r} is not {_JSON_NAMES[kind]}"
-                             + (" or null" if fresh[key] is None else ""))
-        lacking = [k for k in shape if k not in value] if isinstance(value, dict) else []
-        if lacking:
-            raise InputError(f"report section {key!r} lacks {lacking}")
-    for i, check in enumerate(data["checks"]):
-        if not (isinstance(check, dict) and "name" in check and "passed" in check):
-            raise InputError(f"report check {i} is not an object with 'name' and 'passed'")
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,9 @@ class LocalIdealJets:
     in jet_space; with threshold <= 0 there is no condition at all.
     """
 
-    __slots__ = ("q", "threshold", "basis", "jet_space")
+    __slots__ = ("threshold", "basis", "jet_space")
 
-    def __init__(self, q: int, threshold: Fraction, basis: tuple, jet_space: Subspace):
-        self.q = q
+    def __init__(self, threshold: Fraction, basis: tuple, jet_space: Subspace):
         self.threshold = threshold
         self.basis = basis
         self.jet_space = jet_space
@@ -222,7 +221,7 @@ def local_jq_jets(chart: WeightedChart, q: int) -> LocalIdealJets:
     theta = q + 1 - chart.alpha
     nloc = chart.nloc
     if theta <= 0:
-        return LocalIdealJets(q, theta, (), Subspace.zero(0))
+        return LocalIdealJets(theta, (), Subspace.zero(0))
     ws = chart.weights
     wmax = max(ws)
     basis = tuple(monomials_weighted_below(nloc, ws, theta))
@@ -257,7 +256,7 @@ def local_jq_jets(chart: WeightedChart, q: int) -> LocalIdealJets:
                 level = nxt
                 if not level:
                     break
-    return LocalIdealJets(q, theta, basis, Subspace.from_vectors(rows, len(basis)))
+    return LocalIdealJets(theta, basis, Subspace.from_vectors(rows, len(basis)))
 
 
 def _chart_conditions(f: Poly, chart: WeightedChart, q: int, globals_: list) -> list:

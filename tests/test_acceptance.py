@@ -15,26 +15,23 @@ from itertools import combinations
 from pathlib import Path
 
 from brieskornlab import (
-    ExactMatrix,
     PencilFamily,
     Poly,
-    alpha_Y,
     briancon_skoda,
     build_chart,
-    global_jq_dim,
     grp_nabla_matrix,
     hbar_certificate,
-    hilbert_ci_coeffs,
     hodge_filtration_dims,
-    is_squarefree,
     milnor_eigenspace_dim,
-    monomial_basis,
     parse_poly,
     pole_filtration_dims,
     tjurina_scan,
 )
 from brieskornlab import brieskorn, jacobian
 from brieskornlab.cli import load_problem
+from brieskornlab.exactlinalg import ExactMatrix
+from brieskornlab.gradedpoly import hilbert_ci_coeffs, is_squarefree, monomial_basis
+from brieskornlab.singularities import alpha_Y, global_jq_dim
 from oracles import (EulerField, Form, coker_check_prop16, exterior_d, iota_euler,
                      lie_euler, omega0, smooth_hodge_numbers, wedge)
 from test_families import lift_powers

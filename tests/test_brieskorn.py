@@ -16,8 +16,7 @@ from brieskornlab import brieskorn, jacobian
 from brieskornlab.brieskorn import (BrianconSkodaResult, StabilizationError,
                                     StabilizationPolicy, briancon_skoda,
                                     hbar_certificate, milnor_eigenspace_dim,
-                                    pole_filtration_dims, relation_space,
-                                    stabilized_span_rank)
+                                    pole_filtration_dims, stabilized_span_rank)
 from brieskornlab.exactlinalg import Subspace
 from brieskornlab.gradedpoly import (InputError, Poly, hilbert_ci_coeffs,
                                      monomial_basis, parse_poly)
@@ -58,12 +57,12 @@ def relation_space_oracle(f: Poly, k: int) -> Subspace:
 def test_relation_space_matches_exterior_construction(f):
     n, d = f.nvars - 1, f.homogeneous_degree()
     for k in range(n + 1, (n + 2) * d + 1):
-        assert relation_space(f, k) == relation_space_oracle(f, k)
+        assert brieskorn._ctx(f).relations(k) == relation_space_oracle(f, k)
 
 
 def test_relation_space_matches_exterior_construction_surface():
     for k in range(4, 12):
-        assert relation_space(CUBIC_SURFACE, k) == relation_space_oracle(CUBIC_SURFACE, k)
+        assert brieskorn._ctx(CUBIC_SURFACE).relations(k) == relation_space_oracle(CUBIC_SURFACE, k)
 
 
 def divergence_free_count(n: int, e: int) -> int:

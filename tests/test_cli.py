@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from brieskornlab import gradedpoly, jacobian
-from brieskornlab.cli import (_parser, load_problem, main, parse_problem, parse_report,
-                              render_report)
+from brieskornlab.cli import _parser, load_problem, main, parse_problem, render_report
 from brieskornlab.gradedpoly import InputError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -328,7 +327,7 @@ def test_command_sections_and_checks(capsys, command, sections, checks):
                              str(PROBLEMS / "fermat_pencil.txt"),
                              "--json", "--no-timing", "--q-max", "1")
     assert code == 0, err
-    report = parse_report(out)
+    report = json.loads(out)
     filled = {name for name in ("smoothness", "pole", "hodge", "alpha",
                                 "briancon_skoda", "milnor", "jacobian", "family")
               if report[name] is not None}
@@ -383,11 +382,10 @@ def test_golden_two_cusp_json(capsys):
     assert out == (GOLDEN / "two_cusp_quartic.json").read_text()
 
 
-def test_golden_round_trips():
-    text = (GOLDEN / "two_cusp_quartic.json").read_text()
-    rep = parse_report(text)
-    assert render_report(rep, as_json=True) == text
-    assert parse_report(render_report(rep, as_json=True)) == rep
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_golden_round_trips(name):
+    text = (GOLDEN / f"{name}.json").read_text()
+    assert render_report(json.loads(text), as_json=True) == text
 
 
 def test_text_and_json_agree_on_dims(capsys):
@@ -418,36 +416,6 @@ def test_schema_version_pinned(capsys):
     data = json.loads(out)
     assert data["schema"] == "brieskorn-lab/1"
     assert data["milnor"]["total"] == 8
-
-
-def golden_report_with(**values) -> str:
-    return json.dumps({**json.loads((GOLDEN / "two_cusp_quartic.json").read_text()), **values})
-
-
-@pytest.mark.parametrize("text,message", [
-    ("[]", "a report must be a JSON object"),
-    ('{"schema": "brieskorn-lab/999"}', "unsupported report schema 'brieskorn-lab/999'"),
-    ('{"schema": "brieskorn-lab/1"}', "report keys differ from brieskorn-lab/1: missing "
-     "['alpha', 'briancon_skoda', 'checks', 'command', 'family', 'hodge', 'input', "
-     "'jacobian', 'milnor', 'pole', 'smoothness', 'timing'], unexpected []"),
-    (golden_report_with(extra=1),
-     "report keys differ from brieskorn-lab/1: missing [], unexpected ['extra']"),
-    ("brieskorn-lab nodal cubic", "a report must be JSON text: Expecting value: "
-     "line 1 column 1 (char 0)"),
-    (golden_report_with(pole=5), "report value 'pole' is not an object or null"),
-    (golden_report_with(checks=None), "report value 'checks' is not an array"),
-    (golden_report_with(pole={}), "report section 'pole' lacks ['dims', 'total_dim', "
-     "'certificates']"),
-    (golden_report_with(checks=[1]), "report check 0 is not an object with 'name' and 'passed'"),
-    (golden_report_with(checks=[{"name": "x"}]),
-     "report check 0 is not an object with 'name' and 'passed'"),
-], ids=["not-an-object", "wrong-schema", "missing-keys", "extra-key", "not-json",
-        "pole-not-an-object", "checks-null", "pole-empty", "check-not-an-object",
-        "check-without-passed"])
-def test_parse_report_refuses_malformed_reports(text, message):
-    with pytest.raises(InputError) as exc:
-        parse_report(text)
-    assert str(exc.value) == message
 
 
 def pole_trace_lengths(out: str) -> list:
@@ -490,7 +458,7 @@ def test_all_problem_files_analyze(capsys):
                                  "--json", "--no-timing")
         assert code == 0, f"{path.name}: {err}"
         assert out == (GOLDEN / f"{path.stem}.json").read_text(), path.name
-        assert "cross-checks" in render_report(parse_report(out), as_json=False)
+        assert "cross-checks" in render_report(json.loads(out), as_json=False)
 
 
 NON_ISOLATED_PENCIL = """\

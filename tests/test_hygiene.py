@@ -1,21 +1,27 @@
 """Source hygiene of the package: no module imports a name it never uses,
-no function, class or method outlives its callers, and no module starts a
-process-global cache.
+no function, class or method outlives its callers, the README documents
+every exported name, and no module starts a process-global cache.
 
 The scans are syntactic.  Every name bound by an import statement in a module
 of src/brieskornlab (the package __init__, which re-exports, excepted) must
 appear as a name somewhere else in that module; `from __future__` imports
 are directives, not names, and are skipped.  Every module-level function or
 class, public or private, and every method of such a class but the dunders
-must be referenced, as a name or an attribute, by some module of the package
-outside its own definition: a re-export from the package __init__ is no
+must be referenced by some module of the package outside its own definition,
+with no exception.  A module-level def `name` of module M is referenced only
+by the bare name in M, by an import of it by name (`from .M import name`)
+or by a read of `M.name` in another module, so a method or a local of the
+same name does not keep it alive; a method is referenced by any name or
+attribute of its name.  A re-export from the package __init__ is no
 reference, so an export that nothing in the package calls fails the scan.
 Reference implementations that only tests call live under tests/ (the
-`oracles` module).  `_KEPT_UNREFERENCED` names the two exceptions.  No
-module binds an empty mutable container ({}, [], set(), dict(), list()) at
-module level: such a binding is a cache or registry that lives as long as
-the process, where per-polynomial state belongs on an object that dies with
-the polynomial.  Non-empty tables (cli._COMMANDS, cli._SECTIONS) are data.
+`oracles` module).  Every name of the package's `__all__` appears in
+backticks, or in the example's import, in README's Library section, and
+the example imports nothing else from the package.  No module binds an
+empty mutable container ({}, [], set(), dict(), list()) at module level:
+such a binding is a cache or registry that lives as long as the process,
+where per-polynomial state belongs on an object that dies with the
+polynomial.  Non-empty tables (cli._COMMANDS, cli._SECTIONS) are data.
 One function uses `heapq`, the pivot loop `exactlinalg._forward_eliminate`:
 every elimination, exact or modulo a prime, runs through it with its own row
 step, and a second heap-driven loop would be a second copy of it.  Every
@@ -34,11 +40,13 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brieskornlab"
+README = PACKAGE.parent.parent / "README.md"
 TRACING = PACKAGE.parent.parent / "bench" / "tracing.py"
 
 
@@ -73,69 +81,96 @@ def test_no_module_imports_an_unused_name():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def _references(tree, skip=None) -> set:
-    """Names and attribute names used in tree, outside the node skip."""
-    found, stack = set(), [tree]
+def _references(tree, skip=None) -> tuple:
+    """(names, attribute names) used in tree, outside the node skip."""
+    names, attrs, stack = set(), set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attrs.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
+    return names, attrs
+
+
+def _qualified_references(tree) -> set:
+    """(module, name) of each module-level name that tree imports by name
+    (`from .M import name`) or reads as `M.name` through a module it
+    imported (`from . import M`)."""
+    found, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            else:
+                found.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add((modules[node.value.id], node.attr))
     return found
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# cli.parse_report reads a rendered report back, the round trip README documents;
-# brieskorn.relation_space is the public view of the relation subspaces, which
-# the package itself reads off the context (`jacobian._JacContext.relations`)
-_KEPT_UNREFERENCED = frozenset({"parse_report", "relation_space"})
-
 
 def _defs(tree):
-    """Module-level defs and classes of tree and the methods of those
-    classes, but the dunders, which the language calls."""
+    """(node, is_method) of the module-level defs and classes of tree and
+    of the methods of those classes, but the dunders, which the language
+    calls."""
     for node in tree.body:
         if isinstance(node, _DEFS):
-            yield node
+            yield node, False
             if isinstance(node, ast.ClassDef):
-                yield from (m for m in node.body if isinstance(m, _DEFS))
+                yield from ((m, True) for m in node.body if isinstance(m, _DEFS))
 
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def unreferenced_defs(sources: dict, kept=frozenset()) -> list:
-    """(module, name) of each def, class or method from `_defs`, except the
-    names in kept, that no module in sources references outside the
-    definition itself."""
-    trees = {name: ast.parse(src) for name, src in sources.items()}
-    elsewhere = {name: set().union(*(_references(t) for other, t in trees.items() if other != name))
-                 for name in trees}
+def unreferenced_defs(sources: dict) -> list:
+    """(module, name) of each def, class or method from `_defs` that no
+    module in sources (keyed by module name) references outside the
+    definition itself.  A module-level def or class is referenced by a bare
+    name in its own module, or from another module by name or as
+    `module.name` (`_qualified_references`), the re-exports of the package
+    __init__ excepted; a method by any name or attribute of its name."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    qualified = set().union(*(_qualified_references(tree)
+                              for module, tree in trees.items() if module != "__init__"))
+    used_in = {module: set().union(*_references(tree)) for module, tree in trees.items()}
     out = []
-    for name, tree in trees.items():
-        for node in _defs(tree):
-            if (not _is_dunder(node.name) and node.name not in kept
-                    and node.name not in elsewhere[name] | _references(tree, skip=node)):
-                out.append((name, node.name))
+    for module, tree in trees.items():
+        for node, is_method in _defs(tree):
+            if _is_dunder(node.name):
+                continue
+            names, attrs = _references(tree, skip=node)
+            if is_method:
+                used = node.name in names | attrs or any(
+                    node.name in refs for other, refs in used_in.items() if other != module)
+            else:
+                used = node.name in names or (module, node.name) in qualified
+            if not used:
+                out.append((module, node.name))
     return sorted(out)
 
 
 def test_scanner_flags_only_unreferenced_private_defs():
-    """Private defs, and public defs and methods alike."""
+    """Private defs, and public defs and methods alike; a module function
+    is not referenced by a call of a method of its name."""
     sources = {"a": ("def _used_here(): pass\n"
                      "def _recursive(n): return _recursive(n - 1)\n"
                      "class _Dead: pass\n"
                      "def _used_there(): pass\n"
+                     "def _imported(): pass\n"
                      "def __dunder__(): pass\n"
                      "def public(): return _used_here()\n"
                      "def exported(): pass\n"
-                     "def documented(): pass\n"
+                     "def area(): pass\n"
                      "class Shape:\n"
                      "    def __init__(self): self.area()\n"
                      "    def area(self): return self.side()\n"
@@ -144,18 +179,49 @@ def test_scanner_flags_only_unreferenced_private_defs():
                      "    @property\n"
                      "    def dead_property(self): return 0\n"),
                "b": ("from . import a\n"
-                     "def f(): return a._used_there(), a.public(), a.Shape()\n"),
+                     "from .a import _imported\n"
+                     "def f(): return a._used_there(), a.public(), a.Shape().area(), _imported\n"),
                "__init__": "from .a import exported\n__all__ = ['exported']\n"}
-    assert unreferenced_defs(sources, kept={"documented"}) == [
-        ("a", "_Dead"), ("a", "_recursive"), ("a", "dead_property"), ("a", "exported"),
-        ("a", "unused"), ("b", "f")]
+    assert unreferenced_defs(sources) == [
+        ("a", "_Dead"), ("a", "_recursive"), ("a", "area"), ("a", "dead_property"),
+        ("a", "exported"), ("a", "unused"), ("b", "f")]
 
 
 def test_no_private_def_is_left_unreferenced():
-    """Nor any public def or method (`_defs`), but `_KEPT_UNREFERENCED`."""
-    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    """Nor any public def or method (`_defs`)."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 1
-    assert unreferenced_defs(sources, _KEPT_UNREFERENCED) == []
+    assert unreferenced_defs(sources) == []
+
+
+def library_names(readme: str) -> tuple:
+    """(names in backticks, names the example imports from the package) of
+    README's Library section, whose example is its one python block."""
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    before, rest = section.split("```python\n", 1)
+    example, after = rest.split("```", 1)
+    imported = {alias.name for node in ast.walk(ast.parse(example))
+                if isinstance(node, ast.ImportFrom) and node.module == "brieskornlab"
+                for alias in node.names}
+    return set(re.findall(r"`([^`\n]+)`", before + after)), imported
+
+
+def test_library_names_reads_prose_and_the_example_import():
+    readme = ("## Install\n`hidden`\n## Library\nexports `a`, `b c`\n"
+              "```python\nfrom brieskornlab import (d,\n    e)\nfrom os import f\n# `g`\n```\n"
+              "then `h`\n## Tests\n`i`\n")
+    assert library_names(readme) == ({"a", "b c", "h"}, {"d", "e"})
+
+
+def test_readme_documents_the_exported_surface():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    documented, imported = library_names(README.read_text())
+    assert len(exported) > 1
+    assert sorted(set(exported) - documented - imported) == []
+    assert sorted(imported - set(exported)) == []
 
 
 _EMPTY_CALLS = {"set", "dict", "list"}

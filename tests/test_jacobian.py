@@ -280,8 +280,6 @@ def test_non_reduced_f_has_a_jacobian_ring_but_no_brieskorn_module(monkeypatch):
     monkeypatch.delitem(jacobian._contexts, f, raising=False)   # a fresh context
     assert jacobian_dims(f, 5) == [1, 3, 4, 5, 6, 7]
     entries = (lambda: brieskorn._ctx(f).hf_dim(4),
-               lambda: brieskorn.relation_space(f, 4),
-               lambda: brieskorn.class_vector(f, p, 4, 1),
                lambda: brieskorn.hbar_certificate(f, 4),
                lambda: brieskorn.stabilized_span_rank(f, 4, [p]),
                lambda: brieskorn.pole_filtration_dims(f),

@@ -361,4 +361,4 @@ def test_divergence_free_relations_match_the_rotation_rows(f):
     n, d = f.nvars - 1, f.homogeneous_degree()
     event(f"{f.nvars} variables, degree {d}")
     for k in range(n + 1, (n + 2) * d + 1):
-        assert brieskorn.relation_space(f, k) == rotation_relation_space(f, k), k
+        assert brieskorn._ctx(f).relations(k) == rotation_relation_space(f, k), k
