@@ -40,19 +40,15 @@ class QuotientMapError(InvariantError):
     """A map does not descend to the requested quotients."""
 
 
-def _as_dict(v, ambient_dim: int) -> dict[int, Fraction]:
-    if isinstance(v, Mapping):
-        out = {}
-        for c, val in v.items():
-            if not 0 <= c < ambient_dim:
-                raise InputError(f"coordinate {c} outside ambient dimension {ambient_dim}")
-            if val:
-                out[c] = val
-        return out
-    vv = list(v)
-    if len(vv) != ambient_dim:
-        raise InputError(f"vector length {len(vv)} != ambient dimension {ambient_dim}")
-    return {c: val for c, val in enumerate(vv) if val}
+def _as_dict(v: Mapping[int, object], ambient_dim: int) -> dict[int, Fraction]:
+    """The nonzero entries of v, its coordinates checked against ambient_dim."""
+    out = {}
+    for c, val in v.items():
+        if not 0 <= c < ambient_dim:
+            raise InputError(f"coordinate {c} outside ambient dimension {ambient_dim}")
+        if val:
+            out[c] = val
+    return out
 
 
 def _int_row(v: Mapping[int, object]) -> dict[int, int]:
@@ -212,13 +208,12 @@ class Subspace:
     generator presentations; equality compares the spaces themselves.
     """
 
-    __slots__ = ("ambient_dim", "pivots", "tails", "_pivset")
+    __slots__ = ("ambient_dim", "pivots", "tails")
 
     def __init__(self, ambient_dim: int, pivots: Sequence[int], tails: dict):
         self.ambient_dim = ambient_dim
         self.pivots = tuple(pivots)
-        self.tails = tails
-        self._pivset = frozenset(pivots)
+        self.tails = tails   # keyed by the pivots
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -248,22 +243,25 @@ class Subspace:
             out.append(row)
         return out
 
-    def reduce(self, v) -> dict[int, Fraction]:
-        """Canonical representative of v modulo the subspace.
+    def reduce(self, v: Mapping[int, object]) -> dict[int, Fraction]:
+        """Canonical representative of the sparse vector v modulo the subspace.
 
         The result has zero at every pivot column; it is the unique member of
-        v + subspace supported on non-pivot columns.
+        v + subspace supported on non-pivot columns.  The coordinates of v
+        are taken as given, without a range check; zero values are skipped.
         """
-        vv = _as_dict(v, self.ambient_dim)
+        tails = self.tails
         out: dict[int, Fraction] = {}
         hits = []
-        for c, val in vv.items():
-            if c in self._pivset:
+        for c, val in v.items():
+            if not val:
+                continue
+            if c in tails:
                 hits.append((c, val))
             else:
                 out[c] = val
         for c, a in hits:
-            for cc, t in self.tails[c].items():
+            for cc, t in tails[c].items():
                 s = out.get(cc, 0) - a * t
                 if s:
                     out[cc] = s
@@ -271,7 +269,7 @@ class Subspace:
                     out.pop(cc, None)
         return out
 
-    def contains(self, v) -> bool:
+    def contains(self, v: Mapping[int, object]) -> bool:
         return not self.reduce(v)
 
     def __eq__(self, other) -> bool:
@@ -320,7 +318,7 @@ def echelon_rows(vectors: Iterable[Mapping[int, object]]) -> list[dict[int, int]
 
     Each row is zero on the pivot columns of the rows before it, so the rows
     are independent and their count is the rank.  Coordinates are taken as
-    given, without the range check of `rank_of_vectors`.
+    given, without a range check.
     """
     rows = (_int_row(v) for v in vectors)
     return [row for _, row in _forward_eliminate(rows)]
@@ -331,19 +329,21 @@ class ExactMatrix:
 
     A value type: the graded connection matrices are built, compared and
     rendered as ExactMatrix, and `kernel_basis` solves the chart conditions.
+    The constructor cleans the rows (`_as_dict`), so equal matrices store
+    equal rows.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int, rows: tuple):
+    def __init__(self, nrows: int, ncols: int, rows: Iterable[Mapping[int, object]]):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self.rows = tuple(_as_dict(r, ncols) for r in rows)
 
     @classmethod
-    def from_rows(cls, rows: Iterable, ncols: int) -> "ExactMatrix":
-        clean = tuple(_as_dict(r, ncols) for r in rows)
-        return cls(len(clean), ncols, clean)
+    def from_rows(cls, rows: Iterable[Mapping[int, object]], ncols: int) -> "ExactMatrix":
+        rows = tuple(rows)
+        return cls(len(rows), ncols, rows)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
@@ -360,7 +360,7 @@ class ExactMatrix:
         row-space pivots, so these vectors are already a reduced basis.
         """
         rowspace = Subspace.from_vectors(self.rows, self.ncols)
-        free = [c for c in range(self.ncols) if c not in rowspace._pivset]
+        free = [c for c in range(self.ncols) if c not in rowspace.tails]
         tails: dict[int, dict] = {c: {} for c in free}
         for p in rowspace.pivots:
             for c, t in rowspace.tails[p].items():
@@ -370,15 +370,10 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return False
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return all(_as_dict(a, self.ncols) == _as_dict(b, self.ncols)
-                   for a, b in zip(self.rows, other.rows))
+        return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
 
     def __hash__(self) -> int:
-        # over the rows as __eq__ reads them, explicit zeros dropped
-        return hash((self.nrows, self.ncols,
-                     tuple(frozenset(_as_dict(r, self.ncols).items()) for r in self.rows)))
+        return hash((self.nrows, self.ncols, tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
@@ -391,7 +386,9 @@ class SpanSolver:
     pivots of the rows before it, so one forward pass reduces a vector.
     Column ambient_dim + j holds the coordinate of the j-th accepted vector
     a_j: a row (x | c) stands for x = sum_j c_j a_j, and the step that
-    combines rows updates the coordinates with them.
+    combines rows updates the coordinates with them.  Vectors are sparse
+    dicts over range(ambient_dim), taken as given, without a range check;
+    zero values are skipped.
     """
 
     def __init__(self, ambient_dim: int):
@@ -403,12 +400,10 @@ class SpanSolver:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v) -> tuple[dict[int, int], int]:
+    def _reduce(self, v: Mapping[int, object]) -> tuple[dict[int, int], int]:
         """Reduced integer row of v, tagged in the next free coordinate column."""
         tag = self.ambient_dim + len(self._rows)
-        vv = _as_dict(v, self.ambient_dim)
-        vv[tag] = 1
-        row = _int_row(vv)
+        row = _int_row({**v, tag: 1})
         for pcol, prow in self._rows:
             if pcol in row:
                 row = _combine(row, prow, pcol)

@@ -208,19 +208,6 @@ class Poly:
                 out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
         return Poly(self.nvars, out)
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise InputError("point arity does not match variable count")
-        pt = [_coeff(v) for v in point]
-        total = _coeff(0)
-        for m, c in self.terms.items():
-            v = c
-            for e, x in zip(m, pt):
-                if e:
-                    v = v * x**e
-            total = total + v
-        return total
-
     def weighted_parts(self, weights: Sequence[Fraction]) -> dict:
         """Decompose into weighted-homogeneous parts, keyed by weighted degree."""
         parts: dict = {}
@@ -280,17 +267,16 @@ def _coeff(c):
 
 # ---------------------------------------------------------------------- bases
 
-# input budget: the most monomials one degree may have.  Every index, every
-# Jacobian and relation row, and the bases of the family quotients and the
-# global level-q sections are built through `jacobian._JacContext.monomials`,
-# which refuses a larger basis before building it, as `is_squarefree` refuses
-# its degree 2d-3 (every function that calls `monomial_basis` calls
-# `_basis_overflow`), and `parse_poly` refuses to expand a power or product
-# into such a degree.  A proved-smooth certificate builds no basis but refuses
-# every power whose relations a scan would refuse (`brieskorn._stabilize`).  A basis and its index take about 150 bytes a monomial
-# (CPython 3.11), so this bounds one at about 40 MB; the largest that the
-# tests build has 4495 monomials (4 variables, degree 28), the problem corpus
-# and the benchmark workloads 680.
+# input budget: the most monomials one degree may have.  `monomial_basis`
+# refuses a larger basis before building it, so every index, every Jacobian,
+# relation and reducedness row, and the bases of the family quotients and the
+# global level-q sections stay within it.  Two callers refuse a degree without
+# building its basis: `parse_poly` before it expands a power or product into
+# it, and a proved-smooth certificate, which builds no basis, for every power
+# whose relations a scan would refuse (`brieskorn._stabilize`).  A basis and
+# its index take about 150 bytes a monomial (CPython 3.11), so this bounds one
+# at about 40 MB; the largest that the tests build has 4495 monomials (4
+# variables, degree 28), the problem corpus and the benchmark workloads 680.
 _MAX_BASIS_SIZE = 250_000
 
 
@@ -309,11 +295,16 @@ def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
 
     This is the graded-lex order restricted to one degree; every matrix in the
     package indexes its columns by this list, so the order is load-bearing.
+    Raises InputError, before enumerating anything, when the degree has more
+    than _MAX_BASIS_SIZE monomials.
     """
     if nvars < 1:
         raise InputError("need at least one variable")
     if degree < 0:
         return []
+    refusal = _basis_overflow(nvars, degree)
+    if refusal:
+        raise InputError(refusal)
     out: list[Monomial] = []
 
     def rec(prefix: Monomial, remaining: int, slots: int) -> None:
@@ -651,8 +642,8 @@ def is_squarefree(f: Poly) -> bool:
 
     A full rank modulo a prime proves the rows independent without an exact
     elimination (`exactlinalg.full_rank_mod_p`); otherwise their exact rank
-    decides.  The basis of degree 2d-3 is refused, before it is built, when
-    it has more than _MAX_BASIS_SIZE monomials.  Forms of degree 0 and 1 are
+    decides.  `monomial_basis` refuses the basis of degree 2d-3 when it has
+    more than _MAX_BASIS_SIZE monomials.  Forms of degree 0 and 1 are
     squarefree, 0 is not.  Raises InputError when f is nonzero and not
     homogeneous.
     """
@@ -661,14 +652,11 @@ def is_squarefree(f: Poly) -> bool:
     d = f.homogeneous_degree()
     if d < 2:
         return True
-    refusal = _basis_overflow(f.nvars, 2 * d - 3)
-    if refusal:
-        raise InputError(refusal)
     f = f.integer_scaled()[0]
     others = [list(f.partial(i).terms.items()) for i in range(f.nvars)]
     a = others.pop(next(i for i, p in enumerate(others) if p))
-    # every block of S_{2d-3}^n reads the one budgeted index of S_{2d-3},
-    # block i offset by i*width
+    # every block of S_{2d-3}^n reads the one index of S_{2d-3}, block i
+    # offset by i*width
     index = {m: j for j, m in enumerate(monomial_basis(f.nvars, 2 * d - 3))}
     width, monos = len(index), monomial_basis(f.nvars, d - 2)
     rows = [{} for _ in monos]   # x^m * (a_1, ..., a_n)

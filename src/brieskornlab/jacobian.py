@@ -62,8 +62,8 @@ from math import comb
 
 from .exactlinalg import (InvariantError, Subspace, _strip_content, echelon_rows,
                           full_rank_mod_p, rank_of_vectors)
-from .gradedpoly import (_MAX_BASIS_SIZE, InputError, Poly, _basis_overflow, hilbert_ci_coeffs,
-                         is_squarefree, mono_mul, monomial_basis, multiples)
+from .gradedpoly import (_MAX_BASIS_SIZE, InputError, Poly, hilbert_ci_coeffs, is_squarefree,
+                         mono_mul, monomial_basis, multiples)
 
 
 class NonIsolatedError(InvariantError):
@@ -115,8 +115,6 @@ class _JacContext:
     """
 
     def __init__(self, f: Poly):
-        if not isinstance(f, Poly):
-            raise InputError("expected a Poly")
         if f.is_zero() or not f.is_homogeneous():
             raise InputError("f must be a nonzero homogeneous polynomial")
         if f.nvars < 2:
@@ -174,9 +172,6 @@ class _JacContext:
     def monomials(self, m: int) -> list:
         got = self._monos.get(m)
         if got is None:
-            refusal = _basis_overflow(self.nvars, m)
-            if refusal:
-                raise InputError(refusal)
             got = self._monos[m] = monomial_basis(self.nvars, m)
         return got
 
@@ -363,6 +358,9 @@ _contexts: weakref.WeakKeyDictionary[Poly, _JacContext] = weakref.WeakKeyDiction
 
 
 def _ctx(f: Poly) -> _JacContext:
+    """The context of f, built and validated on first use."""
+    if not isinstance(f, Poly):
+        raise InputError("expected a Poly")
     got = _contexts.get(f)
     if got is None:
         got = _contexts[f] = _JacContext(f)

@@ -124,39 +124,36 @@ def _isolated_weighted(h1: Poly, weights: tuple) -> bool:
 def build_chart(f: Poly, point, chart: int, weights) -> WeightedChart:
     """Validate a singular point of f = 0 with its local weights.
 
-    Checks, in order: the point is rational and lies in the chart, f and all
-    its partials vanish there, the lowest weighted part of the local equation
-    sits exactly in weighted degree 1, and that part has an isolated critical
-    point at the origin.
+    Checks, in order: f is a hypersurface (`jacobian._ctx`); the point is
+    rational and lies in the chart; the local equation (f at the point moved
+    to the origin, x_chart = 1) has no constant term, f(p), and no linear
+    term, the partials at p off the chart (the chart's then vanishes by
+    Euler's formula sum p_i df/dx_i(p) = d f(p)); the weights lie in (0, 1);
+    the lowest weighted part of the local equation sits exactly in weighted
+    degree 1; and that part has an isolated critical point at the origin.
     """
-    if not isinstance(f, Poly) or f.is_zero() or not f.is_homogeneous():
-        raise InputError("f must be a nonzero homogeneous polynomial")
-    nvars = f.nvars
-    n = nvars - 1
+    ctx = _ctx(f)
     try:
         pt = tuple(Fraction(v) for v in point)
     except (TypeError, ValueError) as exc:
         raise InputError(f"point coordinates must be rational: {exc}") from None
-    if len(pt) != nvars:
-        raise InputError(f"point needs {nvars} coordinates")
-    if not 0 <= chart < nvars:
+    if len(pt) != ctx.nvars:
+        raise InputError(f"point needs {ctx.nvars} coordinates")
+    if not 0 <= chart < ctx.nvars:
         raise InputError("chart index out of range")
     if pt[chart] == 0:
         raise InputError("point does not lie in the requested chart")
     pt = tuple(v / pt[chart] for v in pt)
-    if f.evaluate(pt) != 0:
+    local_eq = dehomogenize_shift(f, chart, pt)
+    if (0,) * ctx.n in local_eq.terms:
         raise InputError("point does not lie on the hypersurface")
-    for i in range(nvars):
-        if f.partial(i).evaluate(pt) != 0:
-            raise InputError("point is not a singular point of the hypersurface")
+    if any(sum(m) == 1 for m in local_eq.terms):
+        raise InputError("point is not a singular point of the hypersurface")
     ws = weight_vector(weights)
-    if len(ws) != n:
-        raise InputError(f"need {n} weights, one per non-chart variable")
+    if len(ws) != ctx.n:
+        raise InputError(f"need {ctx.n} weights, one per non-chart variable")
     if any(w >= 1 for w in ws):
         raise InputError("weights must be strictly less than 1")
-    local_eq = dehomogenize_shift(f, chart, pt)
-    if local_eq.is_zero():
-        raise InputError("local equation vanishes identically")
     low = local_eq.min_weighted_degree(ws)
     if low != 1:
         raise InputError(
@@ -280,16 +277,13 @@ def _chart_conditions(f: Poly, chart: WeightedChart, q: int, globals_: list) -> 
 def global_jq_dim(f: Poly, charts, q: int) -> tuple:
     """Dimension and basis of the degree-(q+1)d-n-1 sections of the global
     level-q ideal: forms whose local jets pass every chart's membership test."""
-    if not isinstance(f, Poly) or f.is_zero() or not f.is_homogeneous():
-        raise InputError("f must be a nonzero homogeneous polynomial")
-    n = f.nvars - 1
-    d = f.homogeneous_degree()
+    ctx = _ctx(f)
     if q < 0:
         raise InputError("q must be nonnegative")
-    m = (q + 1) * d - n - 1
+    m = (q + 1) * ctx.d - ctx.n - 1
     if m < 0:
         return 0, []
-    globals_ = _ctx(f).monomials(m)
+    globals_ = ctx.monomials(m)
     rows = []
     for chart in charts:
         rows.extend(_chart_conditions(f, chart, q, globals_))

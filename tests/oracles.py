@@ -18,9 +18,11 @@ identities behind the transition maps, the cokernel of multiplication by f
 relation, coordinate-section and jet matrices, which the package now builds
 through `gradedpoly.multiples`.  Then comes the gcd of forms, read off the
 exact kernels of Sylvester maps, and the chain of gcds of f and its partials
-that decides reducedness without `gradedpoly.is_squarefree`'s theorem.  Last
-is a dense Gaussian elimination over GF(p), the rank that
-`exactlinalg.full_rank_mod_p` compares with its column count.
+that decides reducedness without `gradedpoly.is_squarefree`'s theorem.  Then
+comes a dense Gaussian elimination over GF(p), the rank that
+`exactlinalg.full_rank_mod_p` compares with its column count.  Last come the
+value of a polynomial at a point, term by term, and the invariants of a line
+arrangement read off its intersection points, with no elimination.
 
 Test files import it as a plain module: pytest's default import mode puts
 the test directory on sys.path.
@@ -29,6 +31,7 @@ the test directory on sys.path.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Mapping
 
@@ -522,3 +525,59 @@ def dense_rank_mod(rows: list, ncols: int, p: int) -> int:
             m[i] = [(x - a * y) % p for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def evaluate(p: Poly, point) -> Fraction:
+    """The value of p at a point of Q^nvars, term by term."""
+    if len(point) != p.nvars:
+        raise InputError("point arity does not match variable count")
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        v = Fraction(c)
+        for e, x in zip(m, point):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def arrangement_invariants(lines) -> dict:
+    """Invariants of a reduced arrangement of m >= 2 lines in P^2, the zero
+    set of the product of the linear forms `lines` (Polys in 3 variables),
+    read off its intersection points with no elimination.
+
+    The points are the cross products of the coefficient vectors of pairs of
+    lines, scaled to a first nonzero coordinate of 1; m_p counts the lines
+    through p.  Then (Dimca, *Hyperplane Arrangements* (2017)):
+    - the global Tjurina number is tau = sum_p (m_p - 1)^2, since a point
+      of multiplicity m_p is an ordinary m_p-fold point, weighted
+      homogeneous with tau = mu = (m_p - 1)^2;
+    - b_2(U) = 1 - m + sum_p (m_p - 1) for the complement U, and H^2(U) is
+      pure of type (2, 2), so every pole-order dim and the Milnor eigenspace
+      of eigenvalue 1 equal b_2(U);
+    - chi(U) = 2 - m + b_2(U), and for i = 1..m-1 the Milnor eigenspace of
+      exp(2 pi sqrt(-1) i/m) has dim chi(U) when m does not divide i * m_p
+      at any point with m_p >= 3 (Libgober, Duke Math. J. 49 (1982)).
+
+    Returns {"points": {p: m_p}, "tau", "b2", "chi", "milnor": {i: dim}},
+    the last for i = 0 and every i that rule covers.
+    """
+    if any(l.nvars != 3 or l.degree() != 1 or not l.is_homogeneous() for l in lines):
+        raise InputError("every line must be a linear form in 3 variables")
+    vecs = [tuple(Fraction(l.terms.get(e, 0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+            for l in lines]
+    through: dict = {}
+    for (i, a), (j, b) in combinations(enumerate(vecs), 2):
+        cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        if not any(cross):
+            raise InputError(f"lines {i} and {j} coincide")
+        lead = next(c for c in cross if c)
+        through.setdefault(tuple(c / lead for c in cross), set()).update((i, j))
+    m = len(vecs)
+    points = {p: len(on) for p, on in through.items()}
+    b2 = 1 - m + sum(mp - 1 for mp in points.values())
+    chi = 2 - m + b2
+    milnor = {0: b2}
+    milnor.update((i, chi) for i in range(1, m)
+                  if all(i * mp % m for mp in points.values() if mp >= 3))
+    return {"points": points, "tau": sum((mp - 1) ** 2 for mp in points.values()),
+            "b2": b2, "chi": chi, "milnor": milnor}

@@ -1,11 +1,13 @@
 """Exact polynomial layer: parsing, grading, weighted degrees, Hilbert series."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from oracles import poly_gcd, try_divide
+from oracles import evaluate, poly_gcd, try_divide
 
 from brieskornlab import exactlinalg
 from brieskornlab.gradedpoly import (InputError, ParseError, Poly,
@@ -56,9 +58,9 @@ def test_arithmetic_matches_evaluation():
            for _ in range(5)]
     a, b = P("x^2 - y*z + 1/2"), P("x*y + z^2 - 3")
     for pt in pts:
-        assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
-        assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
-        assert (a ** 3).evaluate(pt) == a.evaluate(pt) ** 3
+        assert evaluate(a * b, pt) == evaluate(a, pt) * evaluate(b, pt)
+        assert evaluate(a + b, pt) == evaluate(a, pt) + evaluate(b, pt)
+        assert evaluate(a ** 3, pt) == evaluate(a, pt) ** 3
 
 
 def test_homogeneous_degree():
@@ -105,6 +107,22 @@ def test_monomial_basis_counts():
     assert len(monomial_basis(3, 4)) == 15
     assert monomial_basis(4, 0) == [(0, 0, 0, 0)]
     assert monomial_basis(2, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+
+
+def test_monomial_basis_refuses_past_the_budget_before_building():
+    """Degree 706 in 3 variables has C(708, 2) = 250278 monomials, one degree
+    past the budget: refused with next to no memory; degree 705 builds."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as refused:
+            monomial_basis(3, 706)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == ("degree 706 has 250278 monomials in 3 variables, "
+                                  "more than the limit of 250000")
+    assert peak < 1 << 20
+    assert len(monomial_basis(3, 705)) == comb(707, 2) == 249571
 
 
 def test_hilbert_ci_coeffs():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import brieskornlab
 from brieskornlab import brieskorn, gradedpoly, jacobian
 from brieskornlab.cli import main
 from brieskornlab.exactlinalg import InvariantError
@@ -292,6 +293,28 @@ def test_non_reduced_f_has_a_jacobian_ring_but_no_brieskorn_module(monkeypatch):
     assert ctx.dim_R(6) == 8
     assert ctx._rel == {} and ctx._traces == {}
     assert len(calls) == 1   # the verdict is kept on the context
+
+
+ENTRIES_TAKING_F = {
+    "smoothness_test": brieskornlab.smoothness_test,
+    "jacobian_dims": lambda f: brieskornlab.jacobian_dims(f, 3),
+    "global_tjurina": brieskornlab.global_tjurina,
+    "pole_filtration_dims": brieskornlab.pole_filtration_dims,
+    "hbar_certificate": lambda f: brieskornlab.hbar_certificate(f, 3),
+    "milnor_eigenspace_dim": lambda f: brieskornlab.milnor_eigenspace_dim(f, 0),
+    "briancon_skoda": brieskornlab.briancon_skoda,
+    "hodge_filtration_dims": lambda f: brieskornlab.hodge_filtration_dims(f, ()),
+    "build_chart": lambda f: brieskornlab.build_chart(f, (0, 0, 1), 2, (Fraction(1, 2),) * 2),
+}
+
+
+@pytest.mark.parametrize("name", ENTRIES_TAKING_F)
+@pytest.mark.parametrize("f", [None, "x", 3])
+def test_every_exported_entry_point_refuses_a_non_poly(name, f):
+    """The context refuses anything but a Poly before its weak-key lookup,
+    which would raise TypeError on an object it cannot weakly reference."""
+    with pytest.raises(InputError, match=r"^expected a Poly$"):
+        ENTRIES_TAKING_F[name](f)
 
 
 def test_a_non_reduced_input_is_refused_before_any_elimination(monkeypatch, capsys, tmp_path):

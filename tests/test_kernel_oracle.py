@@ -163,6 +163,25 @@ def test_span_solver_matches_the_oracle(matrix, data):
             {c: x for c, x in v.items() if x}
 
 
+@SETTINGS
+@given(sparse_matrices(), st.data())
+def test_explicit_zeros_change_no_reduction(matrix, data):
+    """`Subspace.reduce` and `SpanSolver` read vectors as given: an explicit
+    zero entry, as `times_f` leaves after a cancellation, changes nothing."""
+    rows, ncols = matrix
+    v = {c: x for c, x in data.draw(vectors(ncols)).items() if x}
+    zeros = data.draw(st.sets(st.integers(0, ncols - 1)))
+    padded = {**{c: data.draw(st.sampled_from((0, Fraction(0)))) for c in zeros}, **v}
+    space = Subspace.from_vectors(rows, ncols)
+    assert space.reduce(padded) == space.reduce(v)
+    assert space.contains(padded) == space.contains(v)
+    clean, dirty = SpanSolver(ncols), SpanSolver(ncols)
+    for i, row in enumerate(rows):
+        assert dirty.add({**{c: 0 for c in zeros}, **row}, i) == clean.add(row, i)
+    assert dirty.express(padded) == clean.express(v)
+    assert dirty.add(padded, "v") == clean.add(v, "v")
+
+
 INTEGERS = st.integers(-6, 6)
 
 

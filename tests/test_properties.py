@@ -18,10 +18,13 @@ s = 0 is multiplication by -q*g in the Jacobian ring of the fiber, computed
 by the dense Fraction Gauss-Jordan of `test_kernel_oracle`.  On reduced
 singular forms in 3 and 4 variables, the relation spaces built from the
 divergence-free vector fields equal those of the rotation rows
-f_a d_b(g) - f_b d_a(g).
+f_a d_b(g) - f_b d_a(g).  On plane curves and cubic surfaces placed through
+a random rational point, `build_chart` finds the point off the hypersurface,
+or smooth on it, exactly when evaluating f and its n+1 partials there does.
 """
 
 import itertools
+from fractions import Fraction
 import re
 import weakref
 from unittest import mock
@@ -33,7 +36,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import coker_check_prop16, poly_gcd, squarefree_by_gcd, try_divide  # noqa: E402
+from oracles import (coker_check_prop16, evaluate, poly_gcd, squarefree_by_gcd,  # noqa: E402
+                     try_divide)
 from test_kernel_oracle import dense_rref  # noqa: E402
 
 from brieskornlab import brieskorn, exactlinalg, jacobian  # noqa: E402
@@ -45,6 +49,7 @@ from brieskornlab.gradedpoly import (InputError, Poly, hilbert_ci_coeffs,  # noq
                                      is_squarefree, monomial_basis)
 from brieskornlab.jacobian import (NonIsolatedError, _macaulay_bound,  # noqa: E402
                                    global_tjurina, jacobian_dims, smoothness_test)
+from brieskornlab.singularities import build_chart  # noqa: E402
 
 
 @st.composite
@@ -362,3 +367,59 @@ def test_divergence_free_relations_match_the_rotation_rows(f):
     event(f"{f.nvars} variables, degree {d}")
     for k in range(n + 1, (n + 2) * d + 1):
         assert brieskorn._ctx(f).relations(k) == rotation_relation_space(f, k), k
+
+
+@st.composite
+def placed_forms(draw):
+    """(f, point, chart): a plane curve of degree 2-4 or a cubic surface with
+    integer coefficients, written in the local coordinates
+    y_i = x_i - p_i x_chart at a rational point p from a chosen least order
+    (0, 1 or 2) up, before its random coefficients vanish; the point has its
+    chart coordinate and one other coordinate nonzero, and a random scale."""
+    nvars, d = draw(st.sampled_from(((3, 2), (3, 3), (3, 4), (4, 3))))
+    chart = draw(st.integers(0, nvars - 1))
+    other = draw(st.sampled_from([i for i in range(nvars) if i != chart]))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    pt = [draw(coord) for _ in range(nvars)]
+    pt[chart] = 1
+    pt[other] = draw(st.fractions(1, 3, max_denominator=3)) * draw(st.sampled_from((1, -1)))
+    xc = Poly.variable(nvars, chart)
+    ys = [Poly.variable(nvars, i) - xc.scale(pt[i]) for i in range(nvars) if i != chart]
+    f = Poly.zero(nvars)
+    for e in range(draw(st.integers(0, 2)), d + 1):
+        for a in monomial_basis(nvars - 1, e):
+            c = draw(st.integers(-3, 3))
+            if c:
+                term = xc ** (d - e)
+                for y, k in zip(ys, a):
+                    term = term * y ** k
+                f = f + term.scale(c)
+    assume(not f.is_zero())
+    scale = draw(st.sampled_from((1, -1, 2, Fraction(-1, 3))))
+    return f.integer_scaled()[0], tuple(v * scale for v in pt), chart
+
+
+@settings(max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(placed_forms())
+def test_build_chart_verdicts_match_evaluation(placed):
+    """build_chart reads f(p) and the partials off the local equation and
+    checks n of the n+1 partials; evaluating them all must agree."""
+    f, pt, chart = placed
+    on = evaluate(f, pt) == 0
+    singular = on and not any(evaluate(f.partial(i), pt) for i in range(f.nvars))
+    try:
+        build_chart(f, pt, chart, (Fraction(1, 2),) * (f.nvars - 1))
+        verdict = None
+    except InputError as exc:
+        verdict = str(exc)
+    if not on:
+        event("off the hypersurface")
+        assert verdict == "point does not lie on the hypersurface"
+    elif not singular:
+        event("smooth point")
+        assert verdict == "point is not a singular point of the hypersurface"
+    else:
+        event("singular point")
+        assert verdict not in ("point does not lie on the hypersurface",
+                               "point is not a singular point of the hypersurface")

@@ -54,17 +54,32 @@ def test_build_chart_scales_points():
     assert a.local_eq == b.local_eq and a.point == b.point
 
 
+CHART_REFUSALS = [
+    (CUSP, (1, 1, 1), 2, W_CUSP, "point does not lie on the hypersurface"),
+    (FERMAT_CUBIC, (1, -1, 0), 0, W_CUSP, "point is not a singular point of the hypersurface"),
+    (FERMAT_CUBIC, (1, -1, 0), 2, W_CUSP, "point does not lie in the requested chart"),
+    (CUSP, (0, 0, 0), 2, W_CUSP, "point does not lie in the requested chart"),
+    (CUSP, (0, 0, 1), 3, W_CUSP, "chart index out of range"),
+    (CUSP, (0, 1), 2, W_CUSP, "point needs 3 coordinates"),
+    (CUSP, (0, 0, 1), 2, (Fraction(1, 3),), "need 2 weights, one per non-chart variable"),
+    (CUSP, (0, 0, 1), 2, (Fraction(1), Fraction(1, 2)), "weights must be strictly less than 1"),
+    (CUSP, (0, 0, 1), 2, (Fraction(1, 4), Fraction(1, 2)),
+     "lowest weighted part of the local equation has weighted degree 3/4, "
+     "expected exactly 1 under the given weights"),
+    (CUSP, (0, 0, 1), 2, (Fraction(1, 2), Fraction(1, 2)),
+     "weighted-degree-1 part has a non-isolated critical point"),
+    # f itself is checked by its context (`jacobian._ctx`)
+    (Poly.constant(3, 1), (0, 0, 1), 2, W_CUSP, "f must be nonconstant"),
+    (Poly.zero(3), (0, 0, 1), 2, W_CUSP, "f must be a nonzero homogeneous polynomial"),
+    (parse_poly("x^3", ("x",)), (1,), 0, (), "f must have at least two variables"),
+]
+
+
 def test_build_chart_rejections():
-    with pytest.raises(InputError):
-        build_chart(CUSP, (1, 1, 1), 2, W_CUSP)  # not on the hypersurface
-    with pytest.raises(InputError):
-        build_chart(FERMAT_CUBIC, (1, -1, 0), 2, W_CUSP)  # smooth point
-    with pytest.raises(InputError):
-        build_chart(CUSP, (0, 0, 1), 2, (Fraction(1, 2), Fraction(1, 2)))  # wrong weights
-    with pytest.raises(InputError):
-        build_chart(CUSP, (0, 0, 1), 2, (Fraction(1, 3),))  # weight count
-    with pytest.raises(InputError):
-        build_chart(CUSP, (0, 0, 0), 2, W_CUSP)
+    for f, point, chart, weights, message in CHART_REFUSALS:
+        with pytest.raises(InputError) as refused:
+            build_chart(f, point, chart, weights)
+        assert str(refused.value) == message, (f, point, chart, weights)
 
 
 def test_alpha_Y():
