@@ -221,8 +221,9 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable, ambient_dim: int) -> "Subspace":
-        rows = [_int_row(_as_dict(v, ambient_dim)) for v in vectors]
-        pivots, tails = _rref(rows)
+        """The span of sparse vectors over range(ambient_dim), taken as
+        given, without a range check; zero values are skipped."""
+        pivots, tails = _rref(_int_row(v) for v in vectors)
         return cls(ambient_dim, pivots, tails)
 
     @classmethod
@@ -291,9 +292,9 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def rank_of_vectors(vectors: Iterable, ambient_dim: int) -> int:
-    rows = (_int_row(_as_dict(v, ambient_dim)) for v in vectors)
-    return len(_forward_eliminate(rows))
+def rank_of_vectors(vectors: Iterable[Mapping[int, object]]) -> int:
+    """Rank of sparse vectors, taken as given; zero values are skipped."""
+    return len(_forward_eliminate(_int_row(v) for v in vectors))
 
 
 def full_rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> bool:
@@ -304,12 +305,16 @@ def full_rank_mod_p(rows: Iterable[Mapping[int, int]], ncols: int) -> bool:
     nothing, and the caller falls back to an exact rank.  With ncols the
     number of columns it proves full column rank (the smoothness probe);
     with ncols = len(rows) it proves the rows independent, a zero row
-    counting as a dependency (the squarefree test).  The pass is
-    `_forward_eliminate` over residue copies of the rows, which stops as soon
-    as the rows it has left cannot reach rank ncols.
+    counting as a dependency (the squarefree test).  The rank modulo p is at
+    most the number of columns the residues hit, so fewer than ncols of them
+    answer False before any elimination, as on every singular probe.
+    Otherwise the pass is `_forward_eliminate` over the residues, which stops
+    as soon as the rows it has left cannot reach rank ncols.
     """
     p = FULL_RANK_PRIME
-    residues = ({c: r for c, val in row.items() if (r := val % p)} for row in rows)
+    residues = [{c: r for c, val in row.items() if (r := val % p)} for row in rows]
+    if len(set().union(*residues)) < ncols:
+        return False
     return len(_forward_eliminate(residues, _combine_mod_p, ncols)) >= ncols
 
 

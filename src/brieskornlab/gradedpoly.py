@@ -4,11 +4,8 @@ Coefficients are exact rationals (`fractions.Fraction`, with plain ints allowed
 as a fast path) and monomials are exponent tuples, one entry per variable.
 Everything downstream builds matrices out of these, so all enumeration here is
 deterministic: graded-lex order with the user's variable order throughout.
-The one algorithm beyond arithmetic, the reducedness test, is linear
-algebra too: f is squarefree exactly when one Macaulay matrix of its
-partials, built by `multiples` like every other, has independent rows,
-proved by a full rank modulo a prime or decided by `exactlinalg`'s exact
-rank (`is_squarefree`).
+Nothing here eliminates: the Macaulay rows `multiples` builds are ranked by
+their callers, the reducedness test among them (`jacobian._JacContext`).
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from math import comb, floor, gcd
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .exactlinalg import InputError, full_rank_mod_p, rank_of_vectors
+from .exactlinalg import InputError
 
 Monomial = tuple[int, ...]
 
@@ -614,57 +611,3 @@ def dehomogenize_shift(g: Poly, chart: int, point: Sequence) -> Poly:
                 piece = piece * shifted_power(j, e)
         total = total + piece
     return total
-
-
-# ------------------------------------------------------------- squarefree test
-
-
-def is_squarefree(f: Poly) -> bool:
-    """True iff the homogeneous f has no repeated factor (characteristic zero).
-
-    Decided by the rank of one Macaulay matrix of the partials.  Let d =
-    deg f >= 2, a the first nonzero partial and a_1..a_n the other n.  Then
-    f is squarefree iff these rows of S_{2d-3}^n are linearly independent:
-    x^m * (a_1, ..., a_n) for each m in S_{d-2}, and x^m * a in block i for
-    each m in S_{d-2} and i = 1..n.  A zero row counts, as a dependency.  A
-    dependency is a tuple (u, v_1, ..., v_n) of forms in S_{d-2}, not all
-    zero, with u * a_i = v_i * a for every i (the sign taken into v_i).
-
-    - If f = g^2 h with deg g = c >= 1, g divides every partial, and
-      u = (a/g) * l^(c-1), v_i = (a_i/g) * l^(c-1), for any linear form l,
-      is one.
-    - Conversely u != 0, since u = 0 leaves v_i * a = 0 with a != 0.  Then
-      a | u * a_i with deg u < deg a gives a prime p dividing a more often
-      than u, so p divides a and every a_i.  By Euler's formula
-      d*f = sum x_j * df/dx_j, p divides f; writing f = p*h, p divides
-      df/dx_j = p * dh/dx_j + h * dp/dx_j for every j, and does not divide
-      every dp/dx_j, so p divides h and p^2 divides f.
-
-    A full rank modulo a prime proves the rows independent without an exact
-    elimination (`exactlinalg.full_rank_mod_p`); otherwise their exact rank
-    decides.  `monomial_basis` refuses the basis of degree 2d-3 when it has
-    more than _MAX_BASIS_SIZE monomials.  Forms of degree 0 and 1 are
-    squarefree, 0 is not.  Raises InputError when f is nonzero and not
-    homogeneous.
-    """
-    if f.is_zero():
-        return False
-    d = f.homogeneous_degree()
-    if d < 2:
-        return True
-    f = f.integer_scaled()[0]
-    others = [list(f.partial(i).terms.items()) for i in range(f.nvars)]
-    a = others.pop(next(i for i, p in enumerate(others) if p))
-    # every block of S_{2d-3}^n reads the one index of S_{2d-3}, block i
-    # offset by i*width
-    index = {m: j for j, m in enumerate(monomial_basis(f.nvars, 2 * d - 3))}
-    width, monos = len(index), monomial_basis(f.nvars, d - 2)
-    rows = [{} for _ in monos]   # x^m * (a_1, ..., a_n)
-    for i, p in enumerate(others):
-        for row, part in zip(rows, multiples([p], monos, index)):
-            row.update((c + i * width, v) for c, v in part.items())
-    a_rows = multiples([a], monos, index)   # x^m * a, put in each block
-    for i in range(len(others)):
-        rows += [{c + i * width: v for c, v in row.items()} for row in a_rows]
-    return (full_rank_mod_p(rows, len(rows))
-            or rank_of_vectors(rows, len(others) * width) == len(rows))

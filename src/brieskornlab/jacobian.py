@@ -33,22 +33,23 @@ Before the verdict, and for singular f, dim R_k is an exact rank, except past
 the degree k where `global_tjurina` proved the tail: every later dim R_j is
 tau, or, once the growth from k is maximal, Macaulay's bound iterated from
 dim R_k (Gotzmann persistence).  Every row the module builds is a Macaulay
-row of the partials (`gradedpoly.multiples`), and so is every row of the
-reducedness test (`gradedpoly.is_squarefree`): with a the first nonzero
-partial and a_1..a_n the others, f is squarefree exactly when the rows
-x^m * (a_1, ..., a_n) and x^m * a in each block i, m of degree d-2, are
-linearly independent, which a full rank modulo the prime proves as at the
-probe.  A probe no wider than that matrix goes first: a full rank there
+row of the partials (`gradedpoly.multiples`) over the context's bases, and
+so is every row of the reducedness test (`_JacContext.reduced`): with a the
+first nonzero partial and a_1..a_n the others, f is squarefree exactly when
+the rows x^m * (a_1, ..., a_n) and x^m * a in each block i, m of degree d-2,
+are linearly independent, which a full rank modulo the prime proves as at
+the probe.  A probe no wider than that matrix goes first: a full rank there
 proves f = 0 smooth, and a smooth f is reduced (if g^2 divides f, every
 partial vanishes on g = 0), so the test runs only when the probe falls short.
 
 `_ctx(f)` is the one context of f per live polynomial: it validates, scales
-and differentiates f once and holds the ranks of R beside the relation
-subspaces and rank traces of the Brieskorn module H_f (`brieskorn._ctx`
-hands out the same object for reduced f only).  Reducedness and smoothness
-are decided on first use only, since R is defined for every f.  The context
-lives exactly as long as the Poly it was first asked for (a weak key): an
-equal Poly shares it while that one is alive, and builds a new one after.  A
+and differentiates f once, builds every basis of one degree the package
+uses (`monomials`), and holds the ranks of R beside the relation subspaces
+and rank traces of the Brieskorn module H_f (`brieskorn._ctx` hands out the
+same object for reduced f only).  Reducedness and smoothness are decided on
+first use only, since R is defined for every f.  The context lives exactly
+as long as the Poly it was first asked for (a weak key): an equal Poly
+shares it while that one is alive, and builds a new one after.  A
 caller that asks about one polynomial again keeps that Poly alive, as
 `families.PencilFamily` keeps its fibers.
 """
@@ -62,8 +63,8 @@ from math import comb
 
 from .exactlinalg import (InvariantError, Subspace, _strip_content, echelon_rows,
                           full_rank_mod_p, rank_of_vectors)
-from .gradedpoly import (_MAX_BASIS_SIZE, InputError, Poly, hilbert_ci_coeffs, is_squarefree,
-                         mono_mul, monomial_basis, multiples)
+from .gradedpoly import (_MAX_BASIS_SIZE, InputError, Poly, hilbert_ci_coeffs, mono_mul,
+                         monomial_basis, multiples)
 
 
 class NonIsolatedError(InvariantError):
@@ -99,8 +100,10 @@ class _JacContext:
     """Context of one hypersurface f, the only object kept per polynomial:
     the validated integer-scaled f, its scale, partials, monomial bases and
     indices by degree, the ranks dim R_k and the tail `global_tjurina`
-    proved, the reducedness and smoothness verdicts, and for reduced f
-    (`brieskorn._ctx`) the relation subspaces and f-power rank traces of H_f.
+    proved, the reducedness verdict (`reduced`, a Macaulay matrix of the
+    partials over the cached bases) and the smoothness verdict, and for
+    reduced f (`brieskorn._ctx`) the relation subspaces and f-power rank
+    traces of H_f.
 
     Multiplication by f is well defined on H_f because
     f * (df ^ d eta) = df ^ d(f eta), so it maps the relations in degree k
@@ -138,14 +141,50 @@ class _JacContext:
 
     @cached_property
     def reduced(self) -> bool:
-        """Whether f is squarefree, by `gradedpoly.is_squarefree` unless a
-        full-rank probe proves f = 0 smooth, hence reduced.  The probe goes
-        first only when its basis is within the budget and no wider than that
-        test's matrix, so a non-reduced f pays no more for it than a smooth f saves."""
-        width = min(_MAX_BASIS_SIZE, self.n * comb(2 * self.d - 3 + self.n, self.n))
-        if comb(self.probe + self.n, self.n) <= width and self._probe_full_rank:
+        """Whether f is squarefree (characteristic zero), by the rank of one
+        Macaulay matrix of the partials.  Let a be the first nonzero partial
+        and a_1..a_n the other n.  Then f is squarefree iff these rows of
+        S_{2d-3}^n are linearly independent: x^m * (a_1, ..., a_n) for each m
+        in S_{d-2}, and x^m * a in block i for each m in S_{d-2} and
+        i = 1..n.  A zero row counts, as a dependency.  A dependency is a
+        tuple (u, v_1, ..., v_n) of forms in S_{d-2}, not all zero, with
+        u * a_i = v_i * a for every i (the sign taken into v_i).
+
+        - If f = g^2 h with deg g = c >= 1, g divides every partial, and
+          u = (a/g) * l^(c-1), v_i = (a_i/g) * l^(c-1), for any linear form
+          l, is one.
+        - Conversely u != 0, since u = 0 leaves v_i * a = 0 with a != 0.
+          Then a | u * a_i with deg u < deg a gives a prime p dividing a more
+          often than u, so p divides a and every a_i.  By Euler's formula
+          d*f = sum x_j * df/dx_j, p divides f; writing f = p*h, p divides
+          df/dx_j = p * dh/dx_j + h * dp/dx_j for every j, and does not
+          divide every dp/dx_j, so p divides h and p^2 divides f.
+
+        For d = 1 there are no rows, and a linear form is squarefree.  A
+        full rank modulo a prime proves the rows independent without an
+        exact elimination (`full_rank_mod_p`); otherwise their exact rank
+        decides.  A full-rank probe proves f = 0 smooth, hence reduced (if
+        g^2 divides f, every partial vanishes on g = 0), so the probe goes
+        first when its basis is within the budget and no wider than this
+        matrix: a non-reduced f pays no more for it than a smooth f saves."""
+        d, n = self.d, self.n
+        matrix_width = min(_MAX_BASIS_SIZE, n * comb(2 * d - 3 + n, n))
+        if comb(self.probe + n, n) <= matrix_width and self._probe_full_rank:
             return True
-        return is_squarefree(self.f)
+        others = list(self.partials)
+        a = others.pop(next(i for i, p in enumerate(others) if p))
+        # every block of S_{2d-3}^n reads the one index of S_{2d-3}, block i
+        # offset by i*width
+        index, monos = self.index(2 * d - 3), self.monomials(d - 2)
+        width = len(index)
+        rows = [{} for _ in monos]   # x^m * (a_1, ..., a_n)
+        for i, p in enumerate(others):
+            for row, part in zip(rows, multiples([p], monos, index)):
+                row.update((c + i * width, v) for c, v in part.items())
+        a_rows = multiples([a], monos, index)   # x^m * a, put in each block
+        for i in range(n):
+            rows += [{c + i * width: v for c, v in row.items()} for row in a_rows]
+        return full_rank_mod_p(rows, len(rows)) or rank_of_vectors(rows) == len(rows)
 
     @cached_property
     def _probe_full_rank(self) -> bool:
@@ -207,11 +246,13 @@ class _JacContext:
         got = self._dims.get(k)
         if got is None:
             ambient = len(self.index(k))
-            if k == self.probe and self._probe_full_rank:
+            if k != self.probe:
+                got = ambient - rank_of_vectors(self.image_rows(k))
+            elif self._probe_full_rank:
                 got = 0
-            else:
-                rows = self._probe_rows if k == self.probe else self.image_rows(k)
-                got = ambient - rank_of_vectors(rows, ambient)
+            else:   # the probe rows were kept for this one rank
+                rows, self._probe_rows = self._probe_rows, None
+                got = ambient - rank_of_vectors(rows)
             self._dims[k] = got
         return got
 
@@ -417,7 +458,7 @@ def _coordinate_section_vanishes(ctx: _JacContext, k: int) -> bool:
     for i in reversed(range(ctx.nvars)):
         cols = {mono: j for j, mono in enumerate(m for m in ctx.monomials(k) if not m[i])}
         rows = multiples(ctx.partials, (m for m in ctx.monomials(mdeg) if not m[i]), cols)
-        if full_rank_mod_p(rows, len(cols)) or rank_of_vectors(rows, len(cols)) == len(cols):
+        if full_rank_mod_p(rows, len(cols)) or rank_of_vectors(rows) == len(cols):
             return True
     return False
 

@@ -72,7 +72,7 @@ class WeightedChart:
         for K in range(2, 64):
             monos = monomials_weighted_below(self.nloc, unit, K)
             idx = {m: i for i, m in enumerate(monos)}
-            cur = len(monos) - rank_of_vectors(_jet_rows(gens, unit, K, idx), len(monos))
+            cur = len(monos) - rank_of_vectors(_jet_rows(gens, unit, K, idx))
             if prev is not None and cur == prev:
                 return cur
             prev = cur
@@ -321,7 +321,7 @@ def verify_chart_coverage(f: Poly, charts) -> int:
         lead = next(v for v in chart.point if v != 0)
         canonical = tuple(v / lead for v in chart.point)
         if canonical in seen:
-            raise InputError(f"duplicate singular point {chart.point}")
+            raise InputError(f"duplicate singular point {':'.join(map(str, chart.point))}")
         seen.add(canonical)
         if dehomogenize_shift(f, chart.chart, chart.point) != chart.local_eq:
             raise InputError("chart was not built from this polynomial")

@@ -18,8 +18,8 @@ identities behind the transition maps, the cokernel of multiplication by f
 relation, coordinate-section and jet matrices, which the package now builds
 through `gradedpoly.multiples`.  Then comes the gcd of forms, read off the
 exact kernels of Sylvester maps, and the chain of gcds of f and its partials
-that decides reducedness without `gradedpoly.is_squarefree`'s theorem.  Then
-comes a dense Gaussian elimination over GF(p), the rank that
+that decides reducedness without the theorem of `jacobian._JacContext.reduced`.
+Then comes a dense Gaussian elimination over GF(p), the rank that
 `exactlinalg.full_rank_mod_p` compares with its column count.  Last come the
 value of a polynomial at a point, term by term, and the invariants of a line
 arrangement read off its intersection points, with no elimination.
@@ -402,12 +402,12 @@ def coordinate_section_vanishes_by_cut(ctx, k: int) -> bool:
         cols = {c: j for j, c in enumerate(
             c for c, mono in enumerate(ctx.monomials(k)) if not mono[i])}
         cut = ({cols[c]: v for c, v in row.items() if c in cols} for row in rows)
-        if rank_of_vectors(cut, len(cols)) == len(cols):
+        if rank_of_vectors(cut) == len(cols):
             return True
     return False
 
 
-# The gcd chain that decided reducedness before `gradedpoly.is_squarefree`
+# The gcd chain that decided reducedness before `jacobian._JacContext.reduced`
 # read it off one Macaulay matrix of the partials, kept as its oracle.  The
 # gcd of homogeneous forms is linear algebra too.  Let a and b have degrees
 # alpha and beta and gcd g of degree gamma.  The map phi_e(u, v) = u*a - v*b

@@ -30,7 +30,7 @@ from brieskornlab import (
 from brieskornlab import brieskorn, jacobian
 from brieskornlab.cli import load_problem
 from brieskornlab.exactlinalg import ExactMatrix
-from brieskornlab.gradedpoly import hilbert_ci_coeffs, is_squarefree, monomial_basis
+from brieskornlab.gradedpoly import hilbert_ci_coeffs, monomial_basis
 from brieskornlab.singularities import alpha_Y, global_jq_dim
 from oracles import (EulerField, Form, coker_check_prop16, evaluate, exterior_d, iota_euler,
                      lie_euler, omega0, smooth_hodge_numbers, wedge)
@@ -152,15 +152,15 @@ def test_two_cusp_quartic_hodge_strictly_below_pole():
 
 
 def test_dense_sextic_and_quartic_surface_are_reduced_within_budget():
-    """Reducedness is one Sylvester kernel per gcd, so dense forms with
-    coefficients in -3..3 are decided in milliseconds; a recursive PRS gcd
-    ran for minutes on the same sextic."""
+    """Reducedness is the rank of one Macaulay matrix of the partials, so
+    dense forms with coefficients in -3..3 are decided in milliseconds; a
+    recursive PRS gcd ran for minutes on the same sextic."""
     started = time.perf_counter()
     rng = random.Random(8)
     for nvars, d in ((3, 6), (4, 4)):
         f = Poly.from_terms(nvars, {m: rng.randint(-3, 3) for m in monomial_basis(nvars, d)})
         assert len(f.terms) > len(monomial_basis(nvars, d)) // 2
-        assert is_squarefree(f), (nvars, d)
+        assert jacobian._ctx(f).reduced, (nvars, d)
     _done("dense sextic and quartic surface are reduced", started, budget=5)
 
 

@@ -195,22 +195,29 @@ def test_exit_one_family_without_family_section(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("polynomial", [
-    "(" * 3000 + "x" + ")" * 3000,
-    "-" * 3000 + "x",
-    "x^" + "9" * 5000,
-    "1" * 5000 + "*x^3",
-    "(x+y+z)^3000",
-    "x^700*y^701",
+CUSP_POINT = "[singular_point]\npoint = 0 0 1\nchart = z\nweights = 1/3 1/2\n"
+
+
+@pytest.mark.parametrize("polynomial,sections,error", [
+    ("(" * 3000 + "x" + ")" * 3000, "", "error: polynomial: "),
+    ("-" * 3000 + "x", "", "error: polynomial: "),
+    ("x^" + "9" * 5000, "", "error: polynomial: "),
+    ("1" * 5000 + "*x^3", "", "error: polynomial: "),
+    ("(x+y+z)^3000", "", "error: polynomial: "),
+    ("x^700*y^701", "", "error: polynomial: "),
+    ("x^3 + y^2*z", CUSP_POINT + CUSP_POINT.replace("0 0 1", "0 0 5"),
+     "error: duplicate singular point 0:0:1\n"),
 ], ids=["deep-parentheses", "deep-minus", "long-exponent", "long-coefficient", "huge-power",
-        "huge-product"])
-def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial):
+        "huge-product", "duplicate-point"])
+def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial, sections, error):
+    """`hodge` exits 1 with one line starting with `error` and prints no
+    report; a repeated point is named as the report writes a point."""
     p = tmp_path / "p.txt"
-    p.write_text(f"variables = x y z\npolynomial = {polynomial}\n")
-    code, out, err = run_cli(capsys, "pole", "--input", str(p))
+    p.write_text(f"variables = x y z\npolynomial = {polynomial}\n{sections}")
+    code, out, err = run_cli(capsys, "hodge", "--input", str(p))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: polynomial: ") and err.count("\n") == 1
+    assert err.startswith(error) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -56,9 +56,9 @@ def test_matrix_hash_agrees_with_eq():
 
 
 def test_rank_of_vectors():
-    assert rank_of_vectors([{0: 1}, {0: 2}, {}], 2) == 1
-    assert rank_of_vectors([], 5) == 0
-    assert rank_of_vectors([{i: 1} for i in range(4)], 4) == 4
+    assert rank_of_vectors([{0: 1}, {0: 2}, {}]) == 1
+    assert rank_of_vectors([]) == 0
+    assert rank_of_vectors([{i: 1} for i in range(4)]) == 4
 
 
 def _transpose(rows: list, ncols: int) -> list:
@@ -76,7 +76,7 @@ def _product(rows: list, v: dict) -> list:
 
 def test_matrix_rank_and_kernel():
     rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
-    assert rank_of_vectors(rows, 3) == 2
+    assert rank_of_vectors(rows) == 2
     ker = ExactMatrix.from_rows(rows, 3).kernel_basis()
     assert ker.dim == 1
     for b in ker.basis():
@@ -85,8 +85,8 @@ def test_matrix_rank_and_kernel():
 
 def test_matrix_rational_entries():
     rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]
-    assert rank_of_vectors(rows, 2) == 1  # second row = 6 * first
-    assert rank_of_vectors(_transpose(rows, 2), 2) == 1
+    assert rank_of_vectors(rows) == 1  # second row = 6 * first
+    assert rank_of_vectors(_transpose(rows, 2)) == 1
     ker = ExactMatrix.from_rows(rows, 2).kernel_basis()
     assert ker.dim == 1
     assert not any(_product(rows, ker.basis()[0]))
@@ -98,8 +98,8 @@ def test_rank_transpose_invariance():
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [{c: rng.randint(-2, 2) for c in range(nc) if rng.random() < 0.6}
                 for _ in range(nr)]
-        rank = rank_of_vectors(rows, nc)
-        assert rank == rank_of_vectors(_transpose(rows, nc), nr)
+        rank = rank_of_vectors(rows)
+        assert rank == rank_of_vectors(_transpose(rows, nc))
         ker = ExactMatrix.from_rows(rows, nc).kernel_basis()
         assert ker.dim == nc - rank
         for b in ker.basis():
@@ -119,7 +119,7 @@ def test_kernel_basis_runs_one_elimination(monkeypatch):
     rows = [{0: 1, 1: 2, 3: -1}, {1: 1, 2: 1}, {0: 2, 1: 5, 2: 1, 3: -2}]
     ker = ExactMatrix.from_rows(rows, 4).kernel_basis()
     assert len(calls) == 1
-    assert ker.dim == 4 - rank_of_vectors(rows, 4) == 2
+    assert ker.dim == 4 - rank_of_vectors(rows) == 2
 
 
 def test_the_modular_pass_stops_once_full_rank_is_out_of_reach(monkeypatch):

@@ -1,12 +1,12 @@
 """Pencils of hypersurfaces: specialization, pole constancy, graded connection."""
 
-import sys
 import weakref
 from fractions import Fraction
 
 import pytest
+from test_jacobian import watch_squarefree_tests
 
-from brieskornlab import brieskorn, families, gradedpoly, jacobian
+from brieskornlab import brieskorn, families, jacobian
 from brieskornlab.exactlinalg import InvariantError
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,
                                    grp_nabla_matrix, pole_constancy_check,
@@ -226,18 +226,7 @@ def test_each_fiber_is_checked_for_reducedness_once(monkeypatch):
     fiber the smoothness probe proves smooth (the Fermat pencil's at these
     samples) is reduced without it; a singular one (the jump family's) runs
     it once."""
-    calls = []
-    real = gradedpoly.is_squarefree
-
-    def counted(f):
-        calls.append(f)
-        return real(f)
-
-    for name, module in list(sys.modules.items()):
-        if name == "brieskornlab" or name.startswith("brieskornlab."):
-            for key, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, key, counted)
+    calls = watch_squarefree_tests(monkeypatch)
     samples = (Fraction(5, 7), Fraction(-7, 5), Fraction(9, 4))  # used nowhere else
     for fam, q_max in ((FERMAT_PENCIL, 2), (JUMP_FAMILY, 0)):
         calls.clear()
@@ -247,7 +236,7 @@ def test_each_fiber_is_checked_for_reducedness_once(monkeypatch):
             grp_nabla_matrix(fam, samples[0], q, samples=samples)
         fibers = {specialize(fam, s) for s in samples}
         assert len(fibers) == len(samples)
-        singular = {jacobian._ctx(f).f for f in fibers if not jacobian._ctx(f).smooth}
+        singular = {jacobian._ctx(f) for f in fibers if not jacobian._ctx(f).smooth}
         assert len(set(calls)) == len(calls) and set(calls) == singular
         assert len(singular) == (0 if fam is FERMAT_PENCIL else len(fibers))
 

@@ -280,10 +280,26 @@ def test_no_module_binds_an_empty_container_at_module_level():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def functions_using(source: str, module: str) -> list:
-    """Functions (innermost def, qualified by its enclosing classes and defs)
-    that use a name bound by an import of module; "<module>" for uses
+def _scopes(tree, reads) -> set:
+    """The innermost def (qualified by its enclosing classes and defs) of
+    each node of tree that reads(node) is true for; "<module>" for nodes
     outside any def."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, _DEFS):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif reads(node):
+            found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def functions_using(source: str, module: str) -> list:
+    """Functions (`_scopes`) that use a name bound by an import of module."""
     tree = ast.parse(source)
     bound = set()
     for node in ast.walk(tree):
@@ -291,18 +307,7 @@ def functions_using(source: str, module: str) -> list:
             bound |= {alias.asname or alias.name for alias in node.names if alias.name == module}
         elif isinstance(node, ast.ImportFrom) and node.module == module:
             bound |= {alias.asname or alias.name for alias in node.names}
-    found = set()
-
-    def visit(node, scope):
-        if isinstance(node, _DEFS):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        elif isinstance(node, ast.Name) and node.id in bound:
-            found.add(scope or "<module>")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, "")
-    return sorted(found)
+    return sorted(_scopes(tree, lambda node: isinstance(node, ast.Name) and node.id in bound))
 
 
 def test_scanner_finds_the_functions_using_a_module():
@@ -323,6 +328,60 @@ def test_one_function_holds_the_pivot_heap():
     found = {(p.name, fn) for p in sorted(PACKAGE.glob("*.py"))
              for fn in functions_using(p.read_text(), "heapq")}
     assert found == {("exactlinalg.py", "_forward_eliminate")}
+
+
+def readers_of(sources: dict, module: str, name: str) -> list:
+    """(module, function) of each function (`_scopes`) of sources, keyed by
+    module name, that reads `name` of `module`: by the bare name in module
+    itself, through `from .module import name`, or as `module.name` through
+    `from . import module`."""
+    out = set()
+    for here, source in sources.items():
+        tree = ast.parse(source)
+        bound, modules = ({name} if here == module else set()), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module == module and alias.name == name:
+                        bound.add(alias.asname or name)
+                    elif node.module is None and alias.name == module:
+                        modules.add(alias.asname or module)
+
+        def reads(node, bound=bound, modules=modules):
+            if isinstance(node, ast.Attribute):
+                return (node.attr == name and isinstance(node.value, ast.Name)
+                        and node.value.id in modules)
+            return isinstance(node, ast.Name) and node.id in bound
+
+        out |= {(here, scope) for scope in _scopes(tree, reads)}
+    return sorted(out)
+
+
+def test_scanner_finds_the_readers_of_a_name():
+    sources = {"a": ("def build(): return 1\n"
+                     "def again(): return build()\n"),
+               "b": ("from .a import build as make\n"
+                     "class C:\n"
+                     "    def m(self): return make()\n"
+                     "def build(): return 2\n"),
+               "c": ("from . import a\n"
+                     "def f(x): return a.build(), x.build()\n"
+                     "TOP = a.build\n")}
+    assert readers_of(sources, "a", "build") == [
+        ("a", "again"), ("b", "C.m"), ("c", "<module>"), ("c", "f")]
+
+
+def test_gradedpoly_ranks_nothing_and_one_context_builds_its_bases():
+    """gradedpoly is the bottom layer: of the package it imports only
+    `InputError`, from exactlinalg, so no rank is taken there, and
+    `monomial_basis` is read by `_JacContext.monomials` alone, so every
+    basis of one degree is cached on the context of its hypersurface."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    imported = {(node.module, alias.name) for node in ast.walk(ast.parse(sources["gradedpoly"]))
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    assert imported == {("exactlinalg", "InputError")}
+    assert readers_of(sources, "gradedpoly", "monomial_basis") == [
+        ("jacobian", "_JacContext.monomials")]
 
 
 # `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import brieskornlab
-from brieskornlab import brieskorn, gradedpoly, jacobian
+from brieskornlab import brieskorn, exactlinalg, gradedpoly, jacobian
 from brieskornlab.cli import main
 from brieskornlab.exactlinalg import InvariantError
 from brieskornlab.families import PencilFamily, pole_constancy_check, specialize
@@ -65,19 +65,36 @@ def test_the_smoothness_probe_needs_an_exact_rank_only_on_singular_input(monkeyp
     """The probe rows of degree (n+1)(d-2)+1 are built once.  On a smooth
     form they reach full rank modulo a prime, which proves R = 0 there with
     no exact rank; on a singular form they cannot, and the same rows get
-    one exact rank."""
+    one exact rank, after which the context drops them."""
     monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
     ranks, built = [], []
     real_rank, real_rows = jacobian.rank_of_vectors, jacobian._JacContext.image_rows
-    monkeypatch.setattr(jacobian, "rank_of_vectors",
-                        lambda rows, ambient: ranks.append(ambient) or real_rank(rows, ambient))
+    monkeypatch.setattr(jacobian, "rank_of_vectors", lambda rows: ranks.append(rows) or real_rank(rows))
     monkeypatch.setattr(jacobian._JacContext, "image_rows",
-                        lambda ctx, k: built.append(k) or real_rows(ctx, k))
+                        lambda ctx, k: built.append((k, real_rows(ctx, k))) or built[-1][1])
     assert smoothness_test(parse_poly("x^4 + 2*y^4 + 3*z^4 - x*y^3", XYZ))
-    assert (ranks, built) == ([], [7])
+    assert (ranks, [k for k, _ in built]) == ([], [7])
     built.clear()
     assert not smoothness_test(TWO_CUSP)
-    assert (ranks, built) == ([36], [7])
+    assert [k for k, _ in built] == [7] and len(ranks) == 1 and ranks[0] is built[0][1]
+    assert jacobian._ctx(TWO_CUSP)._probe_rows is None
+
+
+def test_a_probe_short_of_columns_never_enters_the_pivot_loop(monkeypatch):
+    """The probe rows of the cuspidal cubic (`problems/cuspidal_cubic.txt`)
+    hit 13 of their 15 columns, so their rank modulo p cannot reach 15: the
+    modular test answers False before the pivot loop, and only the exact
+    rank of dim R_4 enters it."""
+    steps = []
+    real = exactlinalg._forward_eliminate
+    monkeypatch.setattr(exactlinalg, "_forward_eliminate",
+                        lambda rows, step=exactlinalg._combine, need=0:
+                        steps.append(step) or real(rows, step, need))
+    ctx = jacobian._JacContext(CUSP)
+    rows = ctx.image_rows(ctx.probe)
+    assert (len(set().union(*rows)), len(ctx.index(ctx.probe))) == (13, 15)
+    assert not ctx._probe_full_rank and steps == []
+    assert ctx.dim_R(ctx.probe) == 2 and steps == [exactlinalg._combine]
 
 
 def test_smooth_hodge_numbers():
@@ -270,13 +287,28 @@ def test_macaulay_bound_matches_lex_segments():
                 assert _macaulay_bound(h, k) == _lex_segment_growth(h, k, nvars + extra), (h, k)
 
 
+def watch_squarefree_tests(monkeypatch) -> list:
+    """Rebind `jacobian.full_rank_mod_p` to a wrapper that records the
+    context of each squarefree matrix it is given, the call that
+    `_JacContext.reduced` makes; returns the contexts."""
+    tested = []
+    real = jacobian.full_rank_mod_p
+
+    def recorded(rows, ncols):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "reduced":
+            tested.append(caller.f_locals["self"])
+        return real(rows, ncols)
+
+    monkeypatch.setattr(jacobian, "full_rank_mod_p", recorded)
+    return tested
+
+
 def test_non_reduced_f_has_a_jacobian_ring_but_no_brieskorn_module(monkeypatch):
     """x^2*y has a Jacobian ring on its one context, but every entry point of
     `brieskorn` refuses it with the one line, leaves no Brieskorn state on
     that context, and reads the reducedness verdict kept there."""
-    calls = []
-    real = jacobian.is_squarefree
-    monkeypatch.setattr(jacobian, "is_squarefree", lambda f: calls.append(f) or real(f))
+    calls = watch_squarefree_tests(monkeypatch)
     f, p = parse_poly("x^2*y", XYZ), parse_poly("x", XYZ)
     monkeypatch.delitem(jacobian._contexts, f, raising=False)   # a fresh context
     assert jacobian_dims(f, 5) == [1, 3, 4, 5, 6, 7]
@@ -318,19 +350,20 @@ def test_every_exported_entry_point_refuses_a_non_poly(name, f):
 
 
 def test_a_non_reduced_input_is_refused_before_any_elimination(monkeypatch, capsys, tmp_path):
-    """`pole` refuses (x+y)^2 (x^6 + y^6 + z^6 + t^6) by the gcd alone: the
-    smoothness probe, whose rows are rank-deficient and would get an exact
-    rank, never runs."""
+    """`pole` refuses (x+y)^2 (x^6 + y^6 + z^6 + t^6) by its squarefree
+    matrix alone, whose one exact rank is taken in `_JacContext.reduced`:
+    the smoothness probe, whose rows are rank-deficient and would get an
+    exact rank too, never runs."""
     monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
     ranks = []
     real = jacobian.rank_of_vectors
     monkeypatch.setattr(jacobian, "rank_of_vectors",
-                        lambda rows, ambient: ranks.append(ambient) or real(rows, ambient))
+                        lambda rows: ranks.append(sys._getframe(1).f_code.co_name) or real(rows))
     p = tmp_path / "p.txt"
     p.write_text("variables = x y z t\npolynomial = (x+y)^2*(x^6 + y^6 + z^6 + t^6)\n")
     assert main(["pole", "--input", str(p)]) == 1
     assert capsys.readouterr() == ("", "error: f must be reduced (squarefree)\n")
-    assert ranks == []
+    assert ranks == ["reduced"]
 
 
 def test_the_probe_decides_reducedness_first_only_when_no_wider(monkeypatch):
@@ -341,9 +374,8 @@ def test_the_probe_decides_reducedness_first_only_when_no_wider(monkeypatch):
     squarefree matrix (168), is refused by the squarefree test alone, with
     no probe row built."""
     monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
-    tested, built = [], []
-    real_test, real_rows = jacobian.is_squarefree, jacobian._JacContext.image_rows
-    monkeypatch.setattr(jacobian, "is_squarefree", lambda f: tested.append(f) or real_test(f))
+    tested, built = watch_squarefree_tests(monkeypatch), []
+    real_rows = jacobian._JacContext.image_rows
     monkeypatch.setattr(jacobian._JacContext, "image_rows",
                         lambda ctx, k: built.append(k) or real_rows(ctx, k))
     quartic = parse_poly("x^4 + 2*y^4 + 3*z^4 - x*y^3", XYZ)
@@ -428,9 +460,9 @@ def test_the_tjurina_scan_builds_each_degree_of_rows_once(monkeypatch, capsys):
 
 
 def test_each_monomial_basis_is_built_once_per_context(monkeypatch, capsys, tmp_path):
-    """Outside gradedpoly's own Sylvester kernel every monomial basis comes
-    from a context (`_JacContext.monomials`, cached and under the input
-    budget), so no family run builds one twice for one polynomial."""
+    """Every monomial basis comes from a context (`_JacContext.monomials`,
+    cached and under the input budget), so no family run builds one twice
+    for one polynomial."""
     monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
     built = []
     real = gradedpoly.monomial_basis
@@ -441,7 +473,7 @@ def test_each_monomial_basis_is_built_once_per_context(monkeypatch, capsys, tmp_
         return real(nvars, degree)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("brieskornlab.") and name != "brieskornlab.gradedpoly":
+        if name.startswith("brieskornlab."):
             for key, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, key, counted)

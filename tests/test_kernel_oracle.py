@@ -94,7 +94,7 @@ SETTINGS = settings(max_examples=150, deadline=None, database=None)
 def test_ranks_match_the_oracle(matrix):
     rows, ncols = matrix
     rank = dense_rank(rows, ncols)
-    assert rank_of_vectors(rows, ncols) == rank
+    assert rank_of_vectors(rows) == rank
     assert len(echelon_rows(rows)) == rank
     assert Subspace.from_vectors(rows, ncols).dim == rank
 
@@ -166,13 +166,20 @@ def test_span_solver_matches_the_oracle(matrix, data):
 @SETTINGS
 @given(sparse_matrices(), st.data())
 def test_explicit_zeros_change_no_reduction(matrix, data):
-    """`Subspace.reduce` and `SpanSolver` read vectors as given: an explicit
-    zero entry, as `times_f` leaves after a cancellation, changes nothing."""
+    """Every elimination reads vectors as given: an explicit zero entry, as
+    `times_f` leaves after a cancellation, changes no rank, no span, no
+    echelon row and no reduction."""
     rows, ncols = matrix
     v = {c: x for c, x in data.draw(vectors(ncols)).items() if x}
     zeros = data.draw(st.sets(st.integers(0, ncols - 1)))
     padded = {**{c: data.draw(st.sampled_from((0, Fraction(0)))) for c in zeros}, **v}
-    space = Subspace.from_vectors(rows, ncols)
+    clean_rows = [{c: x for c, x in row.items() if x} for row in rows]
+    padded_rows = [{**{c: 0 for c in zeros}, **row} for row in clean_rows]
+    assert rank_of_vectors(padded_rows) == rank_of_vectors(clean_rows)
+    assert echelon_rows(padded_rows) == echelon_rows(clean_rows)
+    space = Subspace.from_vectors(padded_rows, ncols)
+    clean = Subspace.from_vectors(clean_rows, ncols)
+    assert (space.pivots, space.tails) == (clean.pivots, clean.tails)
     assert space.reduce(padded) == space.reduce(v)
     assert space.contains(padded) == space.contains(v)
     clean, dirty = SpanSolver(ncols), SpanSolver(ncols)
@@ -253,21 +260,22 @@ def test_full_rank_over_q_but_singular_mod_p_is_no_certificate():
     for rows, ncols in (([{0: p}], 1),
                         ([{0: 1, 1: 2}, {0: 3, 1: 6 + p}], 2),
                         ([{0: 2 * p, 1: 1}, {1: 5}, {0: 3 * p, 2: 1}], 3)):
-        assert rank_of_vectors(rows, ncols) == ncols
+        assert rank_of_vectors(rows) == ncols
         assert not full_rank_mod_p(rows, ncols)
 
 
 def _verdicts(monkeypatch) -> dict:
-    """Record what full_rank_mod_p answers at each of its two call sites."""
-    seen = {}
-    for site in ("jacobian", "gradedpoly"):
-        log = seen[site] = []
+    """Record what full_rank_mod_p answers at each of its three call sites,
+    all in `jacobian`: the smoothness probe, the squarefree matrix and the
+    coordinate sections, keyed by the calling function."""
+    seen = {"_probe_full_rank": [], "reduced": [], "_coordinate_section_vanishes": []}
 
-        def recorded(rows, ncols, log=log):
-            log.append(full_rank_mod_p(rows, ncols))
-            return log[-1]
+    def recorded(rows, ncols):
+        verdict = full_rank_mod_p(rows, ncols)
+        seen[sys._getframe(1).f_code.co_name].append(verdict)
+        return verdict
 
-        monkeypatch.setattr(sys.modules["brieskornlab." + site], "full_rank_mod_p", recorded)
+    monkeypatch.setattr(jacobian, "full_rank_mod_p", recorded)
     return seen
 
 
@@ -290,9 +298,10 @@ def _corpus_reports(monkeypatch, capsys) -> list:
 
 def test_the_exact_fallbacks_leave_every_report_unchanged(monkeypatch, capsys):
     """With the prime set to 3, which divides the coefficients of Fermat
-    partials and many small minors, both call sites fall back to exact
-    eliminations; every report is byte-identical to the one the fast path
-    gives."""
+    partials and many small minors, the smoothness probe and the squarefree
+    matrix fall back to exact eliminations (the coordinate sections of the
+    corpus stay proved); every report is byte-identical to the one the fast
+    path gives."""
     seen = _verdicts(monkeypatch)
     fast = _corpus_reports(monkeypatch, capsys)
     assert all(True in log for log in seen.values())
@@ -300,4 +309,4 @@ def test_the_exact_fallbacks_leave_every_report_unchanged(monkeypatch, capsys):
         log.clear()
     monkeypatch.setattr(exactlinalg, "FULL_RANK_PRIME", 3)
     assert _corpus_reports(monkeypatch, capsys) == fast
-    assert all(False in log for log in seen.values())
+    assert False in seen["_probe_full_rank"] and False in seen["reduced"]

@@ -57,8 +57,7 @@ def assert_matches_scan(f, degrees):
 
 def elimination_dim_R(ctx, k):
     """dim R_k by an exact rank, whatever the context knows about f."""
-    ambient = len(ctx.index(k))
-    return ambient - rank_of_vectors(ctx.image_rows(k), ambient)
+    return len(ctx.index(k)) - rank_of_vectors(ctx.image_rows(k))
 
 
 @pytest.mark.parametrize("text,variables", [
