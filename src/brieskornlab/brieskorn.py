@@ -165,10 +165,11 @@ def _sebastiani_dim(ctx: jacobian._JacContext, k: int) -> int:
     return sum(ctx.dim_R(m) for m in range(k - ctx.n - 1, -1, -ctx.d))
 
 
-def _stabilize(ctx: jacobian._JacContext, k: int, policy: StabilizationPolicy,
+def _stabilize(ctx: jacobian._JacContext, k: int, policy: StabilizationPolicy | None = None,
                polys=None) -> StabilizationCertificate:
     """Certificate for the rank of f^N out of degree k (or out of the span of
-    the classes of polys) at high N.
+    the classes of polys) at high N.  A policy of None is the default
+    `StabilizationPolicy()`, built here only: the entry points hand theirs on.
 
     On proved-smooth f (`jacobian._JacContext.smooth`) the rank out of
     degree k takes no power of f: H_f is free, so every value is
@@ -185,7 +186,7 @@ def _stabilize(ctx: jacobian._JacContext, k: int, policy: StabilizationPolicy,
     and this spot check.  Singular f, and spans of classes, are scanned
     (`_scan`).
     """
-    resolved = policy.resolved(ctx.n, ctx.d)
+    resolved = (policy or StabilizationPolicy()).resolved(ctx.n, ctx.d)
     if polys is not None or not ctx.smooth:
         return _scan(ctx, k, resolved, polys)
     low = ctx.n + 1
@@ -207,27 +208,17 @@ def _stabilize(ctx: jacobian._JacContext, k: int, policy: StabilizationPolicy,
 
 
 def hbar_certificate(f: Poly, k: int, policy: StabilizationPolicy | None = None) -> StabilizationCertificate:
-    return _stabilize(_ctx(f), k, policy or StabilizationPolicy())
+    return _stabilize(_ctx(f), k, policy)
 
 
 def stabilized_span_rank(f: Poly, k: int, polys, policy: StabilizationPolicy | None = None) -> StabilizationCertificate:
     """Stabilized rank of the span of the given classes inside the degree-k
     piece of the torsion-free quotient.
 
-    Each p must be homogeneous of degree k-n-1 (the coefficient of omega_0);
-    zero polynomials are allowed and contribute nothing.
+    Each p is a form of degree k-n-1 in the ring of f, as `global_jq_dim`
+    builds them (the coefficient of omega_0), unchecked here.
     """
-    ctx = _ctx(f)
-    use = []
-    for p in polys:
-        if not isinstance(p, Poly) or p.nvars != ctx.nvars:
-            raise InputError("span polynomials must live in the same ring as f")
-        if p.is_zero():
-            continue
-        if not p.is_homogeneous() or p.homogeneous_degree() != k - ctx.n - 1:
-            raise InputError(f"span polynomial must be homogeneous of degree {k - ctx.n - 1}")
-        use.append(p)
-    return _stabilize(ctx, k, policy or StabilizationPolicy(), polys=use)
+    return _stabilize(_ctx(f), k, policy, polys=list(polys))
 
 
 class PoleFiltrationReport:
@@ -254,7 +245,6 @@ def pole_filtration_dims(f: Poly, policy: StabilizationPolicy | None = None) -> 
     monotonicity are asserted on the computed values.
     """
     ctx = _ctx(f)
-    policy = policy or StabilizationPolicy()
     certs = [_stabilize(ctx, (q + 1) * ctx.d, policy) for q in range(ctx.n + 1)]
     dims = tuple(c.value for c in certs)
     for q in range(ctx.n):
@@ -278,7 +268,6 @@ def milnor_eigenspace_dim(f: Poly, i: int, policy: StabilizationPolicy | None = 
     ctx = _ctx(f)
     if not 0 <= i < ctx.d:
         raise InputError(f"eigenvalue index must lie in [0, {ctx.d})")
-    policy = policy or StabilizationPolicy()
     main = _stabilize(ctx, (ctx.n + 2) * ctx.d - i, policy)
     check = _stabilize(ctx, (ctx.n + 1) * ctx.d - i, policy)
     if main.value != check.value:
@@ -331,7 +320,7 @@ def briancon_skoda(f: Poly, policy: StabilizationPolicy | None = None) -> Brianc
     witness; a negative answer carries the stabilization certificate.
     """
     ctx = _ctx(f)
-    cert = _stabilize(ctx, ctx.n + 1, policy or StabilizationPolicy())
+    cert = _stabilize(ctx, ctx.n + 1, policy)
     if cert.early_zero:
         return BrianconSkodaResult(True, cert.power, cert)
     return BrianconSkodaResult(False, None, cert)

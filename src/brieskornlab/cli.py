@@ -45,13 +45,6 @@ def _rational(text: str, where: str) -> str:
         raise InputError(f"{where}: {text!r} is not a rational number") from None
 
 
-def _rational_list(text: str, where: str) -> list:
-    parts = text.replace(":", " ").replace(",", " ").split()
-    if not parts:
-        raise InputError(f"{where}: empty list")
-    return [_rational(p, where) for p in parts]
-
-
 # section -> the keys it may carry; None is the top level
 _KEYS = {None: ("variables", "polynomial"),
          "singular_point": ("point", "chart", "weights"),
@@ -67,7 +60,8 @@ def parse_problem(text: str, source: str = "<input>") -> dict:
     normalized "p/q" string, `family` and `policy` null when the file has
     none.  Each section is read into {key: (value, line)}; a
     [singular_point] or [family] section keeps its header's line, where a
-    missing key is reported.  The polynomials stay text."""
+    missing key is reported; a list of rationals is refused at its own
+    line.  The polynomials stay text."""
     top: dict = {}
     points: list = []
     family: tuple | None = None
@@ -106,11 +100,21 @@ def parse_problem(text: str, source: str = "<input>") -> dict:
             fail(lineno, f"duplicate key {key!r}")
         current[key] = (value, lineno)
 
-    def take(entry: tuple, key: str, where: str) -> str:
+    def take(entry: tuple, key: str, where: str) -> tuple:
         header, table = entry
         if key not in table:
             fail(header, f"missing {key!r} in {where}")
-        return table[key][0]
+        return table[key]
+
+    def rationals(value: tuple, where: str) -> list:
+        text, lineno = value
+        parts = text.replace(":", " ").replace(",", " ").split()
+        if not parts:
+            fail(lineno, f"{where}: empty list")
+        try:
+            return [_rational(p, where) for p in parts]
+        except InputError as e:
+            fail(lineno, str(e))
 
     if "variables" not in top:
         raise InputError(f"{source}: missing 'variables' line")
@@ -127,9 +131,9 @@ def parse_problem(text: str, source: str = "<input>") -> dict:
     charts = []
     for p in points:
         where, header = "[singular_point]", p[0]
-        point = _rational_list(take(p, "point", where), where + " point")
-        chart = take(p, "chart", where)
-        weights = _rational_list(take(p, "weights", where), where + " weights")
+        point = rationals(take(p, "point", where), where + " point")
+        chart = take(p, "chart", where)[0]
+        weights = rationals(take(p, "weights", where), where + " weights")
         if len(point) != len(variables):
             fail(header, f"point needs {len(variables)} coordinates")
         if chart not in variables:
@@ -142,9 +146,9 @@ def parse_problem(text: str, source: str = "<input>") -> dict:
     fam = None
     if family is not None:
         samples = family[1].get("samples")
-        fam = {"direction": take(family, "direction", "[family]"),
+        fam = {"direction": take(family, "direction", "[family]")[0],
                "samples": None if samples is None
-               else _rational_list(samples[0], "[family] samples")}
+               else rationals(samples, "[family] samples")}
 
     ints = {}
     for key, (value, lineno) in policy.items():

@@ -188,7 +188,6 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
     ss = _samples(samples)
     if s0 not in ss:
         ss = ss + (s0,)
-    policy = policy or StabilizationPolicy()
     constancy = pole_constancy_check(fam, ss, policy)
     if not constancy:
         raise InvariantError(
@@ -280,7 +279,7 @@ def tjurina_scan(fam: PencilFamily, samples=None) -> TjurinaScanResult:
     for s in ss:
         f = specialize(fam, s)
         ctx = _ctx(f)
-        start = max(ctx.probe, 0)
+        start = ctx.tjurina_start
         tau = global_tjurina(f)
         tail = tuple(ctx.dim_R(k) for k in range(start, start + ctx.n + 2))
         rows.append(TjurinaScanRow(s, tau, tail))

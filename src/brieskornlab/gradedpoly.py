@@ -257,8 +257,6 @@ class Poly:
 def _coeff(c):
     if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, str):
-        return Fraction(c)
     raise InputError(f"not an exact rational coefficient: {c!r}")
 
 
@@ -293,10 +291,8 @@ def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
     This is the graded-lex order restricted to one degree; every matrix in the
     package indexes its columns by this list, so the order is load-bearing.
     Raises InputError, before enumerating anything, when the degree has more
-    than _MAX_BASIS_SIZE monomials.
+    than _MAX_BASIS_SIZE monomials.  nvars >= 2, as in every context.
     """
-    if nvars < 1:
-        raise InputError("need at least one variable")
     if degree < 0:
         return []
     refusal = _basis_overflow(nvars, degree)
@@ -335,17 +331,17 @@ def multiples(polys: Sequence[list], monos: Iterable[Monomial], index: Mapping) 
 def monomials_weighted_below(nvars: int, weights: Sequence[Fraction], bound: Fraction) -> list[Monomial]:
     """Monomials with weighted degree < bound.
 
-    Finite because all weights are positive.  Sorted by (weighted degree,
-    descending lex) so weighted jet spaces get a canonical coordinate order.
+    Finite because the weights, a chart's (`weight_vector`) or units, are
+    positive.  Sorted by (weighted degree, descending lex) so weighted jet
+    spaces get a canonical coordinate order.
     """
-    ws = weight_vector(weights)
     out: list[Monomial] = []
 
     def rec(prefix: Monomial, budget: Fraction, i: int) -> None:
         if i == nvars:
             out.append(prefix)
             return
-        w = ws[i]
+        w = weights[i]
         top = budget / w
         emax = floor(top)
         if emax == top:
@@ -354,7 +350,7 @@ def monomials_weighted_below(nvars: int, weights: Sequence[Fraction], bound: Fra
             rec(prefix + (e,), budget - e * w, i + 1)
 
     rec((), Fraction(bound), 0)
-    out.sort(key=lambda m: (weighted_degree(m, ws), tuple(-e for e in m)))
+    out.sort(key=lambda m: (weighted_degree(m, weights), tuple(-e for e in m)))
     return out
 
 
@@ -362,10 +358,8 @@ def hilbert_ci_coeffs(nvars: int, gen_degree: int) -> list[int]:
     """Coefficients of ((1 - t^gen_degree) / (1 - t))^nvars.
 
     Hilbert series of a complete intersection of nvars forms of degree
-    gen_degree in nvars variables; list has length nvars*(gen_degree-1)+1.
+    gen_degree >= 1 in nvars >= 2 variables; length nvars*(gen_degree-1)+1.
     """
-    if nvars < 1 or gen_degree < 1:
-        raise InputError("nvars and gen_degree must be positive")
     block = [1] * gen_degree
     coeffs = [1]
     for _ in range(nvars):
@@ -416,9 +410,6 @@ class _Tokens:
     def take_name(self) -> str:
         self.skip_ws()
         start = self.pos
-        ch = self.text[self.pos]
-        if not (ch.isalpha() or ch == "_"):
-            raise ParseError("expected a name", start)
         while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
             self.pos += 1
         return self.text[start:self.pos]
@@ -571,34 +562,22 @@ def render(p: Poly, variables: Sequence[str]) -> str:
 
 
 def dehomogenize_shift(g: Poly, chart: int, point: Sequence) -> Poly:
-    """Local representative of a homogeneous g at a projective point.
+    """Local representative of a homogeneous g at a chart's point p.
 
-    Sets x_chart = 1 and substitutes x_i = y_i + p_i for the remaining
-    variables, where p is the point scaled so its chart coordinate is 1.  The
-    result lives in nvars-1 variables (original order with chart removed) and
-    is the germ of g/x_chart^deg(g) in coordinates centered at the point.
+    Sets x_chart = 1 and x_i = y_i + p_i for the others, p one rational per
+    variable with p_chart = 1 (`singularities.build_chart` scaled it): the
+    germ of g/x_chart^deg(g) centered at p, in nvars-1 variables (original
+    order, chart removed).
     """
-    if not g.is_homogeneous():
-        raise InputError("dehomogenize_shift needs a homogeneous polynomial")
-    n1 = g.nvars
-    if not 0 <= chart < n1:
-        raise InputError("chart index out of range")
-    pt = [_coeff(v) for v in point]
-    if len(pt) != n1:
-        raise InputError("point arity does not match variable count")
-    if pt[chart] == 0:
-        raise InputError("point does not lie in the requested chart")
-    scale = pt[chart]
-    pt = [Fraction(v, 1) / scale if not isinstance(v, Fraction) else v / scale for v in pt]
-    locals_ = [i for i in range(n1) if i != chart]
-    nloc = n1 - 1
+    locals_ = [i for i in range(g.nvars) if i != chart]
+    nloc = g.nvars - 1
     # cache (variable, exponent) -> expanded (y_i + p_i)^e in the local ring
     powers: dict[tuple[int, int], Poly] = {}
 
     def shifted_power(j: int, e: int) -> Poly:
         key = (j, e)
         if key not in powers:
-            base = Poly.variable(nloc, j) + Poly.constant(nloc, pt[locals_[j]])
+            base = Poly.variable(nloc, j) + Poly.constant(nloc, point[locals_[j]])
             powers[key] = base**e
         return powers[key]
 

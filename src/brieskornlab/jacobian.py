@@ -127,6 +127,7 @@ class _JacContext:
             raise InputError("f must be nonconstant")
         self.nvars, self.n = f.nvars, f.nvars - 1
         self.probe = (self.n + 1) * (self.d - 2) + 1
+        self.tjurina_start = max(self.probe, self.d - 1)   # see global_tjurina
         self.f, self.scale = f.integer_scaled()
         self.partials = [list(self.f.partial(i).terms.items()) for i in range(self.nvars)]
         self.fterms = list(self.f.terms.items())
@@ -228,15 +229,14 @@ class _JacContext:
         return [row for row in multiples(self.partials, self.monomials(mdeg), self.index(k)) if row]
 
     def dim_R(self, k: int) -> int:
-        """dim R_k: read off the Hilbert series once f is proved smooth (but
-        at the probe degree, which proved it), read off the tail that
-        `global_tjurina` proved from its degree on, an exact rank otherwise.
-        The tail is constant (tau) or, past maximal growth, Macaulay's bound
+        """dim R_k: read off the Hilbert series once f is proved smooth (0 from
+        the probe degree on), read off the tail that `global_tjurina` proved
+        from its degree on, an exact rank otherwise.  The tail is constant (tau) or, past maximal growth, Macaulay's bound
         iterated (Gotzmann persistence).  At the probe degree a full rank
         modulo a prime proves R_k = 0 first."""
         if k < 0:
             return 0
-        if self._series is not None and k != self.probe:
+        if self._series is not None:
             return self._series[k] if k < len(self._series) else 0
         if self._tail is not None and k >= self._tail[0]:
             j, h, grows = self._tail
@@ -378,13 +378,11 @@ class _JacContext:
 
     def class_vector(self, p: Poly, k: int, power: int) -> dict:
         """Reduced coordinates of the class of f^power * p in H_{k+power*d};
-        p is homogeneous of degree k-n-1 (the coefficient of omega_0).
+        p is a form of degree k-n-1 >= 0 (the coefficient of omega_0).
 
         The product is reduced once, in the landing degree: a reduction per
         power would cost more than it saves on the few powers used here.
         """
-        if k < self.n + 1:
-            return {}
         vec = self.vector(p, k - self.n - 1)
         for j in range(power):
             vec = self.times_f(vec, k + j * self.d)
@@ -473,14 +471,15 @@ def global_tjurina(f: Poly) -> int:
     """Sum of the local Tjurina numbers, certified by Gotzmann persistence or
     by a coordinate hyperplane (Bayer-Stillman).
 
-    Scans k = start, start+1, ... with start = max((n+1)(d-2)+1, d-1), one past
-    the smooth socle degree and at least the generating degree of J, evaluating
-    each dim R_k once.  At every step dim R_{k+1} <= (dim R_k)^<k> is asserted
-    (a violation means the elimination is wrong and raises InvariantError).  At
-    the first k where dim R_{k+1} = (dim R_k)^<k> the growth is maximal in every
-    later degree, so: equal dims prove the Hilbert polynomial of R is that
-    constant and it is returned as tau; growing dims prove the singular locus
-    positive dimensional and NonIsolatedError is raised with the dims scanned.
+    Scans k = start, start+1, ... from the context's `tjurina_start`,
+    max((n+1)(d-2)+1, d-1): one past the smooth socle degree and at least the
+    generating degree of J.  Each dim R_k is evaluated once, and at every step
+    dim R_{k+1} <= (dim R_k)^<k> is asserted (a violation means the
+    elimination is wrong and raises InvariantError).  At the first k where
+    dim R_{k+1} = (dim R_k)^<k> the growth is maximal in every later degree,
+    so: equal dims prove the Hilbert polynomial of R is that constant and it
+    is returned as tau; growing dims prove the singular locus positive
+    dimensional and NonIsolatedError is raised with the dims scanned.
     dim R_k = 0 ends the scan at once (the smooth case, tau = 0).
 
     Equal dims h = dim R_k = dim R_{k+1} with h > k are no Gotzmann
@@ -502,7 +501,7 @@ def global_tjurina(f: Poly) -> int:
     degree.
     """
     ctx = _ctx(f)
-    start = max(ctx.probe, ctx.d - 1)
+    start = ctx.tjurina_start
     top = start + _TJURINA_DEGREE_BUDGET * (ctx.n + 2)
     k, h = start, ctx.dim_R(start)
     dims = [h]

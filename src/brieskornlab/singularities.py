@@ -312,9 +312,10 @@ def local_tjurina(chart: WeightedChart) -> int:
 def verify_chart_coverage(f: Poly, charts) -> int:
     """Check the charts account for the entire singular locus of f = 0.
 
-    Recomputes each local equation from f, requires the points to be distinct,
-    and matches the sum of local Tjurina numbers against the global one.
-    Returns the common value.
+    The one check of a chart against f: its point has one coordinate per
+    variable of f and its local equation is recomputed from f.  Requires the
+    points to be distinct, and matches the sum of local Tjurina numbers
+    against the global one.  Returns the common value.
     """
     seen = set()
     for chart in charts:
@@ -323,7 +324,8 @@ def verify_chart_coverage(f: Poly, charts) -> int:
         if canonical in seen:
             raise InputError(f"duplicate singular point {':'.join(map(str, chart.point))}")
         seen.add(canonical)
-        if dehomogenize_shift(f, chart.chart, chart.point) != chart.local_eq:
+        if (len(chart.point) != f.nvars
+                or dehomogenize_shift(f, chart.chart, chart.point) != chart.local_eq):
             raise InputError("chart was not built from this polynomial")
     total = global_tjurina(f)
     covered = sum(local_tjurina(c) for c in charts)
@@ -370,7 +372,6 @@ def hodge_filtration_dims(f: Poly, charts, policy: StabilizationPolicy | None = 
     with no charts short-circuits to F = P.  Every report re-checks F <= P
     and F = P on q <= alpha-1.
     """
-    policy = policy or StabilizationPolicy()
     pole = pole_filtration_dims(f, policy)
     n, d = pole.n, pole.d
     charts = tuple(charts)

@@ -83,8 +83,17 @@ def test_a_problem_parses_to_its_reports_input(name):
      "[family]\ndirection = z^3\n", "only one [family]"),
     ("variables = x y z\npolynomial = x^3\n[policy]\nwindow = soon\n", "integer"),
     ("variables = x y z\npolynomial = x^3\nnonsense line\n", "key = value"),
+    # a list of rationals is refused at its own line
     ("variables = x y z\npolynomial = x^3\n[singular_point]\npoint = 0 0 q\n"
-     "chart = z\nweights = 1/2 1/2\n", "not a rational"),
+     "chart = z\nweights = 1/2 1/2\n",
+     "bad:4: [singular_point] point: 'q' is not a rational number"),
+    ("variables = x y z\npolynomial = x^3\n[singular_point]\npoint = ,\n"
+     "chart = z\nweights = 1/2 1/2\n", "bad:4: [singular_point] point: empty list"),
+    ("variables = x y z\npolynomial = x^3\n[singular_point]\npoint = 0 0 1\n"
+     "chart = z\nweights = 1/3 1/0\n",
+     "bad:6: [singular_point] weights: '1/0' is not a rational number"),
+    ("variables = x y z\npolynomial = x^3\n[family]\ndirection = y^3\nsamples = 1 b\n",
+     "bad:5: [family] samples: 'b' is not a rational number"),
     # a key its section does not list is refused at its own line, before
     # the section's missing keys are looked for
     ("variables = x y z\npolynomial = x^3\n[singular_point]\npoint = 0 0 1\n"
@@ -198,26 +207,42 @@ def test_exit_one_family_without_family_section(capsys):
 CUSP_POINT = "[singular_point]\npoint = 0 0 1\nchart = z\nweights = 1/3 1/2\n"
 
 
-@pytest.mark.parametrize("polynomial,sections,error", [
-    ("(" * 3000 + "x" + ")" * 3000, "", "error: polynomial: "),
-    ("-" * 3000 + "x", "", "error: polynomial: "),
-    ("x^" + "9" * 5000, "", "error: polynomial: "),
-    ("1" * 5000 + "*x^3", "", "error: polynomial: "),
-    ("(x+y+z)^3000", "", "error: polynomial: "),
-    ("x^700*y^701", "", "error: polynomial: "),
-    ("x^3 + y^2*z", CUSP_POINT + CUSP_POINT.replace("0 0 1", "0 0 5"),
+FAMILY = "[family]\ndirection = x*y*z\n"
+
+
+@pytest.mark.parametrize("polynomial,sections,argv,error", [
+    ("(" * 3000 + "x" + ")" * 3000, "", (), "error: polynomial: "),
+    ("-" * 3000 + "x", "", (), "error: polynomial: "),
+    ("x^" + "9" * 5000, "", (), "error: polynomial: "),
+    ("1" * 5000 + "*x^3", "", (), "error: polynomial: "),
+    ("(x+y+z)^3000", "", (), "error: polynomial: "),
+    ("x^700*y^701", "", (), "error: polynomial: "),
+    ("x^3 + y^2*z", CUSP_POINT + CUSP_POINT.replace("0 0 1", "0 0 5"), (),
      "error: duplicate singular point 0:0:1\n"),
+    ("x^2 + y*z + z", "", (), "error: the defining polynomial must be homogeneous and nonzero\n"),
+    ("x - x", "", (), "error: the defining polynomial must be homogeneous and nonzero\n"),
+    ("(x + y*z", "", (), "error: polynomial: expected ')' (at position 8)\n"),
+    ("x^", "", (), "error: polynomial: expected digits (at position 2)\n"),
+    ("1/0*x^3", "", (), "error: polynomial: zero denominator (at position 2)\n"),
+    ("x^3 y", "", (), "error: polynomial: trailing input (at position 4)\n"),
+    ("", "", (), "error: {path}:2: empty value for 'polynomial'\n"),
+    ("x^3 + y^3 + z^3", FAMILY, ("family", "--samples", ","),
+     "error: need at least one sample\n"),
 ], ids=["deep-parentheses", "deep-minus", "long-exponent", "long-coefficient", "huge-power",
-        "huge-product", "duplicate-point"])
-def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial, sections, error):
-    """`hodge` exits 1 with one line starting with `error` and prints no
+        "huge-product", "duplicate-point", "inhomogeneous", "zero", "open-parenthesis",
+        "bare-caret", "zero-denominator", "no-implicit-product", "empty-polynomial",
+        "no-samples"])
+def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial, sections, argv, error):
+    """`hodge`, or the command argv names, exits 1 with one line starting
+    with `error`, the whole line where the case gives it, and prints no
     report; a repeated point is named as the report writes a point."""
     p = tmp_path / "p.txt"
     p.write_text(f"variables = x y z\npolynomial = {polynomial}\n{sections}")
-    code, out, err = run_cli(capsys, "hodge", "--input", str(p))
+    command, *options = argv or ("hodge",)
+    code, out, err = run_cli(capsys, command, "--input", str(p), *options)
     assert code == 1
     assert out == ""
-    assert err.startswith(error) and err.count("\n") == 1
+    assert err.startswith(error.format(path=p)) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -7,7 +7,7 @@ import pytest
 from test_jacobian import watch_squarefree_tests
 
 from brieskornlab import brieskorn, families, jacobian
-from brieskornlab.exactlinalg import InvariantError
+from brieskornlab.exactlinalg import InvariantError, QuotientMapError
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,
                                    grp_nabla_matrix, pole_constancy_check,
                                    specialize, tjurina_scan)
@@ -123,6 +123,33 @@ def test_grp_nabla_quartic_pencil_stable(monkeypatch):
     assert (m1.nrows, m1.ncols) == (3, 3)
     assert m1.rows == m2.rows
     assert any(m1.rows)  # genuinely nonzero action
+
+
+def quartic_surface_pencil() -> PencilFamily:
+    """x^4 + y^4 + z^4 + t^4 + s*x*y*z*t: at s = 0 and q = 2 its source
+    presentation leaves 16 of the 35 quartic monomials out of the basis."""
+    return PencilFamily(parse_poly("x^4 + y^4 + z^4 + t^4", XYZT),
+                        parse_poly("x*y*z*t", XYZT))
+
+
+def test_grp_nabla_refuses_a_representative_that_leaks(monkeypatch):
+    """If the class of x^4 in degree 8 carried that of x*y*z*t too, x^4 would
+    no longer map as its expression through the chosen source basis does:
+    the well-definedness loop compares every monomial outside the basis and
+    refuses the matrix."""
+    real = jacobian._JacContext.class_vector
+    x4, xyzt = Poly.monomial(4, (4, 0, 0, 0)), Poly.monomial(4, (1, 1, 1, 1))
+
+    def leaky(self, p, k, power):
+        vec = dict(real(self, p, k, power))
+        if k == 8 and p == x4:
+            for c, v in real(self, xyzt, k, power).items():
+                vec[c] = vec.get(c, 0) + v
+        return {c: v for c, v in vec.items() if v}
+
+    monkeypatch.setattr(jacobian._JacContext, "class_vector", leaky)
+    with pytest.raises(QuotientMapError, match="through monomial"):
+        grp_nabla_matrix(quartic_surface_pencil(), 0, 2)
 
 
 def _quotient_powers(monkeypatch) -> list:

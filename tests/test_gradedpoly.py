@@ -142,15 +142,6 @@ def test_dehomogenize_shift_two_cusp():
     assert local2 == parse_poly("x^2 + z^3 + x*z^3", ("x", "z"))
 
 
-def test_dehomogenize_shift_scales_the_point():
-    f = P("x^3 + y^2*z")
-    a = dehomogenize_shift(f, 2, (0, 0, 1))
-    b = dehomogenize_shift(f, 2, (0, 0, 5))  # same projective point
-    assert a == b == parse_poly("x^3 + y^2", ("x", "y"))
-    with pytest.raises(InputError):
-        dehomogenize_shift(f, 2, (0, 0, 0))
-
-
 def reduced(text, variables=XYZ) -> bool:
     """The reducedness verdict of a context built for the parsed form."""
     return jacobian._JacContext(P(text, variables)).reduced

@@ -24,7 +24,10 @@ where per-polynomial state belongs on an object that dies with the
 polynomial.  Non-empty tables (cli._COMMANDS, cli._SECTIONS) are data.
 One function uses `heapq`, the pivot loop `exactlinalg._forward_eliminate`:
 every elimination, exact or modulo a prime, runs through it with its own row
-step, and a second heap-driven loop would be a second copy of it.
+step, and a second heap-driven loop would be a second copy of it.  One
+function builds the default `StabilizationPolicy()`, `brieskorn._stabilize`:
+every entry point hands its policy, or None, through as given, so the
+default is settled in one place.
 
 Two checks are not syntactic.  A cold `import brieskornlab.cli`, which every
 CLI job pays, loads no `dataclasses` and none of the source-introspection
@@ -382,6 +385,37 @@ def test_gradedpoly_ranks_nothing_and_one_context_builds_its_bases():
     assert imported == {("exactlinalg", "InputError")}
     assert readers_of(sources, "gradedpoly", "monomial_basis") == [
         ("jacobian", "_JacContext.monomials")]
+
+
+def bare_calls(sources: dict, name: str) -> list:
+    """(module, function) of each function (`_scopes`) of sources, keyed by
+    module name, that calls `name` with no argument, by the bare name or as
+    an attribute."""
+    def reads(node):
+        return (isinstance(node, ast.Call) and not node.args and not node.keywords
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+    return sorted({(module, scope) for module, source in sources.items()
+                   for scope in _scopes(ast.parse(source), reads)})
+
+
+def test_scanner_finds_the_calls_without_arguments():
+    sources = {"a": ("class P:\n"
+                     "    def __init__(self, window=None): self.window = window\n"
+                     "def _stabilize(policy=None): return policy or P()\n"
+                     "def given(): return P(window=3)\n"),
+               "b": ("from . import a\n"
+                     "from .a import P\n"
+                     "DEFAULT = a.P()\n"
+                     "def entry(policy=None):\n"
+                     "    return policy or P()\n"
+                     "def spread(**overrides): return P(**overrides), P(None), a.P\n")}
+    assert bare_calls(sources, "P") == [("a", "_stabilize"), ("b", "<module>"), ("b", "entry")]
+
+
+def test_one_function_builds_the_default_policy():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert bare_calls(sources, "StabilizationPolicy") == [("brieskorn", "_stabilize")]
 
 
 # `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`

@@ -15,7 +15,8 @@ divides; the squarefree test decides as the chain of those gcds over the
 partials does, rejects f*h^2 and accepts smooth forms.  On
 pencils whose sampled fibers are smooth, the graded connection matrix at
 s = 0 is multiplication by -q*g in the Jacobian ring of the fiber, computed
-by the dense Fraction Gauss-Jordan of `test_kernel_oracle`.  On reduced
+by the dense Fraction Gauss-Jordan of `test_kernel_oracle`; one fixed
+quartic surface pencil joins the drawn plane curves.  On reduced
 singular forms in 3 and 4 variables, the relation spaces built from the
 divergence-free vector fields equal those of the rotation rows
 f_a d_b(g) - f_b d_a(g).  On plane curves and cubic surfaces placed through
@@ -33,11 +34,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, assume, event, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from oracles import (coker_check_prop16, evaluate, poly_gcd, squarefree_by_gcd,  # noqa: E402
                      try_divide)
+from test_families import quartic_surface_pencil  # noqa: E402
 from test_kernel_oracle import dense_rref  # noqa: E402
 
 from brieskornlab import brieskorn, exactlinalg, jacobian  # noqa: E402
@@ -293,11 +295,12 @@ def jacobian_ring_presentation(f: Poly, m: int, images: list) -> tuple:
     """
     if m < 0:
         return [], [{} for _ in images]
-    monos = monomial_basis(3, m)
+    nvars = f.nvars
+    monos = monomial_basis(nvars, m)
     d = f.homogeneous_degree()
-    gens = [f.partial(i) * Poly.monomial(3, a)
-            for a in monomial_basis(3, m - d + 1) for i in range(3)]
-    columns = gens + [Poly.monomial(3, mono) for mono in monos] + images
+    gens = [f.partial(i) * Poly.monomial(nvars, a)
+            for a in monomial_basis(nvars, m - d + 1) for i in range(nvars)]
+    columns = gens + [Poly.monomial(nvars, mono) for mono in monos] + images
     position = {mono: r for r, mono in enumerate(monos)}
     rows = [{} for _ in monos]
     for c, p in enumerate(columns):
@@ -315,15 +318,19 @@ def jacobian_ring_presentation(f: Poly, m: int, images: list) -> tuple:
 @settings(max_examples=6, deadline=None, database=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(smooth_pencils())
+@example(quartic_surface_pencil())
 def test_smooth_connection_is_multiplication_in_the_jacobian_ring(fam):
     """grp_nabla_matrix(fam, 0, q) for q <= 2 is multiplication by -q*g from
-    R_{qd-n-1} to R_{(q+1)d-n-1} (Griffiths), over the greedy monomial bases."""
+    R_{qd-n-1} to R_{(q+1)d-n-1} (Griffiths), over the greedy monomial bases.
+    On a plane-curve pencil every source monomial for q < n is a basis
+    element, so the fixed surface pencil is the case where the
+    well-definedness loop of `grp_nabla_matrix` compares monomials."""
     f, g = fam.base, fam.direction
-    d = f.homogeneous_degree()
+    d, nvars = f.homogeneous_degree(), f.nvars
     for q in range(3):
-        source, _ = jacobian_ring_presentation(f, q * d - 3, [])
-        images = [g.scale(-q) * Poly.monomial(3, mono) for mono in source]
-        target, columns = jacobian_ring_presentation(f, (q + 1) * d - 3, images)
+        source, _ = jacobian_ring_presentation(f, q * d - nvars, [])
+        images = [g.scale(-q) * Poly.monomial(nvars, mono) for mono in source]
+        target, columns = jacobian_ring_presentation(f, (q + 1) * d - nvars, images)
         m = grp_nabla_matrix(fam, 0, q)
         assert (m.nrows, m.ncols) == (len(target), len(source)), q
         assert [[m.entry(r, c) for c in range(m.ncols)] for r in range(m.nrows)] == \

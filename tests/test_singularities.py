@@ -49,9 +49,14 @@ def test_build_chart_node():
 
 
 def test_build_chart_scales_points():
-    a = build_chart(CUSP, (0, 0, 1), 2, W_CUSP)
-    b = build_chart(CUSP, (0, 0, 7), 2, W_CUSP)
-    assert a.local_eq == b.local_eq and a.point == b.point
+    """(0:0:1), (0:0:5) and (0:0:7) are one projective point: the chart
+    scales each to its chart coordinate 1 before it takes the local
+    equation, and (0, 0, 0) is no point."""
+    charts = [build_chart(CUSP, (0, 0, c), 2, W_CUSP) for c in (1, 5, 7)]
+    assert {ch.point for ch in charts} == {(0, 0, 1)}
+    assert all(ch.local_eq == parse_poly("x^3 + y^2", ("x", "y")) for ch in charts)
+    with pytest.raises(InputError, match="^point does not lie in the requested chart$"):
+        build_chart(CUSP, (0, 0, 0), 2, W_CUSP)
 
 
 CHART_REFUSALS = [
@@ -196,6 +201,19 @@ def test_verify_chart_coverage():
     ch = two_cusp_charts()[0]
     with pytest.raises(InputError):
         verify_chart_coverage(TWO_CUSP, (ch, ch))  # same point twice
+
+
+@pytest.mark.parametrize("f", [CUSP, parse_poly("x^3 + y^3 + z^3 + t^3", ("x", "y", "z", "t"))],
+                         ids=["other-polynomial", "other-ring"])
+def test_hodge_refuses_a_chart_built_from_another_polynomial(f):
+    """A chart is checked against the f it is used with once, in
+    `verify_chart_coverage`: a chart of the two-cusp quartic is refused
+    with the cuspidal cubic, and a chart of a plane curve with a surface,
+    whose points have one coordinate more."""
+    chart = two_cusp_charts()[0] if f == CUSP else cusp_chart()
+    with pytest.raises(InputError) as refused:
+        hodge_filtration_dims(f, (chart,))
+    assert str(refused.value) == "chart was not built from this polynomial"
 
 
 def test_hodge_smooth_equals_pole():
