@@ -38,10 +38,10 @@ SCHEMA = "brieskorn-lab/1"
 # problem files
 
 def _rational(text: str, where: str) -> str:
-    """`text` as a normalized "p/q" string."""
+    """`text`, a constant in the polynomial grammar, as a normalized "p/q" string."""
     try:
-        return str(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+        return str(Fraction(parse_poly(text, ()).terms.get((), 0)))
+    except ParseError:
         raise InputError(f"{where}: {text!r} is not a rational number") from None
 
 
@@ -111,10 +111,7 @@ def parse_problem(text: str, source: str = "<input>") -> dict:
         parts = text.replace(":", " ").replace(",", " ").split()
         if not parts:
             fail(lineno, f"{where}: empty list")
-        try:
-            return [_rational(p, where) for p in parts]
-        except InputError as e:
-            fail(lineno, str(e))
+        return [_rational(p, f"{source}:{lineno}: {where}") for p in parts]
 
     if "variables" not in top:
         raise InputError(f"{source}: missing 'variables' line")
@@ -186,7 +183,15 @@ def _new_report(command: str, problem: dict) -> dict:
 def _rat(x) -> str:
     if x == math.inf:
         return "infinity"
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError:   # a computed value past the int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(Fraction(x))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _cert_json(cert) -> dict:
@@ -516,12 +521,7 @@ def _run(problem: dict, args) -> dict:
         raise InputError("the defining polynomial must be homogeneous and nonzero")
     if args.q_max is not None and args.q_max < 0:
         raise InputError("--q-max must be nonnegative")
-    overrides = dict(problem["policy"] or {})
-    if args.stab_window is not None:
-        overrides["window"] = args.stab_window
-    if args.stab_max is not None:
-        overrides["max_power"] = args.stab_max
-    policy = StabilizationPolicy(**overrides)
+    policy = StabilizationPolicy(**(problem["policy"] or {}))
     job = _Job(problem, args, f, policy, _new_report(args.command, problem))
     t0 = time.perf_counter()
     for name in _COMMANDS[args.command][1]:
@@ -551,10 +551,6 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="machine-readable report")
     ap.add_argument("--samples", metavar="LIST", default=None,
                     help="comma-separated rational parameter values")
-    ap.add_argument("--stab-window", type=int, default=None, metavar="INT",
-                    help="constant-run length accepted as stabilized")
-    ap.add_argument("--stab-max", type=int, default=None, metavar="INT",
-                    help="largest power of f tried before giving up")
     ap.add_argument("--no-timing", action="store_true",
                     help="omit wall-clock times (reproducible output)")
     return ap

@@ -11,7 +11,7 @@ their callers, the reducedness test among them (`jacobian._JacContext`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, floor, gcd
+from math import comb, floor, gcd, log10
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -398,14 +398,13 @@ class _Tokens:
     def take_number(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:   # longer than the interpreter's int string limit
-            raise ParseError("number has too many digits", start) from None
+        if self.pos - start > _MAX_DIGITS:
+            raise ParseError("number has too many digits", start)
+        return int(self.text[start:self.pos])
 
     def take_name(self) -> str:
         self.skip_ws()
@@ -425,16 +424,20 @@ class _Tokens:
 # the interpreter's recursion limit.
 _MAX_NESTING = 100
 
+# Most digits a written number or a power of a constant may have (CPython's default int-to-str limit).
+_MAX_DIGITS = 4300
+
 
 def parse_poly(source: str, variables: Sequence[str]) -> Poly:
     """Parse polynomial text over the named variables; exact, no floats.
 
     Raises ParseError (with position) on syntax errors, on names that are
     not in `variables`, on more than _MAX_NESTING (100) nested
-    parentheses or unary minus signs, and at a '^' or '*' whose result has
-    a degree D with more than _MAX_BASIS_SIZE monomials of degree D, before
-    expanding it.  That bounds the degree of what is expanded, not the
-    time: a power or product within the budget can still take long.
+    parentheses or unary minus signs, and, before expanding, at a '^' or
+    '*' whose degree D has more than _MAX_BASIS_SIZE monomials, or at a
+    power of a constant with more than _MAX_DIGITS (4300) digits, the most
+    a written number may have.  That bounds degrees and constants, not time:
+    (x + 3^9000*y)^100 takes minutes.
     """
     names = list(variables)
     if len(set(names)) != len(names):
@@ -480,7 +483,12 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
             toks.pos += 1
             toks.skip_ws()
             e = toks.take_number()
-            if value:
+            if value.degree() == 0:   # a constant: as many digits as a written number
+                c = value.terms[(0,) * nvars]
+                # e is capped so the product stays a float: 2^(4*_MAX_DIGITS) is longer
+                if min(e, 4 * _MAX_DIGITS) * log10(max(abs(c.numerator), c.denominator)) >= _MAX_DIGITS:
+                    raise ParseError(f"power of a constant has more than {_MAX_DIGITS} digits", pos)
+            elif value:
                 refuse_over_budget(value.degree() * e, pos)
             value = value**e
         return value
@@ -503,7 +511,7 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
                 value = parse_factor().scale(-1)
             depth -= 1
             return value
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = toks.take_number()
             if toks.peek() == "/":
                 toks.pos += 1

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 from brieskornlab import jacobian
+from brieskornlab.brieskorn import milnor_eigenspace_dim
 from brieskornlab.cli import main
 from brieskornlab.gradedpoly import parse_poly
 from oracles import arrangement_invariants
@@ -47,3 +48,17 @@ def test_analyze_matches_the_arrangement_oracle(name, tmp_path, capsys, monkeypa
     assert {i: milnor[i] for i in want["milnor"]} == want["milnor"]
     if jumps:
         assert sections and not any(sections)
+
+
+def test_a3_arrangement_has_nontrivial_monodromy():
+    """The A3 arrangement x*y*z*(x-y)*(y-z)*(x-z) has four triple points, so
+    the oracle's rule covers only i = 0, 1, 3, 5 (chi(U) = 2).  At i = 2, 4,
+    the eigenvalues of order 3, H^1(F)_lambda has dim 1 (Dimca, *Hyperplane
+    Arrangements* (2017)), and for a curve with isolated singularities
+    dim H^2(F)_lambda - dim H^1(F)_lambda = chi(U), so the dim is chi(U) + 1."""
+    lines = ("x", "y", "z", "x-y", "y-z", "x-z")
+    want = arrangement_invariants([parse_poly(line, XYZ) for line in lines])
+    assert (want["chi"], sorted(want["milnor"])) == (2, [0, 1, 3, 5])
+    f = parse_poly("*".join(f"({l})" for l in lines), XYZ)
+    dims = {i: milnor_eigenspace_dim(f, i) for i in range(6)}
+    assert dims == {**want["milnor"], 2: want["chi"] + 1, 4: want["chi"] + 1}

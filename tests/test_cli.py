@@ -5,18 +5,23 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from brieskornlab import gradedpoly, jacobian
 from brieskornlab.cli import _parser, load_problem, main, parse_problem, render_report
-from brieskornlab.gradedpoly import InputError
+from brieskornlab.families import PencilFamily, grp_nabla_matrix
+from brieskornlab.gradedpoly import InputError, parse_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SAMPLES_FILE = "variables = x y z\npolynomial = x^3 + y^3 + z^3\n[family]\ndirection = x*y*z\n"
 
 FULL_FILE = """\
 # demo problem
@@ -94,6 +99,11 @@ def test_a_problem_parses_to_its_reports_input(name):
      "bad:6: [singular_point] weights: '1/0' is not a rational number"),
     ("variables = x y z\npolynomial = x^3\n[family]\ndirection = y^3\nsamples = 1 b\n",
      "bad:5: [family] samples: 'b' is not a rational number"),
+    # the grammar of a polynomial coefficient: no decimals, exponents, leading
+    # '+', digit separators, non-ASCII digits or more than 4300 digits
+    *((SAMPLES_FILE + f"samples = 0 {token}\n",
+       f"bad:5: [family] samples: {token!r} is not a rational number")
+      for token in ("1e3", "0.5", "1_0", "+1", "\u00b2", "7" * 5000, "3^999999999")),
     # a key its section does not list is refused at its own line, before
     # the section's missing keys are looked for
     ("variables = x y z\npolynomial = x^3\n[singular_point]\npoint = 0 0 1\n"
@@ -113,6 +123,53 @@ def test_parse_problem_reports_line_numbers():
     with pytest.raises(InputError) as exc:
         parse_problem("variables = x y z\npolynomial = x^3\n\n[what]\n", "f.txt")
     assert "f.txt:4" in str(exc.value)
+
+
+def test_a_rational_is_read_as_a_polynomial_coefficient():
+    problem = parse_problem(SAMPLES_FILE + "samples = -1/2, 3 1/2 (1/2) 4/6 -0\n")
+    assert problem["family"]["samples"] == ["-1/2", "3", "1/2", "1/2", "2/3", "0"]
+
+
+def test_a_long_exponent_sample_is_refused_at_once(tmp_path, capsys):
+    """`Fraction` would expand 1e20000000 before refusing it; the polynomial
+    grammar stops at the 'e', in the file and in --samples alike."""
+    p = tmp_path / "p.txt"
+    for samples, options, where in (("samples = 0 1e20000000\n", (), f"{p}:5: [family] samples"),
+                                    ("", ("--samples", "0,1e20000000"), "--samples")):
+        p.write_text(SAMPLES_FILE + samples)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "family", "--input", str(p), *options)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", f"error: {where}: '1e20000000' is not a rational number\n")
+
+
+def test_a_computed_rational_past_the_digit_limit_is_printed(tmp_path, capsys):
+    """A sample of 400 digits gives connection entries of more than 4300
+    digits, which `str` refuses under the interpreter's limit.  Each one is
+    printed exactly, and the limit is restored for the input that follows."""
+    sample = "1/" + "7" * 400
+    p = tmp_path / "p.txt"
+    p.write_text("variables = x y z\npolynomial = x^4 + y^4 + z^4 + x*y^3\n[family]\n"
+                 f"direction = x^2*y*z + y^2*z^2\nsamples = {sample} 0 1\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "family", "--input", str(p), "--q-max", "2", "--json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    xyz = ("x", "y", "z")
+    fam = PencilFamily(parse_poly("x^4 + y^4 + z^4 + x*y^3", xyz),
+                       parse_poly("x^2*y*z + y^2*z^2", xyz))
+    samples = (Fraction(1, int("7" * 400)), Fraction(0), Fraction(1))
+    mats = json.loads(out)["family"]["grp_nabla"]
+    sys.set_int_max_str_digits(0)
+    try:
+        longest = max(len(e) for m in mats for row in m["entries"] for e in row)
+        for m in mats:
+            want = grp_nabla_matrix(fam, samples[0], m["q"], samples=samples)
+            assert [[Fraction(e) for e in row] for row in m["entries"]] == [
+                [want.entry(r, c) for c in range(want.ncols)] for r in range(want.nrows)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert longest > limit
 
 
 def run_cli(capsys, *argv) -> tuple:
@@ -158,17 +215,27 @@ def test_exit_one_without_input_flag(capsys):
 
 COMMANDS = ("analyze", "pole", "hodge", "jacobian", "milnor", "bs", "family")
 BARE = {"command": None, "input": None, "q_max": None, "json": False, "samples": None,
-        "stab_window": None, "stab_max": None, "no_timing": False}
+        "no_timing": False}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_command_takes_every_option(command):
     assert vars(_parser().parse_args([command])) == {**BARE, "command": command}
     argv = [command, "--input", "p.txt", "--q-max", "-3", "--json", "--samples", "0, 1/2",
-            "--stab-window", "4", "--stab-max", "12", "--no-timing"]
+            "--no-timing"]
     assert vars(_parser().parse_args(argv)) == {
         "command": command, "input": "p.txt", "q_max": -3, "json": True,
-        "samples": "0, 1/2", "stab_window": 4, "stab_max": 12, "no_timing": True}
+        "samples": "0, 1/2", "no_timing": True}
+
+
+@pytest.mark.parametrize("flag", ["--stab-window", "--stab-max"])
+def test_the_policy_has_no_flag(capsys, flag):
+    """The stabilization policy is set only by the problem file's [policy]
+    section, which the report echoes as `input.policy`."""
+    with pytest.raises(SystemExit) as exc:
+        main(["pole", "--input", str(PROBLEMS / "fermat_cubic_curve.txt"), flag, "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 4\n")
 
 
 def test_help_names_every_command(capsys):
@@ -228,18 +295,23 @@ FAMILY = "[family]\ndirection = x*y*z\n"
     ("", "", (), "error: {path}:2: empty value for 'polynomial'\n"),
     ("x^3 + y^3 + z^3", FAMILY, ("family", "--samples", ","),
      "error: need at least one sample\n"),
+    ("3^999999999*x^3 + y^3 + z^3", "", (),
+     "error: polynomial: power of a constant has more than 4300 digits (at position 1)\n"),
+    ("x^\u00b2 + y^3 + z^3", "", (), "error: polynomial: expected digits (at position 2)\n"),
 ], ids=["deep-parentheses", "deep-minus", "long-exponent", "long-coefficient", "huge-power",
         "huge-product", "duplicate-point", "inhomogeneous", "zero", "open-parenthesis",
         "bare-caret", "zero-denominator", "no-implicit-product", "empty-polynomial",
-        "no-samples"])
+        "no-samples", "long-constant-power", "non-ascii-exponent"])
 def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial, sections, argv, error):
-    """`hodge`, or the command argv names, exits 1 with one line starting
-    with `error`, the whole line where the case gives it, and prints no
-    report; a repeated point is named as the report writes a point."""
+    """`hodge`, or the command argv names, exits 1 within a second with one
+    line starting with `error`, the whole line where the case gives it, and
+    prints no report; a repeated point is named as the report writes a point."""
     p = tmp_path / "p.txt"
-    p.write_text(f"variables = x y z\npolynomial = {polynomial}\n{sections}")
+    p.write_text(f"variables = x y z\npolynomial = {polynomial}\n{sections}", encoding="utf-8")
     command, *options = argv or ("hodge",)
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, command, "--input", str(p), *options)
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert out == ""
     assert err.startswith(error.format(path=p)) and err.count("\n") == 1
@@ -311,17 +383,20 @@ def test_exit_one_before_the_reducedness_basis_outgrows_the_budget(monkeypatch, 
     assert max(sizes, default=0) <= gradedpoly._MAX_BASIS_SIZE
 
 
-@pytest.mark.parametrize("argv", [
-    ("pole", "fermat_cubic_curve.txt", "--stab-window", "5000000", "--stab-max", "5000000"),
-    ("family", "fermat_pencil.txt", "--q-max", "4000"),
+@pytest.mark.parametrize("argv,policy", [
+    (("pole", "fermat_cubic_curve.txt"), "[policy]\nwindow = 5000000\nmax_power = 5000000\n"),
+    (("family", "fermat_pencil.txt", "--q-max", "4000"), ""),
 ])
-def test_exit_one_before_a_smooth_window_outgrows_the_budget(monkeypatch, capsys, argv):
+def test_exit_one_before_a_smooth_window_outgrows_the_budget(monkeypatch, capsys, tmp_path,
+                                                            argv, policy):
     """A proved-smooth certificate builds no basis, yet its window refuses
     the landing degree a scan would refuse: the relations of degree 711 of
     a plane cubic live in degree 708, with C(710, 2) = 251695 monomials."""
     sizes = watch_bases(monkeypatch)
     command, name, *rest = argv
-    assert main([command, "--input", str(PROBLEMS / name), *rest]) == 1
+    p = tmp_path / name
+    p.write_text((PROBLEMS / name).read_text() + "\n" + policy)
+    assert main([command, "--input", str(p), *rest]) == 1
     assert capsys.readouterr() == ("", "error: degree 708 has 251695 monomials in 3 variables, "
                                        "more than the limit of 250000\n")
     assert sizes and max(sizes) <= gradedpoly._MAX_BASIS_SIZE
@@ -452,30 +527,26 @@ def pole_trace_lengths(out: str) -> list:
     return [len(c["values"]) for c in json.loads(out)["pole"]["certificates"]]
 
 
-def test_stab_window_flag_lengthens_every_certificate(capsys):
+def with_policy(tmp_path, policy: str) -> str:
+    p = tmp_path / "p.txt"
+    p.write_text((PROBLEMS / "fermat_cubic_curve.txt").read_text() + "\n[policy]\n" + policy)
+    return str(p)
+
+
+def test_policy_window_lengthens_every_certificate(tmp_path, capsys):
     path = str(PROBLEMS / "fermat_cubic_curve.txt")
     code, out, err = run_cli(capsys, "pole", "--input", path, "--json", "--no-timing")
     assert code == 0, err
     assert pole_trace_lengths(out) == [3, 2, 2]
-    code, out, err = run_cli(capsys, "pole", "--input", path, "--json", "--no-timing",
-                             "--stab-window", "4")
+    code, out, err = run_cli(capsys, "pole", "--input", with_policy(tmp_path, "window = 4\n"),
+                             "--json", "--no-timing")
     assert code == 0, err
+    assert json.loads(out)["input"]["policy"] == {"window": 4}
     assert pole_trace_lengths(out) == [4, 4, 4]
 
 
-def test_stab_window_flag_overrides_the_problem_file(tmp_path, capsys):
-    p = tmp_path / "p.txt"
-    p.write_text((PROBLEMS / "fermat_cubic_curve.txt").read_text() + "\n[policy]\nwindow = 2\n")
-    code, out, err = run_cli(capsys, "pole", "--input", str(p), "--json", "--no-timing",
-                             "--stab-window", "4")
-    assert code == 0, err
-    assert json.loads(out)["input"]["policy"] == {"window": 2}
-    assert pole_trace_lengths(out) == [4, 4, 4]
-
-
-def test_stab_max_below_the_window_exits_one(capsys):
-    code, out, err = run_cli(capsys, "pole", "--input", str(PROBLEMS / "fermat_cubic_curve.txt"),
-                             "--stab-max", "1")
+def test_policy_max_power_below_the_window_exits_one(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "pole", "--input", with_policy(tmp_path, "max_power = 1\n"))
     assert code == 1 and out == ""
     assert err == "error: stabilization max_power must be at least the window\n"
 

@@ -7,7 +7,7 @@ import pytest
 from test_jacobian import watch_squarefree_tests
 
 from brieskornlab import brieskorn, families, jacobian
-from brieskornlab.exactlinalg import InvariantError, QuotientMapError
+from brieskornlab.exactlinalg import InvariantError, QuotientMapError, SpanSolver
 from brieskornlab.families import (DEFAULT_SAMPLES, PencilFamily,
                                    grp_nabla_matrix, pole_constancy_check,
                                    specialize, tjurina_scan)
@@ -150,6 +150,33 @@ def test_grp_nabla_refuses_a_representative_that_leaks(monkeypatch):
     monkeypatch.setattr(jacobian._JacContext, "class_vector", leaky)
     with pytest.raises(QuotientMapError, match="through monomial"):
         grp_nabla_matrix(quartic_surface_pencil(), 0, 2)
+
+
+def test_grp_nabla_compares_nonzero_images_at_s0_one():
+    """At s = 1 and q = 2 the quartic surface pencil's matrix is 1 x 19 with
+    one nonzero entry, 8 at column 0, and its source monomials outside the
+    basis express through basis monomials with nonzero images, so the
+    well-definedness loop accumulates and compares nonzero vectors."""
+    m = grp_nabla_matrix(quartic_surface_pencil(), 1, 2, samples=(1, 0))
+    assert (m.nrows, m.ncols) == (1, 19)
+    assert m.rows == ({0: 8},)
+
+
+def test_grp_nabla_refuses_coordinates_that_are_not_linear(monkeypatch):
+    """If every coordinate came out doubled, a monomial outside the source
+    basis would map to twice its image while its expression through the
+    basis predicts four times it: refused at s = 1.  At s = 0 every image
+    compared is zero, so the loop cannot see the fault."""
+    real = SpanSolver.express
+
+    def doubled(self, v):
+        combo = real(self, v)
+        return None if combo is None else {lab: 2 * val for lab, val in combo.items()}
+
+    monkeypatch.setattr(SpanSolver, "express", doubled)
+    with pytest.raises(QuotientMapError, match="through monomial"):
+        grp_nabla_matrix(quartic_surface_pencil(), 1, 2, samples=(1, 0))
+    grp_nabla_matrix(quartic_surface_pencil(), 0, 2, samples=(0, 1))
 
 
 def _quotient_powers(monkeypatch) -> list:

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses,
 no function, class or method outlives its callers, the README documents
-every exported name, and no module starts a process-global cache.
+every exported name and every CLI option and problem-file key, and no
+module starts a process-global cache.
 
 The scans are syntactic.  Every name bound by an import statement in a module
 of src/brieskornlab (the package __init__, which re-exports, excepted) must
@@ -17,7 +18,9 @@ reference, so an export that nothing in the package calls fails the scan.
 Reference implementations that only tests call live under tests/ (the
 `oracles` module).  Every name of the package's `__all__` appears in
 backticks, or in the example's import, in README's Library section, and
-the example imports nothing else from the package.  No module binds an
+the example imports nothing else from the package.  README's "Flags"
+bullets name exactly the options of `cli._parser()` but `-h`, and its
+problem-file bullets exactly the sections and keys of `cli._KEYS`.  No module binds an
 empty mutable container ({}, [], set(), dict(), list()) at module level:
 such a binding is a cache or registry that lives as long as the process,
 where per-polynomial state belongs on an object that dies with the
@@ -45,6 +48,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from brieskornlab.cli import _KEYS, _parser
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brieskornlab"
 README = PACKAGE.parent.parent / "README.md"
@@ -223,6 +228,50 @@ def test_readme_documents_the_exported_surface():
     assert len(exported) > 1
     assert sorted(set(exported) - documented - imported) == []
     assert sorted(imported - set(exported)) == []
+
+
+def _bullets(text: str, after: str) -> list:
+    """The bullets of the first list after the line that starts with
+    `after`, each joined into one line, without its '- '."""
+    rest = text.split("\n" + after, 1)[1]
+    block = rest[rest.index("\n- ") + 3:].split("\n\n", 1)[0]
+    return [" ".join(bullet.split()) for bullet in block.split("\n- ")]
+
+
+def readme_options(readme: str) -> tuple:
+    """(the options README's "Flags" bullets name, {section or None: keys}
+    its problem-file bullets name).  A flag bullet names the options in the
+    backticked names it opens with; a problem-file bullet opens with a
+    top-level key or a `[section]`, whose keys are the other backticked
+    names of the bullet."""
+    flags = set()
+    for bullet in _bullets(readme, "Flags"):
+        head = re.match(r"(`[^`]+`( / )?)+", bullet).group(0)
+        flags.update(re.findall(r"--[a-z-]+", head))
+    keys: dict = {None: set()}
+    for bullet in _bullets(readme, "## Problem files"):
+        first, *rest = re.findall(r"`([^`]+)`", bullet)
+        if first.startswith("["):
+            keys[first[1:-1]] = {name for name in rest if re.fullmatch(r"[a-z_]\w*", name)}
+        else:
+            keys[None].add(first)
+    return flags, keys
+
+
+def test_readme_options_reads_the_flag_and_problem_file_bullets():
+    readme = ("# t\n- `--v` before;\n\nFlags, for all:\n\n- `--a X` one, not `--z`;\n- `--b` / `--c N` two\n"
+              "  lines `--y`;\n\nExit `--x`.\n\n## Problem files\n\nText:\n\n```\nk = 1\n```\n\n"
+              "- `top` text (`3/4*x`);\n- `[sec]` data: `k1` and\n  `k_2`, `k.3`;\n"
+              "- `[bare]` none;\n- `other`\n\nafter `w`\n")
+    assert readme_options(readme) == ({"--a", "--b", "--c"},
+                                      {None: {"top", "other"}, "sec": {"k1", "k_2"}, "bare": set()})
+
+
+def test_readme_lists_every_option_and_problem_file_key():
+    options = {name for action in _parser()._actions for name in action.option_strings}
+    flags, keys = readme_options(README.read_text())
+    assert flags == options - {"-h", "--help"}
+    assert keys == {section: set(names) for section, names in _KEYS.items()}
 
 
 _EMPTY_CALLS = {"set", "dict", "list"}
