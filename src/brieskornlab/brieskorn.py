@@ -250,7 +250,7 @@ def pole_filtration_dims(f: Poly, policy: StabilizationPolicy | None = None) -> 
     for q in range(ctx.n):
         if dims[q] > dims[q + 1]:
             raise InvariantError(f"pole filtration dims decreased at q={q}: {dims}")
-    if ctx.n >= 1 and dims[ctx.n - 1] != dims[ctx.n]:
+    if dims[ctx.n - 1] != dims[ctx.n]:
         raise InvariantError(
             f"pole filtration not exhausted at q=n-1: {dims}")
     return PoleFiltrationReport(ctx.n, ctx.d, dims, tuple(certs))

@@ -112,23 +112,21 @@ def _graded_quotient(ctx: _JacContext, k: int, power: int):
 
     Seeds the solver with the f-image classes (labelled None; the context's
     integer-scaled f spans the same image), then adds the classes of ambient
-    monomials; the accepted ones label the quotient basis.
+    monomials; the accepted ones label the quotient basis (none below degree
+    n+1, where there are no monomials).
     On a proved-smooth fiber the quotient is the Jacobian ring piece R_{k-n-1}
     (Griffiths), of the dimension the Hilbert series gives (Prop. 16: the
-    cokernel of f on H_f is R shifted by n+1), at every power.  Past the
-    socle degree (n+1)(d-2) it is zero, as is the target k = (q+1)d of
-    `grp_nabla_matrix` for every q >= n, and the empty presentation is
-    returned without building the relation space.
+    cokernel of f on H_f is R shifted by n+1), at every power.  Where that is
+    zero, as past the socle degree (n+1)(d-2) at the target k = (q+1)d of
+    `grp_nabla_matrix` for every q >= n, the empty presentation is returned
+    without building the relation space.
     """
     n, d = ctx.n, ctx.d
-    if k < n + 1:
-        return None, []
     if ctx.smooth and not ctx.dim_R(k - n - 1):
         return None, []
     solver = SpanSolver(len(ctx.index(k + power * d - n - 1)))
     basis = []
-    fimage_src = ctx.monomials(k - d - n - 1) if k - d >= n + 1 else []
-    for mono in fimage_src:
+    for mono in ctx.monomials(k - d - n - 1):
         solver.add(ctx.class_vector(ctx.f.shift(mono), k, power), None)
     for mono in ctx.monomials(k - n - 1):
         if solver.add(ctx.class_vector(Poly.monomial(ctx.nvars, mono), k, power), len(basis)):
@@ -143,12 +141,10 @@ def _presentation_powers(f: Poly, q: int, policy: StabilizationPolicy) -> tuple:
     of the certified power of its degree and that of one degree d lower,
     less one.  The certificates are asked for in either case."""
     ctx = _ctx(f)
-    n, d = ctx.n, ctx.d
-    src_k, tgt_k = q * d, (q + 1) * d
+    src_k, tgt_k = q * ctx.d, (q + 1) * ctx.d
     p_tgt = hbar_certificate(f, tgt_k, policy).power
-    p_src = hbar_certificate(f, src_k, policy).power if src_k >= n + 1 else 0
-    if src_k - d >= n + 1:
-        p_src = max(p_src, hbar_certificate(f, src_k - d, policy).power - 1)
+    p_src = max(hbar_certificate(f, src_k, policy).power,
+                hbar_certificate(f, src_k - ctx.d, policy).power - 1)
     if ctx.smooth:
         return 0, 0
     return p_src, p_tgt
@@ -206,8 +202,6 @@ def grp_nabla_matrix(fam: PencilFamily, s0, q: int,
         return ExactMatrix.zeros(0, ctx.dim_R(src_k - n - 1))
     src_solver, src_basis = _graded_quotient(ctx, src_k, p_src)
     nrows, ncols = len(tgt_basis), len(src_basis)
-    if q == 0 or fam.direction.is_zero() or ncols == 0:
-        return ExactMatrix.zeros(nrows, ncols)
 
     def target_coords(p: Poly) -> dict:
         combo = tgt_solver.express(ctx.class_vector(p, tgt_k, p_tgt))

@@ -11,7 +11,7 @@ their callers, the reducedness test among them (`jacobian._JacContext`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, floor, gcd, log10
+from math import comb, floor, gcd, lcm, log10
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -424,8 +424,18 @@ class _Tokens:
 # the interpreter's recursion limit.
 _MAX_NESTING = 100
 
-# Most digits a written number or a power of a constant may have (CPython's default int-to-str limit).
+# Most digits a written number, or a coefficient bound by `_log_height`, may
+# have (CPython's default int-to-str limit).
 _MAX_DIGITS = 4300
+
+
+def _log_height(p: Poly) -> float:
+    """log10 max(||L*p||_1, L), L the common denominator of p: the coefficients
+    of p^e have numerators and denominators at most 10^(e * this), as
+    ||(L*p)^e||_1 <= ||L*p||_1^e, and those of a*b at most 10^(the sum)."""
+    cs = p.terms.values()
+    den = lcm(*(c.denominator for c in cs))
+    return log10(max(sum(abs(c.numerator) * (den // c.denominator) for c in cs), den))
 
 
 def parse_poly(source: str, variables: Sequence[str]) -> Poly:
@@ -434,10 +444,12 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
     Raises ParseError (with position) on syntax errors, on names that are
     not in `variables`, on more than _MAX_NESTING (100) nested
     parentheses or unary minus signs, and, before expanding, at a '^' or
-    '*' whose degree D has more than _MAX_BASIS_SIZE monomials, or at a
-    power of a constant with more than _MAX_DIGITS (4300) digits, the most
-    a written number may have.  That bounds degrees and constants, not time:
-    (x + 3^9000*y)^100 takes minutes.
+    '*' whose degree D has more than _MAX_BASIS_SIZE monomials, or whose
+    coefficients `_log_height` does not bound below 10^_MAX_DIGITS (4300
+    digits, the most a written number may have; for a power of a constant
+    the bound is the value).  That bounds degrees and coefficients, not the
+    number of terms a product multiplies: (x+y+z)^100*(x+y+z)^100 takes
+    most of a minute.
     """
     names = list(variables)
     if len(set(names)) != len(names):
@@ -465,6 +477,10 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
             if refusal:
                 raise ParseError(refusal, pos)
 
+    def refuse_long_coefficients(log_bound: float, pos: int) -> None:
+        if log_bound >= _MAX_DIGITS:
+            raise ParseError(f"coefficients could have more than {_MAX_DIGITS} digits", pos)
+
     def parse_term() -> Poly:
         value = parse_factor()
         while toks.peek() == "*":
@@ -473,6 +489,7 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
             factor = parse_factor()
             if value and factor:
                 refuse_over_budget(value.degree() + factor.degree(), pos)
+                refuse_long_coefficients(_log_height(value) + _log_height(factor), pos)
             value = value * factor
         return value
 
@@ -483,13 +500,10 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
             toks.pos += 1
             toks.skip_ws()
             e = toks.take_number()
-            if value.degree() == 0:   # a constant: as many digits as a written number
-                c = value.terms[(0,) * nvars]
-                # e is capped so the product stays a float: 2^(4*_MAX_DIGITS) is longer
-                if min(e, 4 * _MAX_DIGITS) * log10(max(abs(c.numerator), c.denominator)) >= _MAX_DIGITS:
-                    raise ParseError(f"power of a constant has more than {_MAX_DIGITS} digits", pos)
-            elif value:
+            if value:
                 refuse_over_budget(value.degree() * e, pos)
+                # e is capped so the product stays a float: 2^(4*_MAX_DIGITS) is longer
+                refuse_long_coefficients(min(e, 4 * _MAX_DIGITS) * _log_height(value), pos)
             value = value**e
         return value
 

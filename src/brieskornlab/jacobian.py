@@ -26,13 +26,14 @@ Jacobian rows of that degree have full column rank.  Rows of full rank modulo
 a prime have full rank over Q (`exactlinalg.full_rank_mod_p`), which proves
 smoothness without an exact elimination; otherwise one exact elimination of
 the same rows decides.  Once smoothness is proved, the partials are a regular
-sequence of n+1 forms of degree d-1, R is their complete intersection, and
-every other dim R_k is read off the Hilbert series ((1-t^(d-1))/(1-t))^(n+1)
-(empty for d = 1, where R = 0); those numbers are theorems, not eliminations.
-Before the verdict, and for singular f, dim R_k is an exact rank, except past
-the degree k where `global_tjurina` proved the tail: every later dim R_j is
-tau, or, once the growth from k is maximal, Macaulay's bound iterated from
-dim R_k (Gotzmann persistence).  Every row the module builds is a Macaulay
+sequence of n+1 forms of degree d-1, R is their complete intersection, its
+dims below the probe are the Hilbert series ((1-t^(d-1))/(1-t))^(n+1) (empty
+for d = 1) and it is 0 from the probe on: theorems, not eliminations.
+`dim_R` reads a proved tail (that 0, or from the degree k where
+`global_tjurina` proved it, tau or, past maximal growth from k, Macaulay's
+bound iterated by Gotzmann persistence), else a known dim, else an exact
+rank.  A degree with an empty basis (below 0) is the zero space on that same
+path, as for H_f below degree n+1.  Every row the module builds is a Macaulay
 row of the partials (`gradedpoly.multiples`) over the context's bases, and
 so is every row of the reducedness test (`_JacContext.reduced`): with a the
 first nonzero partial and a_1..a_n the others, f is squarefree exactly when
@@ -99,11 +100,11 @@ class _RankTrace:
 class _JacContext:
     """Context of one hypersurface f, the only object kept per polynomial:
     the validated integer-scaled f, its scale, partials, monomial bases and
-    indices by degree, the ranks dim R_k and the tail `global_tjurina`
-    proved, the reducedness verdict (`reduced`, a Macaulay matrix of the
-    partials over the cached bases) and the smoothness verdict, and for
-    reduced f (`brieskorn._ctx`) the relation subspaces and f-power rank
-    traces of H_f.
+    indices by degree, the known dims R_k and the one proved tail (set by
+    the smoothness verdict or by `global_tjurina`), the reducedness verdict
+    (`reduced`, a Macaulay matrix of the partials over the cached bases) and
+    the smoothness verdict, and for reduced f (`brieskorn._ctx`) the
+    relation subspaces and f-power rank traces of H_f.
 
     Multiplication by f is well defined on H_f because
     f * (df ^ d eta) = df ^ d(f eta), so it maps the relations in degree k
@@ -134,8 +135,7 @@ class _JacContext:
         self._monos: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._dims: dict[int, int] = {}
-        self._series: list | None = None   # Hilbert function of R, once smooth
-        self._tail: tuple | None = None    # (k, dim R_k, grows) from global_tjurina, see dim_R
+        self._tail: tuple | None = None    # (k, dim R_k, grows), proved; see dim_R
         self._probe_rows: list | None = None   # probe rows short of full rank modulo p
         self._rel: dict[int, Subspace] = {}
         self._traces: dict[tuple, _RankTrace] = {}
@@ -202,11 +202,13 @@ class _JacContext:
         first use.  The probe rows are built once: a full rank modulo a prime
         proves smoothness without an exact elimination, and rows that are
         rank-deficient modulo it get one exact elimination.  A proof of
-        smoothness switches `dim_R` to the complete-intersection Hilbert
-        series."""
+        smoothness records the complete-intersection Hilbert series as the
+        dims below the probe and the tail dim R_k = 0 from the probe on."""
         if self.dim_R(self.probe):
             return False
-        self._series = hilbert_ci_coeffs(self.nvars, self.d - 1) if self.d > 1 else []
+        if self.d > 1:
+            self._dims.update(enumerate(hilbert_ci_coeffs(self.nvars, self.d - 1)))
+        self._tail = (self.probe, 0, False)
         return True
 
     def monomials(self, m: int) -> list:
@@ -224,20 +226,12 @@ class _JacContext:
     def image_rows(self, k: int) -> list:
         """Integer generator rows of the degree-k piece of the Jacobian ideal."""
         mdeg = k - (self.d - 1)
-        if mdeg < 0:
-            return []
         return [row for row in multiples(self.partials, self.monomials(mdeg), self.index(k)) if row]
 
     def dim_R(self, k: int) -> int:
-        """dim R_k: read off the Hilbert series once f is proved smooth (0 from
-        the probe degree on), read off the tail that `global_tjurina` proved
-        from its degree on, an exact rank otherwise.  The tail is constant (tau) or, past maximal growth, Macaulay's bound
-        iterated (Gotzmann persistence).  At the probe degree a full rank
-        modulo a prime proves R_k = 0 first."""
-        if k < 0:
-            return 0
-        if self._series is not None:
-            return self._series[k] if k < len(self._series) else 0
+        """dim R_k: the proved tail from its degree on (see `smooth` and
+        `global_tjurina`), else a known dim, else an exact rank, kept.  At the
+        probe degree a full rank modulo a prime proves R_k = 0 first."""
         if self._tail is not None and k >= self._tail[0]:
             j, h, grows = self._tail
             while grows and j < k:
@@ -292,8 +286,6 @@ class _JacContext:
         (b_n+1) jac[a][b+e_a] - (b_a+1) jac[n][b+e_n].
         """
         e = k - self.n - self.d
-        if e < 0:
-            return []
         n, monos, at = self.n, self.monomials(e), self.index(e)
         jac = [multiples([p], monos, self.index(k - n - 1)) for p in self.partials]
         rows = [jac[a][i] for i, alpha in enumerate(monos) for a in range(n + 1) if not alpha[a]]
@@ -316,7 +308,7 @@ class _JacContext:
     def relations(self, k: int) -> Subspace:
         got = self._rel.get(k)
         if got is None:
-            ambient = len(self.index(k - self.n - 1)) if k >= self.n + 1 else 0
+            ambient = len(self.index(k - self.n - 1))
             got = self._rel[k] = Subspace._from_int_rows(self.relation_rows(k), ambient)
         return got
 
@@ -326,8 +318,6 @@ class _JacContext:
         return {idx[mono]: c for mono, c in p.terms.items()}
 
     def hf_dim(self, k: int) -> int:
-        if k < self.n + 1:
-            return 0
         return len(self.index(k - self.n - 1)) - self.relations(k).dim
 
     def times_f(self, vec: dict, k: int) -> dict:
@@ -354,8 +344,6 @@ class _JacContext:
 
     def power_rank(self, k: int, N: int) -> int:
         """Rank of multiplication by f^N from H_{f,k} to H_{f,k+Nd}."""
-        if k < self.n + 1:
-            return 0
         trace = self._traces.get((k, None))
         if trace is None:
             pivots = set(self.relations(k).pivots)
@@ -365,8 +353,6 @@ class _JacContext:
 
     def span_rank(self, k: int, N: int, polys) -> int:
         """Rank of the span of the classes of f^N * p in H_{f,k+Nd}."""
-        if k < self.n + 1:
-            return 0
         key = (k, tuple(polys))
         trace = self._traces.get(key)
         if trace is None:

@@ -259,8 +259,6 @@ def local_jq_jets(chart: WeightedChart, q: int) -> LocalIdealJets:
 def _chart_conditions(f: Poly, chart: WeightedChart, q: int, globals_: list) -> list:
     """Linear conditions on C[x]_m coefficients from one chart's jet test."""
     jets = local_jq_jets(chart, q)
-    if jets.threshold <= 0 or not jets.basis:
-        return []
     idx = {m: i for i, m in enumerate(jets.basis)}
     cond: dict = {}
     for j, mono in enumerate(globals_):
@@ -281,15 +279,10 @@ def global_jq_dim(f: Poly, charts, q: int) -> tuple:
     if q < 0:
         raise InputError("q must be nonnegative")
     m = (q + 1) * ctx.d - ctx.n - 1
-    if m < 0:
-        return 0, []
     globals_ = ctx.monomials(m)
     rows = []
     for chart in charts:
         rows.extend(_chart_conditions(f, chart, q, globals_))
-    if not rows:
-        basis = [Poly.monomial(f.nvars, mono) for mono in globals_]
-        return len(basis), basis
     kernel = ExactMatrix.from_rows(rows, len(globals_)).kernel_basis()
     basis = []
     for vec in kernel.basis():

@@ -62,3 +62,16 @@ def test_a3_arrangement_has_nontrivial_monodromy():
     f = parse_poly("*".join(f"({l})" for l in lines), XYZ)
     dims = {i: milnor_eigenspace_dim(f, i) for i in range(6)}
     assert dims == {**want["milnor"], 2: want["chi"] + 1, 4: want["chi"] + 1}
+
+
+def test_zariski_sextic_has_alexander_polynomial_t2_minus_t_plus_1():
+    """Zariski's sextic (x^2+y^2+z^2)^3 + (x^3+y^3+z^3)^2 has six cusps
+    (Zariski, Amer. J. Math. 51 (1929)), so its Milnor numbers sum to 12,
+    chi(C) = 3d - d^2 + 12 = -6 and chi(U) = 3 - chi(C) = 9.  Its Alexander
+    polynomial is t^2 - t + 1 (Zariski; Libgober, Duke Math. J. 49 (1982)),
+    so dim H^1(F)_lambda = 1 exactly at the primitive sixth roots of unity,
+    i = 1, 5, and 0 at the other lambda != 1.  For a curve with isolated
+    singularities dim H^2(F)_lambda = chi(U) + dim H^1(F)_lambda, which is
+    10 at i = 1 and 9 at i = 2."""
+    f = parse_poly("(x^2+y^2+z^2)^3 + (x^3+y^3+z^3)^2", XYZ)
+    assert [milnor_eigenspace_dim(f, i) for i in (1, 2)] == [10, 9]

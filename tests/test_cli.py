@@ -296,12 +296,17 @@ FAMILY = "[family]\ndirection = x*y*z\n"
     ("x^3 + y^3 + z^3", FAMILY, ("family", "--samples", ","),
      "error: need at least one sample\n"),
     ("3^999999999*x^3 + y^3 + z^3", "", (),
-     "error: polynomial: power of a constant has more than 4300 digits (at position 1)\n"),
+     "error: polynomial: coefficients could have more than 4300 digits (at position 1)\n"),
+    ("(x+3^9000*y)^50", "", (),
+     "error: polynomial: coefficients could have more than 4300 digits (at position 12)\n"),
+    ("(x+3^9000*y)*(x+3^9000*y)", "", (),
+     "error: polynomial: coefficients could have more than 4300 digits (at position 12)\n"),
     ("x^\u00b2 + y^3 + z^3", "", (), "error: polynomial: expected digits (at position 2)\n"),
 ], ids=["deep-parentheses", "deep-minus", "long-exponent", "long-coefficient", "huge-power",
         "huge-product", "duplicate-point", "inhomogeneous", "zero", "open-parenthesis",
         "bare-caret", "zero-denominator", "no-implicit-product", "empty-polynomial",
-        "no-samples", "long-constant-power", "non-ascii-exponent"])
+        "no-samples", "long-constant-power", "long-coefficient-power",
+        "long-coefficient-product", "non-ascii-exponent"])
 def test_exit_one_on_hostile_polynomial(tmp_path, capsys, polynomial, sections, argv, error):
     """`hodge`, or the command argv names, exits 1 within a second with one
     line starting with `error`, the whole line where the case gives it, and
@@ -560,6 +565,36 @@ def test_all_problem_files_analyze(capsys):
         assert code == 0, f"{path.name}: {err}"
         assert out == (GOLDEN / f"{path.stem}.json").read_text(), path.name
         assert "cross-checks" in render_report(json.loads(out), as_json=False)
+
+
+NO_DATA = {"family": "error: the problem file has no [family] section\n",
+           "hodge": "error: hodge on a singular hypersurface needs [singular_point] "
+                    "sections with weighted-homogeneous local data\n"}
+
+
+@pytest.mark.parametrize("command", ["pole", "hodge", "jacobian", "milnor", "bs", "family"])
+def test_every_single_command_report_is_its_analyze_section(monkeypatch, capsys, command):
+    """On every problem file, from a fresh context, each section a single
+    command fills is that section of the file's `analyze` golden, and the
+    checks it lists are among the golden's: whichever command first decides
+    smoothness, and with it what `dim_R` reads, the numbers are the same.
+    A file without the data the command needs exits 1 with one line."""
+    for path in sorted(PROBLEMS.glob("*.txt")):
+        monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+        golden = json.loads((GOLDEN / f"{path.stem}.json").read_text())
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--json", "--no-timing")
+        problem = golden["input"]
+        if (command == "family" and problem["family"] is None) or (
+                command == "hodge" and not golden["smoothness"]
+                and not problem["singular_points"]):
+            assert (code, out, err) == (1, "", NO_DATA[command]), path.name
+            continue
+        assert code == 0, f"{path.name}: {err}"
+        report = json.loads(out)
+        for name, section in report.items():
+            if name not in ("command", "checks") and section is not None:
+                assert section == golden[name], (path.name, name)
+        assert all(check in golden["checks"] for check in report["checks"]), path.name
 
 
 NON_ISOLATED_PENCIL = """\

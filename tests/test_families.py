@@ -105,13 +105,22 @@ def test_grp_nabla_linear_in_direction():
                for r in range(m1.nrows) for c in range(m1.ncols))
 
 
-def test_grp_nabla_trivial_cases():
-    m0 = grp_nabla_matrix(FERMAT_PENCIL, 0, 0)
+@pytest.mark.parametrize("fam,const_shape", [
+    (FERMAT_PENCIL, (1, 1)),
+    (PencilFamily(parse_poly("x^2*y^2 + x*z^3 + y*z^3", XYZ), parse_poly("x*y*z^2", XYZ)),
+     (0, 2)),
+], ids=["smooth", "two-cusp"])
+def test_grp_nabla_trivial_cases(fam, const_shape):
+    """q = 0 has no source classes and a zero direction gives the zero map.
+    On the singular fiber both come out of the general path: presentations
+    are built and the zero map is checked well defined."""
+    m0 = grp_nabla_matrix(fam, 0, 0)
     assert m0.ncols == 0  # no classes below the first pole order
-    const = grp_nabla_matrix(PencilFamily(FERMAT_CUBIC, Poly.zero(3)), 0, 1)
+    const = grp_nabla_matrix(PencilFamily(fam.base, Poly.zero(3)), 0, 1)
+    assert (const.nrows, const.ncols) == const_shape
     assert all(not row for row in const.rows)
     with pytest.raises(InputError):
-        grp_nabla_matrix(FERMAT_PENCIL, 0, -1)
+        grp_nabla_matrix(fam, 0, -1)
 
 
 def test_grp_nabla_quartic_pencil_stable(monkeypatch):

@@ -49,7 +49,26 @@ def test_jacobian_dims_cusp():
 
 def test_jacobian_dims_two_cusp():
     assert jacobian_dims(TWO_CUSP, 8) == [1, 3, 6, 7, 6, 4, 4, 4, 4]
-    assert jacobian._ctx(TWO_CUSP).dim_R(-1) == 0  # R_k vanishes below degree zero
+
+
+@pytest.mark.parametrize("f", [TWO_CUSP, FERMAT_CUBIC], ids=["two-cusp", "smooth"])
+def test_an_empty_basis_is_the_zero_space(monkeypatch, f):
+    """Below degree 0 (R, whose rows start in degree d-1) and below degree
+    n+1 (H_f, whose relations start in degree n+d) the general path answers
+    from empty bases: no rows, no relations, rank 0.  On smooth f the answer
+    is the same before and after smoothness is proved."""
+    monkeypatch.setattr(jacobian, "_contexts", weakref.WeakKeyDictionary())
+    ctx = jacobian._ctx(f)
+    n, d = ctx.n, ctx.d
+    for decided in (False, True):
+        if decided:
+            ctx.smooth
+        for k in range(-2, n + 1):
+            assert ctx.relation_rows(k) == [] and ctx.relations(k).dim == 0
+            assert ctx.hf_dim(k) == ctx.power_rank(k, 0) == ctx.power_rank(k, 1) == 0
+            assert ctx.span_rank(k, 0, []) == ctx.span_rank(k, 1, []) == 0
+            if k < d - 1:
+                assert ctx.image_rows(k) == [] and ctx.dim_R(k) == (comb(k + n, n) if k >= 0 else 0)
 
 
 def test_smoothness():

@@ -19,6 +19,7 @@ FERMAT_CUBIC = parse_poly("x^3 + y^3 + z^3", XYZ)
 CUSP = parse_poly("x^3 + y^2*z", XYZ)
 TWO_CUSP = parse_poly("x^2*y^2 + x*z^3 + y*z^3", XYZ)
 NODAL_CUBIC = parse_poly("y^2*z - x^3 - x^2*z", XYZ)
+CAYLEY_CUBIC = parse_poly("x*y*z + x*y*t + x*z*t + y*z*t", ("x", "y", "z", "t"))
 
 W_CUSP = (Fraction(1, 3), Fraction(1, 2))
 
@@ -189,9 +190,20 @@ def test_global_jq_dim_two_cusp_line():
     assert nonzero == {(0, 0, 1)}  # the line z = 0
 
 
-def test_global_jq_dim_degenerate_degree():
-    dim, basis = global_jq_dim(CUSP, [cusp_chart()], 0)
-    assert (dim, basis) == (0, [])  # forms of degree d-n-1 = 0 all vanish? no sections
+def cayley_charts():
+    """The four nodes of the Cayley cubic, at the coordinate points."""
+    return tuple(build_chart(CAYLEY_CUBIC, tuple(int(i == j) for j in range(4)), i,
+                             (Fraction(1, 2),) * 3) for i in range(4))
+
+
+@pytest.mark.parametrize("f,charts", [(CUSP, lambda: [cusp_chart()]),
+                                      (CAYLEY_CUBIC, cayley_charts)],
+                         ids=["cusp-degree-0", "cayley-degree-minus-1"])
+def test_global_jq_dim_degenerate_degree(f, charts):
+    """At q = 0 the sections have degree d-n-1: 0 on the cuspidal cubic,
+    where the constant fails the cusp's jet test, and -1 on the Cayley
+    cubic surface, which has no forms at all."""
+    assert global_jq_dim(f, charts(), 0) == (0, [])
 
 
 def test_verify_chart_coverage():
